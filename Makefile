@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-runtime bench-spice bench-batch \
+.PHONY: install test bench bench-runtime bench-spice \
 	examples results trace-demo faults-demo campaign-demo serve-demo \
 	lint lint-graph lint-baseline clean
 
@@ -23,9 +23,6 @@ bench-runtime:
 
 bench-spice:
 	$(PYTHON) -m pytest benchmarks/test_spice_solver_perf.py -v
-
-bench-batch:
-	$(PYTHON) -m pytest benchmarks/test_batch_eval.py -v
 
 examples:
 	@for script in examples/*.py; do \

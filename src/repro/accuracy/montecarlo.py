@@ -19,7 +19,7 @@ individually cacheable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -31,11 +31,7 @@ from repro.runtime.cache import ResultCache
 from repro.runtime.jobs import JobSpec, content_key
 from repro.runtime.metrics import RunMetrics
 from repro.runtime.pool import RunPolicy, run_jobs
-from repro.spice.solver import (
-    CrossbarNetwork,
-    ideal_output_voltages,
-    solve_batch,
-)
+from repro.spice.solver import CrossbarNetwork, ideal_output_voltages
 from repro.tech.memristor import MemristorModel
 
 
@@ -70,9 +66,9 @@ def _draw_trial(
     """One trial's random draws, in the fixed (contractual) order.
 
     The draw order — levels, variation sample, inputs — is the
-    reproducibility contract shared by the point-wise and batched
-    workers: each trial is a pure function of its spawn-keyed stream,
-    so grouping trials differently can never change a sample.
+    reproducibility contract: each trial is a pure function of its
+    spawn-keyed stream, so the execution schedule can never change a
+    sample.
     """
     levels = rng.integers(0, device.levels, size=(size, size))
     programmed = device.resistance_of_level(levels)
@@ -139,62 +135,6 @@ def _run_trial(task: Tuple) -> np.ndarray:
             device, size, segment_resistance, sense_resistance, sigma,
             input_mode, rng, inputs_per_trial,
         )
-
-
-def _run_trial_batch(tasks: Sequence[Tuple]) -> List[np.ndarray]:
-    """Batched worker: a whole group of seeded trials in one solve.
-
-    Each trial's draws replay exactly as in :func:`_run_trial` (its own
-    spawn-keyed stream, the :func:`_draw_trial` order), the stacked
-    systems are solved through
-    :func:`~repro.spice.solver.solve_batch` — bit-identical per member
-    to :meth:`~repro.spice.solver.CrossbarNetwork.solve` — and the
-    error extraction is the same per-trial arithmetic as
-    :func:`_single_trial`.  Results are therefore byte-identical to the
-    point-wise worker for any grouping, which is what lets
-    ``RunPolicy.batch_within_chunk`` default to on without perturbing
-    samples or cache contents.
-    """
-    inputs_per_trial = tasks[0][8]
-    if inputs_per_trial != 1 or len({
-        (task[0], task[1], task[8]) for task in tasks
-    }) > 1:
-        # Multi-vector trials already batch internally via solve_many;
-        # heterogeneous groups (different device/size) cannot share a
-        # stacked solve.  Both fall back to per-trial execution, which
-        # is the identical point-wise computation.
-        return [_run_trial(task) for task in tasks]
-    programmed_grids: List[np.ndarray] = []
-    networks: List[CrossbarNetwork] = []
-    input_vectors: List[np.ndarray] = []
-    for task in tasks:
-        (device, size, segment_resistance, sense_resistance, sigma,
-         input_mode, seed, trial, _ipt) = task
-        rng = np.random.default_rng(
-            np.random.SeedSequence(seed, spawn_key=(trial,))
-        )
-        programmed, actual, inputs = _draw_trial(
-            device, size, sigma, input_mode, rng
-        )
-        programmed_grids.append(programmed)
-        networks.append(CrossbarNetwork(
-            actual, segment_resistance, sense_resistance, device=device
-        ))
-        input_vectors.append(inputs)
-    size = tasks[0][1]
-    with obs_trace.span("mc.batch", trials=len(tasks), size=size):
-        batch = solve_batch(networks, np.stack(input_vectors))
-    errors: List[np.ndarray] = []
-    for index, task in enumerate(tasks):
-        sense_resistance = task[3]
-        ideal = ideal_output_voltages(
-            programmed_grids[index], input_vectors[index],
-            sense_resistance,
-        )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rel = (ideal - batch.output_voltages[index]) / ideal
-        errors.append(rel[np.isfinite(rel)])
-    return errors
 
 
 def run_monte_carlo(
@@ -319,7 +259,6 @@ def run_monte_carlo(
             metrics=metrics,
             progress=progress,
             should_cancel=should_cancel,
-            batch_worker=_run_trial_batch,
         )
     return MonteCarloResult(samples=np.concatenate(errors))
 

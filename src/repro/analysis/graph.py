@@ -1,6 +1,6 @@
 """Whole-project semantic index: symbols, imports, call graph, taint.
 
-The per-module rules (R1-R6) judge one :class:`~repro.analysis.core.
+The per-module rules (R1-R5) judge one :class:`~repro.analysis.core.
 ModuleInfo` at a time, which is exactly why the PR 6 ``events_since``
 bare-``Condition.wait`` bug and cross-module wall-clock leaks survived
 review: the evidence for those bugs spans *methods* and *modules*.

@@ -17,9 +17,6 @@ R4    except-hygiene   no bare/broad ``except`` without logging, a
 R5    units            scale arithmetic in ``circuits``/``tech`` uses
                        named ``repro.units`` constants, not magic
                        powers of ten
-R6    hot-loop-solve   no point-wise ``.solve()``/``.solve_many()``
-                       calls inside loops in ``accuracy``/``dse``/
-                       ``faults`` — batch through ``solve_batch``
 R7*   lock-discipline  attributes written under a class's lock are not
                        touched bare elsewhere; ``Condition.wait``
                        needs ``wait_for``/a predicate loop; notify
@@ -32,6 +29,9 @@ R9*   determinism-     wall-clock/global-RNG sources stay >= 4 call
                        ``fingerprint()`` sinks, project-wide
 ====  ===============  ====================================================
 
+R6 is retired (a point-wise solve loop is not the slow path for
+nonlinear devices, DESIGN.md S22); the id is not reused.
+
 Rules marked ``*`` are project rules (``needs_graph = True``): they
 run in the project-analysis pass over the whole-project semantic
 index (:mod:`repro.analysis.graph`, DESIGN.md S25) instead of one
@@ -42,7 +42,6 @@ from repro.analysis.rules import (  # noqa: F401  (registration imports)
     determinism,
     exceptions,
     forksafety,
-    hotloop,
     lifecycle,
     locks,
     purity,

@@ -107,15 +107,6 @@ class RunPolicy:
         default of 2 preserves the historical behaviour (any sweep of
         at least two jobs may fan out); latency-sensitive callers such
         as :mod:`repro.service` raise it.
-    batch_within_chunk:
-        When the caller supplies a ``batch_worker`` to
-        :func:`run_jobs`, execute each chunk (or serial group) through
-        it as *one* vectorized call instead of looping the per-job
-        worker — hot sweeps are vectorized first and forked second.
-        Batch workers are required to return results bit-identical to
-        the per-job worker (the solver's batched path guarantees this),
-        so flipping this knob never changes results or cache keys, only
-        wall-clock.  ``False`` forces the historical per-job loop.
     """
 
     jobs: int = 1
@@ -123,7 +114,6 @@ class RunPolicy:
     timeout: Optional[float] = None
     retries: int = 1
     min_sweep_for_parallel: int = 2
-    batch_within_chunk: bool = True
 
     def __post_init__(self) -> None:
         if self.jobs < 0:
@@ -191,8 +181,7 @@ def run_jobs(
         Optional vectorized sibling of ``worker``: a top-level
         picklable function mapping a *list* of payloads to the list of
         their results, in order, **bit-identical** to calling
-        ``worker`` on each.  When given (and
-        ``policy.batch_within_chunk`` is on) each chunk / serial group
+        ``worker`` on each.  When given, each chunk / serial group
         executes as one ``batch_worker`` call, so same-shape jobs can
         share assembly and amortise per-call overhead.  Caching,
         retries and cancellation semantics are unchanged — a cache hit
@@ -263,12 +252,6 @@ def _run_jobs_traced(
                 progress(completed, len(specs))
 
         with metrics.stage("execute"):
-            # Vectorize first, fork second: a batch worker (when the
-            # policy allows it) turns each chunk / serial group into
-            # one call that shares assembly across its jobs.
-            batcher = (
-                batch_worker if policy.batch_within_chunk else None
-            )
             # Processes are used whenever more than one worker is
             # requested — even on a single core they buy crash/timeout
             # isolation; genuine pool failures fall back below.  An
@@ -282,23 +265,23 @@ def _run_jobs_traced(
                 and len(pending) > 1
                 and len(pending) >= policy.min_sweep_for_parallel
                 and _picklable(worker)
-                and (batcher is None or _picklable(batcher))
+                and (batch_worker is None or _picklable(batch_worker))
             )
             if use_processes:
                 try:
                     _run_parallel(worker, pending, policy, metrics, results,
-                                  done, advance, should_cancel, batcher)
+                                  done, advance, should_cancel, batch_worker)
                     metrics.mode = "process"
                 except _SerialFallback:
                     pending = [
                         (i, spec) for i, spec in pending if not done[i]
                     ]
                     _run_serial(worker, pending, policy, metrics, results,
-                                advance, should_cancel, batcher)
+                                advance, should_cancel, batch_worker)
                     metrics.mode = "serial"
             else:
                 _run_serial(worker, pending, policy, metrics, results,
-                            advance, should_cancel, batcher)
+                            advance, should_cancel, batch_worker)
                 metrics.mode = "serial"
         metrics.count("jobs_executed", len(pending))
 

@@ -608,6 +608,9 @@ class CrossbarNetwork:
         voltages, conductances, iterations, converged = self._solve_nodes(
             inputs, tolerance, max_iterations
         )
+        if _obs_trace.enabled():
+            _count_solver_event("pointwise_solve")
+            _count_solver_event("fixed_point_iterations", iterations)
         return self._package(voltages, conductances, inputs, iterations,
                              converged)
 
@@ -691,10 +694,6 @@ class CrossbarNetwork:
             solve_span.set(iterations=iterations, converged=converged)
             if debug:
                 solve_span.set(residuals=residuals)
-        if _obs_trace.enabled():
-            _count_solver_event("pointwise_solve")
-            _count_solver_event("fixed_point_iterations", iterations)
-
         return voltages, conductances, iterations, converged
 
     def solve_many(
@@ -714,10 +713,9 @@ class CrossbarNetwork:
 
         Nonlinear devices shift every cell's operating point with the
         inputs, so each vector keeps its own (exact) fixed-point
-        iteration; the batch runs through :func:`solve_batch`, which
-        assembles all members' matrices in one sweep per round and
-        vectorizes the device update across the batch axis while
-        keeping each per-vector result bit-identical to :meth:`solve`.
+        iteration; the batch runs through :func:`solve_batch`, whose
+        per-member loop makes each result bit-identical to
+        :meth:`solve`.
         """
         inputs = np.asarray(inputs, dtype=float)
         if inputs.ndim != 2 or inputs.shape[1] != self.rows:
@@ -729,30 +727,25 @@ class CrossbarNetwork:
         if k == 0:
             raise SolverError("batched solve needs at least one vector")
 
-        if not self._is_nonlinear():
-            with _obs_trace.span(
-                "solver.solve_many", rows=self.rows, cols=self.cols,
-                batch=k,
-            ):
-                conductances = self._base_conductances()
-                matrix = self._matrix(conductances)
-                rhs = self._rhs(inputs)
-                voltages = self._factorize(matrix).solve(rhs)
-                if np.any(~np.isfinite(voltages)):
-                    raise SolverError(
-                        "solver produced non-finite node voltages"
-                    )
-                return self._package_batch(
-                    voltages, conductances, inputs,
-                    np.ones(k, dtype=np.int64), np.ones(k, dtype=bool),
-                )
-
         with _obs_trace.span(
             "solver.solve_many", rows=self.rows, cols=self.cols,
             batch=k,
         ):
-            return solve_batch(
-                [self] * k, inputs, tolerance, max_iterations
+            if self._is_nonlinear():
+                return solve_batch(
+                    [self] * k, inputs, tolerance, max_iterations
+                )
+            conductances = self._base_conductances()
+            matrix = self._matrix(conductances)
+            rhs = self._rhs(inputs)
+            voltages = self._factorize(matrix).solve(rhs)
+            if np.any(~np.isfinite(voltages)):
+                raise SolverError("solver produced non-finite node voltages")
+            iterations = np.ones(k, dtype=np.int64)
+            _count_batched_solve(iterations)
+            return self._package_batch(
+                voltages, conductances, inputs,
+                iterations, np.ones(k, dtype=bool),
             )
 
     # ------------------------------------------------------------------
@@ -824,18 +817,27 @@ class CrossbarNetwork:
 _BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
 
-def _count_batched_solve(batch: int) -> None:
-    """Record one ``solve_batch`` call on the obs metrics (when on)."""
+def _count_batched_solve(iterations: np.ndarray) -> None:
+    """Record one batched call on the obs metrics (when on).
+
+    ``iterations`` holds one fixed-point count per member, so the call
+    adds its size to ``repro_solver_batched_solves_total`` and the
+    members' iterations to the ``fixed_point_iterations`` event.
+    """
     if _obs_trace.enabled():
+        batch = len(iterations)
         _obs_metrics.histogram(
             "repro_solver_batch_size",
-            "Members per solve_batch call",
+            "Members per batched solve call",
             buckets=_BATCH_SIZE_BUCKETS,
         ).observe(float(batch))
         _obs_metrics.counter(
             "repro_solver_batched_solves_total",
             "Crossbar solves executed through the batched path",
         ).inc(batch)
+        _count_solver_event(
+            "fixed_point_iterations", int(np.sum(iterations))
+        )
 
 
 def solve_batch(
@@ -848,17 +850,18 @@ def solve_batch(
 ) -> CrossbarSolutionBatch:
     """Solve ``B`` same-shape crossbars, one input vector each.
 
-    The whole batch shares one cached :class:`_CrossbarStructure`:
-    every member's stamp values are stacked into one array and all CSC
-    value arrays are rewritten in a single ``np.add.reduceat`` sweep
-    per fixed-point round (:meth:`_CrossbarStructure.matrix_batch`),
-    and the nonlinear device update / damping / convergence bookkeeping
-    run vectorized across the batch axis.  Each member's *numeric*
-    factorization and triangular solves stay per-member — they are what
-    pins every member bit-identical to :meth:`CrossbarNetwork.solve`,
-    which is the contract the Monte-Carlo / DSE / fault layers rely on
-    for schedule-independent reproducibility (and the reason the
-    batched path never changes cache keys).
+    Linear members (no device, or an ideal ohmic one) share one cached
+    :class:`_CrossbarStructure`: every member's stamp values are
+    stacked into one array and all CSC value arrays are rewritten in a
+    single ``np.add.reduceat`` sweep
+    (:meth:`_CrossbarStructure.matrix_batch`).  Nonlinear members run
+    their own fixed point, one after another — stacking their rounds
+    measured slower than this loop (DESIGN.md S22).  Numeric
+    factorization and triangular solves stay per-member either way, so
+    every member is bit-identical to :meth:`CrossbarNetwork.solve`,
+    which is the contract the fault layer relies on for
+    schedule-independent reproducibility (and the reason batching never
+    changes cache keys).
 
     Parameters
     ----------
@@ -909,78 +912,14 @@ def solve_batch(
         "solver.solve_batch", rows=first.rows, cols=first.cols,
         batch=len(networks), nonlinear=nonlinear,
     ):
-        _count_batched_solve(len(networks))
         if nonlinear:
-            group = _nonlinear_group_size(first.structure.num_nodes)
-            if len(networks) <= group:
-                result = _solve_batch_nonlinear(
-                    networks, inputs, tolerance, max_iterations,
-                    on_singular,
-                )
-            else:
-                # Fixed-point rounds interleave every member's LU
-                # factors; past a cache-sized working set that
-                # round-robin evicts them faster than it amortises
-                # assembly (measured: 32 members at 64x64 run ~25%
-                # slower than the point-wise loop, 8 run ~2% faster).
-                # Members are independent, so slicing the batch changes
-                # wall-clock only, never bits.
-                result = _concat_batches([
-                    _solve_batch_nonlinear(
-                        networks[start:start + group],
-                        inputs[start:start + group],
-                        tolerance, max_iterations, on_singular,
-                    )
-                    for start in range(0, len(networks), group)
-                ])
+            result = _solve_batch_pointwise(
+                networks, inputs, tolerance, max_iterations, on_singular,
+            )
         else:
             result = _solve_batch_linear(networks, inputs, on_singular)
-        if _obs_trace.enabled():
-            _count_solver_event(
-                "fixed_point_iterations", int(np.sum(result.iterations))
-            )
+        _count_batched_solve(result.iterations)
         return result
-
-
-# Cache-friendly working-set budget for the nonlinear round-robin: the
-# sub-group size keeps (members x num_nodes) under this many unknowns,
-# so every member's LU factors stay resident across fixed-point rounds.
-# 64k unknowns -> 128 members at 16x16, 32 at 32x32, 8 at 64x64 — the
-# empirical sweet spots of the group-size sweep (DESIGN.md S22).
-_NONLINEAR_WORKSET_NODES = 65536
-
-
-def _nonlinear_group_size(num_nodes: int) -> int:
-    return max(4, _NONLINEAR_WORKSET_NODES // max(1, num_nodes))
-
-
-def _concat_batches(
-    parts: List[CrossbarSolutionBatch],
-) -> CrossbarSolutionBatch:
-    """Stitch sub-group results back into one batch, in member order."""
-    if len(parts) == 1:
-        return parts[0]
-    failed = None
-    if parts[0].failed is not None:
-        failed = np.concatenate([part.failed for part in parts])
-    return CrossbarSolutionBatch(
-        output_voltages=np.concatenate(
-            [part.output_voltages for part in parts]
-        ),
-        cell_voltages=np.concatenate(
-            [part.cell_voltages for part in parts]
-        ),
-        cell_currents=np.concatenate(
-            [part.cell_currents for part in parts]
-        ),
-        input_currents=np.concatenate(
-            [part.input_currents for part in parts]
-        ),
-        total_power=np.concatenate([part.total_power for part in parts]),
-        iterations=np.concatenate([part.iterations for part in parts]),
-        converged=np.concatenate([part.converged for part in parts]),
-        failed=failed,
-    )
 
 
 def _solve_batch_linear(
@@ -1027,128 +966,31 @@ def _solve_batch_linear(
     )
 
 
-def _solve_batch_nonlinear(
+def _solve_batch_pointwise(
     networks: List[CrossbarNetwork],
     inputs: np.ndarray,
     tolerance: float,
     max_iterations: int,
     on_singular: str,
 ) -> CrossbarSolutionBatch:
-    """Batched damped fixed point, bit-identical per member.
-
-    Mirrors :meth:`CrossbarNetwork._solve_nodes` exactly: the first
-    round factorizes each member, later rounds refine against the
-    member's frozen LU (refactorizing on stall), the device update and
-    damping are elementwise (so evaluating them on the stacked grids
-    changes nothing), and a member retires the first time its node
-    voltages move less than ``tolerance`` — with its conductances
-    already advanced by that round's update, as in the point-wise loop.
-    """
+    """Each member's own fixed point — :meth:`CrossbarNetwork.solve`."""
     first = networks[0]
-    device = first.device
-    structure = first.structure
-    m, n = first.rows, first.cols
-    num_nodes = structure.num_nodes
     batch = len(networks)
-
-    conductances = np.stack(
-        [net._base_conductances() for net in networks]
-    )
-    tails = np.stack([net._wire_tail() for net in networks])
-    resistances = np.stack([net.resistances for net in networks])
-    gain_stack = None
-    if any(net._cell_gain is not None for net in networks):
-        # Members without a mask multiply by exactly 1.0 — an IEEE
-        # identity, so their bits still match the point-wise path
-        # (which skips the multiply entirely).
-        gain_stack = np.stack([
-            np.ones((m, n)) if net._cell_gain is None else net._cell_gain
-            for net in networks
-        ])
-    rhs = np.stack(
-        [net._rhs(inputs[index]) for index, net in enumerate(networks)]
-    )
-
-    voltages = np.zeros((batch, num_nodes))
-    previous = np.zeros((batch, num_nodes))
-    has_previous = np.zeros(batch, dtype=bool)
-    lus: List[Optional[spla.SuperLU]] = [None] * batch
+    voltages = np.zeros((batch, first.num_nodes))
+    conductances = np.zeros((batch, first.rows, first.cols))
     iterations = np.zeros(batch, dtype=np.int64)
     converged = np.zeros(batch, dtype=bool)
     failed = np.zeros(batch, dtype=bool)
-    active = np.ones(batch, dtype=bool)
-
-    for round_index in range(1, max_iterations + 1):
-        members = np.flatnonzero(active)
-        if members.size == 0:
-            break
-        with _obs_trace.span("solver.assemble", batch=members.size):
-            data = structure.matrix_batch(
-                conductances[members], tails[members]
+    for index, net in enumerate(networks):
+        try:
+            (voltages[index], conductances[index], iterations[index],
+             converged[index]) = net._solve_nodes(
+                inputs[index], tolerance, max_iterations
             )
-        for offset, index in enumerate(members):
-            net = networks[index]
-            iterations[index] = round_index
-            matrix = sp.csc_matrix(
-                (data[offset], structure.csc_indices,
-                 structure.csc_indptr),
-                shape=(num_nodes, num_nodes),
-            )
-            try:
-                if lus[index] is None:
-                    lus[index] = net._factorize(matrix)
-                    solved = lus[index].solve(rhs[index])
-                else:
-                    with _obs_trace.span("solver.refine"):
-                        solved = _refined_solve(
-                            lus[index], matrix, rhs[index],
-                            voltages[index],
-                        )
-                    if solved is None:
-                        _count_solver_event("refactorize_on_stall")
-                        lus[index] = net._factorize(matrix)
-                        solved = lus[index].solve(rhs[index])
-                    else:
-                        _count_solver_event("refine_accept")
-                if np.any(~np.isfinite(solved)):
-                    raise SolverError(
-                        "solver produced non-finite node voltages"
-                    )
-            except SolverError:
-                if on_singular == "raise":
-                    raise
-                failed[index] = True
-                active[index] = False
-                continue
-            voltages[index] = solved
-        members = np.flatnonzero(active)
-        if members.size == 0:
-            break
-        # Device update + damping, vectorized across the batch axis.
-        wl = voltages[members, : m * n].reshape(-1, m, n)
-        bl = voltages[members, m * n:].reshape(-1, m, n)
-        v_cell = wl - bl
-        new_cond = 1.0 / device.actual_resistance(
-            resistances[members], v_cell
-        )
-        if gain_stack is not None:
-            new_cond = new_cond * gain_stack[members]
-        conductances[members] = (
-            _DAMPING * new_cond
-            + (1.0 - _DAMPING) * conductances[members]
-        )
-        # Convergence: per-member max |delta|, exact as the scalar loop.
-        ready = members[has_previous[members]]
-        if ready.size:
-            deltas = np.max(
-                np.abs(voltages[ready] - previous[ready]), axis=1
-            )
-            settled = ready[deltas < tolerance]
-            converged[settled] = True
-            active[settled] = False
-        previous[members] = voltages[members]
-        has_previous[members] = True
-
+        except SolverError:
+            if on_singular == "raise":
+                raise
+            failed[index] = True
     return _stack_member_solutions(
         networks, voltages, conductances, inputs, iterations,
         converged=converged, failed=failed,

@@ -3,13 +3,21 @@
 import numpy as np
 import pytest
 
-from repro.accuracy.interconnect import analog_error_rate
+from repro.accuracy.interconnect import (
+    DEFAULT_SENSE_RESISTANCE,
+    analog_error_rate,
+)
 from repro.accuracy.montecarlo import (
     MonteCarloResult,
     bound_check,
     run_monte_carlo,
 )
 from repro.errors import ConfigError
+from repro.spice.solver import (
+    CrossbarNetwork,
+    ideal_output_voltages,
+    solve_batch,
+)
 from repro.tech import get_memristor_model
 
 SEG_45NM = 0.25
@@ -159,47 +167,81 @@ class TestValidation:
             run_monte_carlo(device, 8, SEG_45NM, rng, jobs=2)
 
 
-class TestBatchedParity:
-    """The batched trial worker is byte-identical to the point-wise
-    path for every ``jobs`` setting (DESIGN.md S22)."""
+def _trial_draws(device, size, seed, trials, input_mode="random"):
+    """Each seeded trial's draws, replayed from its spawn-keyed stream."""
+    from repro.accuracy.montecarlo import _draw_trial
 
-    def _pointwise(self, device, **kwargs):
-        from repro.runtime.pool import RunPolicy
-        return run_monte_carlo(
-            device, 16, SEG_45NM, seed=11, trials=6,
-            policy=RunPolicy(batch_within_chunk=False), **kwargs,
+    for trial in range(trials):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=(trial,))
         )
+        yield rng, _draw_trial(device, size, device.sigma, input_mode, rng)
+
+
+def _relative_errors(programmed, inputs, outputs):
+    """The worker's per-trial error extraction."""
+    ideal = ideal_output_voltages(programmed, inputs,
+                                  DEFAULT_SENSE_RESISTANCE)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = (ideal - outputs) / ideal
+    return rel[np.isfinite(rel)]
+
+
+class TestBatchedParity:
+    """The batched solver entry points reproduce the Monte-Carlo
+    samples bit for bit: ``solve_batch`` over the same trials, and
+    ``solve_many`` against per-vector ``solve`` (DESIGN.md S22)."""
+
+    @staticmethod
+    def _batched_samples(device, size, seed, trials, input_mode="random"):
+        draws = [draw for _, draw in _trial_draws(
+            device, size, seed, trials, input_mode
+        )]
+        batch = solve_batch(
+            [CrossbarNetwork(actual, SEG_45NM, DEFAULT_SENSE_RESISTANCE,
+                             device=device) for _, actual, _ in draws],
+            np.stack([inputs for _, _, inputs in draws]),
+        )
+        return np.concatenate([
+            _relative_errors(programmed, inputs, batch.output_voltages[k])
+            for k, (programmed, _, inputs) in enumerate(draws)
+        ])
 
     def test_batched_matches_pointwise_serial(self, device):
-        batched = run_monte_carlo(device, 16, SEG_45NM, seed=11,
-                                  trials=6)
-        assert np.array_equal(batched.samples,
-                              self._pointwise(device).samples)
+        run = run_monte_carlo(device, 16, SEG_45NM, seed=11, trials=6)
+        assert np.array_equal(run.samples,
+                              self._batched_samples(device, 16, 11, 6))
 
     def test_batched_matches_pointwise_parallel(self, device):
-        batched = run_monte_carlo(device, 16, SEG_45NM, seed=11,
-                                  trials=6, jobs=2)
-        assert np.array_equal(batched.samples,
-                              self._pointwise(device).samples)
+        run = run_monte_carlo(device, 16, SEG_45NM, seed=11, trials=6,
+                              jobs=2)
+        assert np.array_equal(run.samples,
+                              self._batched_samples(device, 16, 11, 6))
 
     def test_multi_input_trials_fall_back_identically(self, device):
-        """``inputs_per_trial > 1`` uses the per-trial solve_many path
-        inside the batch worker's fallback — still byte-identical."""
-        from repro.runtime.pool import RunPolicy
-        batched = run_monte_carlo(device, 12, SEG_45NM, seed=13,
-                                  trials=4, inputs_per_trial=3)
-        pointwise = run_monte_carlo(
-            device, 12, SEG_45NM, seed=13, trials=4, inputs_per_trial=3,
-            policy=RunPolicy(batch_within_chunk=False),
-        )
-        assert np.array_equal(batched.samples, pointwise.samples)
+        """``inputs_per_trial > 1`` solves through ``solve_many``, whose
+        nonlinear path is the per-member loop — identical to ``solve``
+        on each vector."""
+        run = run_monte_carlo(device, 12, SEG_45NM, seed=13, trials=4,
+                              inputs_per_trial=3)
+        expected = []
+        for rng, (programmed, actual, first) in _trial_draws(
+                device, 12, 13, 4):
+            vectors = np.vstack((
+                first, rng.uniform(0, device.read_voltage, size=(2, 12)),
+            ))
+            network = CrossbarNetwork(actual, SEG_45NM,
+                                      DEFAULT_SENSE_RESISTANCE,
+                                      device=device)
+            outputs = np.stack([
+                network.solve(vector).output_voltages for vector in vectors
+            ])
+            expected.append(_relative_errors(programmed, vectors, outputs))
+        assert np.array_equal(run.samples, np.concatenate(expected))
 
     def test_full_input_mode_batched_identically(self, device):
-        from repro.runtime.pool import RunPolicy
-        batched = run_monte_carlo(device, 12, SEG_45NM, seed=17,
-                                  trials=4, input_mode="full")
-        pointwise = run_monte_carlo(
-            device, 12, SEG_45NM, seed=17, trials=4, input_mode="full",
-            policy=RunPolicy(batch_within_chunk=False),
+        run = run_monte_carlo(device, 12, SEG_45NM, seed=17, trials=4,
+                              input_mode="full")
+        assert np.array_equal(
+            run.samples, self._batched_samples(device, 12, 17, 4, "full")
         )
-        assert np.array_equal(batched.samples, pointwise.samples)

@@ -524,8 +524,7 @@ class TestLintCli:
     def test_rules_listing(self, tmp_path):
         result = self._run("--rules", cwd=tmp_path)
         assert result.returncode == 0
-        for rule_id in ("R1", "R2", "R3", "R4", "R5", "R6",
-                        "R7", "R8", "R9"):
+        for rule_id in ("R1", "R2", "R3", "R4", "R5", "R7", "R8", "R9"):
             assert rule_id in result.stdout
 
     def test_graph_flag_controls_project_pass(self, tmp_path):
@@ -612,100 +611,12 @@ class TestRepoIsClean:
 
     def test_registered_rule_set(self):
         assert sorted(r.rule_id for r in all_rules()) == [
-            "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9",
+            "R1", "R2", "R3", "R4", "R5", "R7", "R8", "R9",
         ]
 
 
 if __name__ == "__main__":
     sys.exit(pytest.main([__file__, "-v"]))
-
-
-# ----------------------------------------------------------------------
-# R6 hot-loop-solve
-# ----------------------------------------------------------------------
-class TestHotLoopSolveRule:
-    VIOLATION = """
-        def sweep(networks, inputs):
-            results = []
-            for index, network in enumerate(networks):
-                results.append(network.solve(inputs[index]))
-            return results
-    """
-    CLEAN = """
-        from repro.spice.solver import solve_batch
-
-        def sweep(networks, inputs):
-            batch = solve_batch(networks, inputs)
-            return [batch[k] for k in range(len(batch))]
-    """
-
-    def test_violation_flagged(self):
-        found = findings_for(self.VIOLATION, "repro.accuracy.montecarlo",
-                             rule="R6")
-        assert len(found) == 1
-        assert "solve_batch" in found[0].message
-
-    def test_clean_counterpart(self):
-        assert not findings_for(self.CLEAN, "repro.accuracy.montecarlo",
-                                rule="R6")
-
-    def test_solve_many_in_while_flagged(self):
-        source = """
-            def drain(queue, inputs):
-                while queue:
-                    queue.pop().solve_many(inputs)
-        """
-        found = findings_for(source, "repro.faults.campaign", rule="R6")
-        assert len(found) == 1
-        assert "while" in found[0].message
-
-    def test_comprehension_flagged(self):
-        source = """
-            def sweep(networks, inputs):
-                return [n.solve(v) for n, v in zip(networks, inputs)]
-        """
-        found = findings_for(source, "repro.dse.explorer", rule="R6")
-        assert len(found) == 1
-        assert "comprehension" in found[0].message
-
-    def test_out_of_scope_module_not_flagged(self):
-        # The solver itself loops solves legitimately (its own
-        # fixed-point rounds); R6 polices only the evaluation layers.
-        assert not findings_for(self.VIOLATION, "repro.spice.solver",
-                                rule="R6")
-
-    def test_nested_function_not_charged_to_loop(self):
-        source = """
-            def build_workers(networks):
-                workers = []
-                for network in networks:
-                    def worker(inputs):
-                        return network.solve(inputs)
-                    workers.append(worker)
-                return workers
-        """
-        assert not findings_for(source, "repro.accuracy.montecarlo",
-                                rule="R6")
-
-    def test_loop_free_solve_not_flagged(self):
-        source = """
-            def one_point(network, inputs):
-                return network.solve(inputs)
-        """
-        assert not findings_for(source, "repro.accuracy.montecarlo",
-                                rule="R6")
-
-    def test_suppression_comment_honoured(self):
-        source = """
-            def sweep(networks, inputs):
-                out = []
-                for index, network in enumerate(networks):
-                    # lint: allow=R6 convergence study needs point-wise
-                    out.append(network.solve(inputs[index]))
-                return out
-        """
-        assert not findings_for(source, "repro.faults.campaign",
-                                rule="R6")
 
 
 # ----------------------------------------------------------------------

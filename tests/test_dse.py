@@ -232,17 +232,26 @@ class TestWeightedOptimal:
 
 class TestBatchedParity:
     """Shape-grouped accuracy sharing returns the exact same points as
-    the historical per-point evaluation, for every ``jobs`` setting."""
+    the per-point worker, for every ``jobs`` setting."""
 
     def test_batched_matches_pointwise_serial(
-        self, base_config, small_space, large_layer_network, points
+        self, base_config, small_space, large_layer_network
     ):
-        from repro.runtime.pool import RunPolicy
-        pointwise = explore(
-            base_config, large_layer_network, small_space,
-            policy=RunPolicy(batch_within_chunk=False),
+        from repro.dse.explorer import (
+            _encode_summary,
+            _evaluate_point,
+            _evaluate_points_batch,
+            _shape_group_key,
         )
-        assert points == pointwise
+        tasks = [(config, large_layer_network)
+                 for config in small_space.configs(base_config)]
+        groups = [_shape_group_key(config) for config, _ in tasks]
+        # Several shape groups, each shared by several points.
+        assert 1 < len(set(groups)) < len(groups)
+        batched = _evaluate_points_batch(tasks)
+        pointwise = [_evaluate_point(task) for task in tasks]
+        assert ([_encode_summary(s) for s in batched]
+                == [_encode_summary(s) for s in pointwise])
 
     def test_batched_matches_pointwise_parallel(
         self, base_config, small_space, large_layer_network, points

@@ -178,41 +178,56 @@ class TestCli:
         assert code != 0
 
 
+def _trial_tasks(spec):
+    """The trial payloads the campaign's map stage hands the engine."""
+    from repro.campaign.dag import Stage
+    from repro.faults.campaign import _stage_map
+
+    stage = Stage(name="map", executor="faults.map", params={"spec": spec})
+    return [job.payload for job in _stage_map(stage, None)["specs"]]
+
+
 class TestBatchedParity:
-    """Batched mask evaluation is byte-identical to the point-wise
-    trial loop, including singular (failed) trials."""
+    """The batch worker returns exactly the per-job worker's trial
+    dicts, including singular (failed) trials."""
+
+    @staticmethod
+    def _assert_worker_parity(tasks):
+        from repro.faults.campaign import _run_trial, _run_trial_batch
+
+        batched = _run_trial_batch(tasks)
+        assert batched == [_run_trial(task) for task in tasks]
+        return batched
 
     def test_batched_matches_pointwise_serial(self):
-        from repro.runtime.pool import RunPolicy
-        spec = _tiny_spec(networks=("crossbar", "mlp:12,6,4"),
-                          fault_modes=("stuck_mixed", "open_cell"),
-                          fault_rates=(0.0, 0.1))
-        batched = run_campaign(spec)
-        pointwise = run_campaign(
-            spec, policy=RunPolicy(batch_within_chunk=False)
-        )
-        assert batched.to_json() == pointwise.to_json()
+        # MLP and crossbar trials interleaved in one group, with
+        # line_open masks that make some crossbar systems singular.
+        mixed = _trial_tasks(_tiny_spec(
+            networks=("crossbar", "mlp:12,6,4"),
+            fault_modes=("stuck_mixed", "open_cell"),
+            fault_rates=(0.0, 0.1),
+        ))
+        singular = _trial_tasks(_tiny_spec(
+            fault_modes=("line_open",), fault_rates=(0.3,), trials=8,
+        ))
+        tasks = [task for pair in zip(mixed, singular) for task in pair]
+        tasks += mixed[len(singular):]
+        results = self._assert_worker_parity(tasks)
+        assert any(result["failed"] for result in results)
+        assert {task[0] for task in tasks} == {"crossbar", "mlp:12,6,4"}
 
     def test_batched_matches_pointwise_parallel(self):
-        from repro.runtime.pool import RunPolicy
         spec = _tiny_spec(fault_modes=("stuck_mixed", "drift"),
                           fault_rates=(0.05, 0.1))
-        batched = run_campaign(spec, jobs=2)
-        pointwise = run_campaign(
-            spec, policy=RunPolicy(batch_within_chunk=False)
-        )
-        assert batched.to_json() == pointwise.to_json()
+        assert (run_campaign(spec, jobs=2).to_json()
+                == run_campaign(spec).to_json())
 
     def test_singular_trials_batched_identically(self):
-        """line_open at high rate makes some systems singular; the
-        mark-and-continue batch path must count the same failures."""
-        from repro.runtime.pool import RunPolicy
-        spec = _tiny_spec(fault_modes=("line_open",),
-                          fault_rates=(0.3,), trials=8)
-        batched = run_campaign(spec)
-        pointwise = run_campaign(
-            spec, policy=RunPolicy(batch_within_chunk=False)
-        )
-        assert batched.to_json() == pointwise.to_json()
-        point = batched.points[0]
-        assert point.failures > 0  # the scenario actually bites
+        """An RRAM campaign's batch mixes singular and solvable
+        members; the nonlinear solve_batch loop marks exactly the
+        singular ones."""
+        spec = _tiny_spec(fault_modes=("line_open",), fault_rates=(0.1,),
+                          trials=8, device="RRAM")
+        results = self._assert_worker_parity(_trial_tasks(spec))
+        failed = [result["failed"] for result in results]
+        assert any(failed) and not all(failed)

@@ -216,6 +216,81 @@ class TestBatchedSolveInstrumentation:
         counter = obs.REGISTRY.get("repro_solver_batched_solves_total")
         assert counter.value() == 5
 
+    @staticmethod
+    def _solver_counts():
+        batched = obs.REGISTRY.get("repro_solver_batched_solves_total")
+        events = obs.REGISTRY.get("repro_solver_events_total")
+        return {
+            "batched": batched.total() if batched else 0,
+            "pointwise": events.total(event="pointwise_solve")
+            if events else 0,
+            "iterations": events.total(event="fixed_point_iterations")
+            if events else 0,
+        }
+
+    def test_linear_solve_many_counts_every_vector(self):
+        from repro.spice.solver import CrossbarNetwork
+
+        obs.enable()
+        rng = np.random.default_rng(63)
+        network = CrossbarNetwork(rng.uniform(1e5, 1e6, size=(8, 8)),
+                                  0.25, 1e3)
+        result = network.solve_many(rng.uniform(0.1, 1.0, size=(7, 8)))
+        assert self._solver_counts() == {
+            "batched": 7, "pointwise": 0,
+            "iterations": int(np.sum(result.iterations)),
+        }
+
+    def test_nonlinear_members_counted_once(self):
+        from repro.spice.solver import CrossbarNetwork, solve_batch
+        from repro.tech import get_memristor_model
+
+        obs.enable()
+        device = get_memristor_model("RRAM")
+        rng = np.random.default_rng(64)
+        networks = [
+            CrossbarNetwork(rng.uniform(1e5, 1e6, size=(8, 8)), 0.25, 1e3,
+                            device=device)
+            for _ in range(4)
+        ]
+        inputs = rng.uniform(0.1, 1.0, size=(4, 8))
+        batch = solve_batch(networks, inputs)
+        many = networks[0].solve_many(inputs)
+        assert self._solver_counts() == {
+            "batched": 8, "pointwise": 0,
+            "iterations": int(np.sum(batch.iterations)
+                              + np.sum(many.iterations)),
+        }
+        single = networks[0].solve(inputs[0])
+        assert self._solver_counts()["pointwise"] == 1
+        assert self._solver_counts()["iterations"] == int(
+            np.sum(batch.iterations) + np.sum(many.iterations)
+            + single.iterations
+        )
+
+    def test_marked_members_add_no_iterations(self):
+        from repro.faults.models import sample_fault_mask
+        from repro.spice.solver import CrossbarNetwork, solve_batch
+        from repro.tech import get_memristor_model
+
+        obs.enable()
+        device = get_memristor_model("RRAM")
+        rng = np.random.default_rng(1)
+        networks, inputs = [], []
+        for _ in range(6):
+            resistances = rng.uniform(1e5, 1e6, size=(8, 8))
+            mask = sample_fault_mask(8, 8, 0.25, rng, mode="line_open")
+            networks.append(CrossbarNetwork(resistances, 0.25, 1e3,
+                                            device=device, fault_mask=mask))
+            inputs.append(rng.uniform(0.1, 1.0, size=8))
+        batch = solve_batch(networks, np.stack(inputs), on_singular="mark")
+        assert batch.failed.any() and not batch.failed.all()
+        assert (batch.iterations[batch.failed] == 0).all()
+        assert self._solver_counts() == {
+            "batched": 6, "pointwise": 0,
+            "iterations": int(np.sum(batch.iterations)),
+        }
+
     def test_disabled_tracing_records_nothing(self):
         from repro.spice.solver import CrossbarNetwork, solve_batch
 

@@ -253,14 +253,6 @@ class TestBatchWorker:
         )
         assert batched == serial
 
-    def test_batch_within_chunk_off_forces_pointwise(self):
-        out = run_jobs(
-            _square, _specs([1, 2, 3]),
-            policy=RunPolicy(batch_within_chunk=False),
-            batch_worker=_poison_batch,  # would raise if ever called
-        )
-        assert out == [1, 4, 9]
-
     def test_batched_jobs_counted_in_metrics(self):
         metrics = RunMetrics()
         run_jobs(_square, _specs(list(range(6))),
