@@ -17,7 +17,7 @@ Accuracy is evaluated with the per-layer effective crossbar fill via
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.accuracy.model import AccuracyModel, LayerAccuracy
 from repro.arch.bank import ComputationBank
@@ -141,22 +141,35 @@ class Accelerator:
         return sum(bank.crossbars for bank in self.banks)
 
     # ------------------------------------------------------------------
+    def _walk(self) -> Tuple[Performance, Performance, float]:
+        """Sample, compute-only and pipeline-cycle views in one walk.
+
+        Each bank's pass is evaluated once and feeds all three views,
+        composed in the same order as a separate walk per view, so the
+        results are bit-identical to computing them independently.
+        """
+        compute = Performance()
+        pass_latencies = []
+        for bank in self.banks:
+            one_pass = bank.pass_performance()
+            passes = bank.layer.compute_passes
+            compute = compute.serial(one_pass.repeat(passes))
+            pass_latencies.append(one_pass.latency)
+        sample = self.input_interface.performance().serial(compute)
+        sample = sample.serial(self.output_interface.performance())
+        return sample, compute, max(pass_latencies)
+
     def sample_performance(self) -> Performance:
         """One sample through interfaces and every bank, sequentially."""
-        perf = self.input_interface.performance()
-        perf = perf.serial(self.compute_sample_performance())
-        return perf.serial(self.output_interface.performance())
+        return self._walk()[0]
 
     def compute_sample_performance(self) -> Performance:
         """One sample through the banks only (no bus interfaces)."""
-        perf = Performance()
-        for bank in self.banks:
-            perf = perf.serial(bank.sample_performance())
-        return perf
+        return self._walk()[1]
 
     def pipeline_cycle_latency(self) -> float:
         """Cycle time of pipelined operation: the slowest bank pass."""
-        return max(bank.pass_performance().latency for bank in self.banks)
+        return self._walk()[2]
 
     def write_performance(self) -> Performance:
         """One-time cost of loading all weights (WRITE of every bank)."""
@@ -196,15 +209,15 @@ class Accelerator:
         each shape-group's accuracy once.  Omitted, it is computed here
         (the historical behaviour).
         """
-        sample = self.sample_performance()
+        sample, compute, cycle = self._walk()
         if accuracy is None:
             accuracy = self.accuracy()
         return AcceleratorSummary(
             area=sample.area,
             energy_per_sample=sample.dynamic_energy,
             sample_latency=sample.latency,
-            compute_latency=self.compute_sample_performance().latency,
-            pipeline_cycle=self.pipeline_cycle_latency(),
+            compute_latency=compute.latency,
+            pipeline_cycle=cycle,
             power=sample.average_power,
             worst_error_rate=accuracy.worst_error_rate,
             average_error_rate=accuracy.average_error_rate,

@@ -42,9 +42,14 @@ class Performance:
     latency: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("area", "dynamic_energy", "leakage_power", "latency"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        # One compound test on the hot path; the loop only names the field.
+        if (
+            self.area < 0 or self.dynamic_energy < 0
+            or self.leakage_power < 0 or self.latency < 0
+        ):
+            for name in ("area", "dynamic_energy", "leakage_power", "latency"):
+                if getattr(self, name) < 0:
+                    raise ValueError(f"{name} must be non-negative")
 
     # ------------------------------------------------------------------
     # Composition

@@ -3,9 +3,12 @@
 import pytest
 
 from repro.arch.accelerator import Accelerator
+from repro.arch.bank import ComputationBank
+from repro.circuits import ModuleRegistry
 from repro.config import SimConfig
 from repro.errors import ConfigError
 from repro.nn.networks import caffenet, mlp, validation_mlp
+from repro.report import Performance
 
 
 @pytest.fixture
@@ -16,6 +19,22 @@ def config():
 @pytest.fixture
 def accelerator(config, mlp_network):
     return Accelerator(config, mlp_network)
+
+
+@pytest.fixture(params=["mlp", "caffenet", "custom-registry"])
+def design(request, config):
+    """One MLP, one conv network with pooling, one customized registry."""
+    if request.param == "mlp":
+        return Accelerator(config, validation_mlp())
+    if request.param == "caffenet":
+        return Accelerator(config, caffenet())
+    registry = ModuleRegistry()
+    registry.remove("dac")
+    registry.override_fixed(
+        "read_circuit",
+        Performance(area=5e-7, dynamic_energy=1e-12, latency=2e-9),
+    )
+    return Accelerator(config, mlp([256, 128, 10]), registry)
 
 
 class TestConstruction:
@@ -72,15 +91,31 @@ class TestPerformance:
 
 
 class TestSummary:
-    def test_summary_fields_consistent(self, accelerator):
-        summary = accelerator.summary()
-        sample = accelerator.sample_performance()
+    def test_summary_fields_consistent(self, design):
+        summary = design.summary()
+        sample = design.sample_performance()
         assert summary.area == sample.area
         assert summary.energy_per_sample == sample.dynamic_energy
         assert summary.sample_latency == sample.latency
+        assert summary.compute_latency == (
+            design.compute_sample_performance().latency
+        )
+        assert summary.pipeline_cycle == design.pipeline_cycle_latency()
         assert summary.compute_latency < summary.sample_latency
         assert summary.pipeline_cycle <= summary.compute_latency
         assert summary.power > 0
+
+    def test_summary_evaluates_each_bank_pass_once(self, design, monkeypatch):
+        calls = []
+        original = ComputationBank.pass_performance
+
+        def counting(bank):
+            calls.append(bank)
+            return original(bank)
+
+        monkeypatch.setattr(ComputationBank, "pass_performance", counting)
+        design.summary()
+        assert len(calls) == len(design.banks)
 
     def test_relative_accuracy_complement(self, accelerator):
         summary = accelerator.summary()

@@ -18,11 +18,12 @@ def perf(area=1.0, energy=2.0, leak=0.5, latency=3.0):
 
 
 class TestPerformance:
-    def test_negative_values_rejected(self):
-        with pytest.raises(ValueError):
-            Performance(area=-1)
-        with pytest.raises(ValueError):
-            Performance(latency=-1e-9)
+    @pytest.mark.parametrize(
+        "field", ["area", "dynamic_energy", "leakage_power", "latency"]
+    )
+    def test_negative_values_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be non-negative"):
+            Performance(**{field: -1e-9})
 
     def test_serial_adds_everything(self):
         combined = perf().serial(perf(area=2, energy=3, leak=1, latency=4))
