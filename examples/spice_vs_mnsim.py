@@ -15,7 +15,8 @@ import time
 
 import numpy as np
 
-from repro.accuracy import analog_error_rate, fit_wire_term
+from repro.accuracy import analog_error_rate
+from repro.accuracy.fitting import fit_wire_term
 from repro.accuracy.interconnect import DEFAULT_SENSE_RESISTANCE
 from repro.spice import CrossbarNetwork, generate_netlist
 from repro.report import format_table

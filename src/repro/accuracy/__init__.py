@@ -17,7 +17,9 @@ equations with three approximations:
    (:mod:`~repro.accuracy.variation`).
 
 :class:`~repro.accuracy.model.AccuracyModel` is the high-level entry point
-used by the hierarchy and the design-space explorer.
+used by the hierarchy and the design-space explorer. The solver-backed
+:mod:`~repro.accuracy.fitting` and :mod:`~repro.accuracy.montecarlo` are
+not re-exported: they load scipy, which the model itself never needs.
 """
 
 from repro.accuracy.interconnect import (
@@ -35,10 +37,8 @@ from repro.accuracy.quantization import (
     max_error_rate,
 )
 from repro.accuracy.propagation import combine_error_rates, propagate_layers
-from repro.accuracy.fitting import WireFit, fit_wire_term, solver_worst_column_error
 from repro.accuracy.variation import sample_resistances, variation_error_bounds
 from repro.accuracy.model import AccuracyModel, LayerAccuracy
-from repro.accuracy.montecarlo import MonteCarloResult, bound_check, run_monte_carlo
 from repro.accuracy.sensitivity import (
     SensitivityReport,
     sensitivity_analysis,
@@ -58,16 +58,10 @@ __all__ = [
     "max_error_rate",
     "combine_error_rates",
     "propagate_layers",
-    "WireFit",
-    "fit_wire_term",
-    "solver_worst_column_error",
     "sample_resistances",
     "variation_error_bounds",
     "AccuracyModel",
     "LayerAccuracy",
-    "MonteCarloResult",
-    "run_monte_carlo",
-    "bound_check",
     "SensitivityReport",
     "sensitivity_analysis",
     "sensitivity_sweep",

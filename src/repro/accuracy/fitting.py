@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from repro.accuracy.interconnect import (
     DEFAULT_SENSE_RESISTANCE,
@@ -109,6 +108,8 @@ def fit_wire_term(
     initial_guess:
         Starting ``(kappa, beta)`` for the least-squares solve.
     """
+    from scipy.optimize import least_squares
+
     samples: List[Tuple[float, int, float]] = []
     for r in segment_resistances:
         for size in sizes:

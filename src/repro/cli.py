@@ -33,10 +33,12 @@ The subcommands cover the software flow of the paper's Fig. 3:
 * ``jobs`` — ``list`` and ``watch`` jobs on a running service;
   ``watch`` streams progress events with live ETA, throughput and
   resource usage;
-* ``lint`` — the project-specific static-analysis pass (determinism,
-  cache-key purity, fork-safety, except hygiene, units discipline;
-  see :mod:`repro.analysis`): exit 0 clean modulo the checked-in
-  baseline, exit 2 on new findings.
+* ``lint`` — the project-specific static-analysis pass (R1-R5:
+  determinism, cache-key purity, fork-safety, except hygiene, units
+  discipline; plus the call-graph rules R7-R9: lock discipline,
+  thread/executor lifecycle, determinism taint; see
+  :mod:`repro.analysis`): exit 0 clean modulo the checked-in baseline,
+  exit 2 on new findings.
 
 ``simulate``, ``explore``, ``montecarlo`` and ``faults`` accept the
 engine knobs
@@ -928,7 +930,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="run the project static-analysis rules (R1-R5)",
+        help="run the project static-analysis rules (R1-R5, R7-R9)",
     )
     from repro.analysis.lint import add_lint_arguments
 

@@ -50,11 +50,6 @@ from repro.runtime.cache import ResultCache
 from repro.runtime.jobs import JobSpec, content_key
 from repro.runtime.metrics import RunMetrics
 from repro.runtime.pool import RunPolicy, run_jobs
-from repro.spice.solver import (
-    CrossbarNetwork,
-    ideal_output_voltages,
-    solve_batch,
-)
 from repro.tech.memristor import MemristorModel, get_memristor_model
 
 #: Fault modes that only make sense at the circuit level: a line open /
@@ -270,6 +265,8 @@ def _crossbar_error(
     fault_count: int,
 ) -> Dict[str, Any]:
     """The trial dict of a solved (non-singular) circuit trial."""
+    from repro.spice.solver import ideal_output_voltages
+
     ideal = ideal_output_voltages(programmed, inputs, sense_resistance)
     scale = float(np.max(np.abs(ideal)))
     error = (
@@ -298,6 +295,8 @@ def _crossbar_trial(
     rng: np.random.Generator,
 ) -> Dict[str, Any]:
     """Solve one programmed crossbar with and without a sampled mask."""
+    from repro.spice.solver import CrossbarNetwork
+
     programmed, inputs, mask = _draw_crossbar_trial(
         mode, fault_rate, device, size, rng
     )
@@ -396,6 +395,8 @@ def _run_trial_batch(tasks: List[Tuple]) -> List[Dict[str, Any]]:
     JSON is byte-identical to the point-wise path for any grouping.
     MLP trials (no shared matrix structure) run point-wise in place.
     """
+    from repro.spice.solver import CrossbarNetwork, solve_batch
+
     results: List[Optional[Dict[str, Any]]] = [None] * len(tasks)
     member_slots: List[int] = []
     networks: List[CrossbarNetwork] = []

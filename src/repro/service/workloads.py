@@ -23,7 +23,6 @@ import json
 from typing import Any, Callable, Dict, Optional
 
 from repro.accuracy.interconnect import DEFAULT_SENSE_RESISTANCE
-from repro.accuracy.montecarlo import run_monte_carlo
 from repro.config import SimConfig
 from repro.dse.explorer import (
     _SUMMARY_FIELDS,
@@ -72,6 +71,8 @@ def montecarlo_document(
     ``montecarlo --output`` path, which is what makes their outputs
     byte-identical.
     """
+    from repro.accuracy.montecarlo import run_monte_carlo
+
     device = config.device
     size = spec.size if spec.size is not None else config.crossbar_size
     segment = config.wire.segment_resistance(

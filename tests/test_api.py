@@ -1,10 +1,17 @@
 """Public API facade: everything advertised in ``repro.__all__`` works."""
 
 import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import repro
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_version_string():
@@ -75,3 +82,63 @@ def test_doctests_in_documented_modules():
     for module in (units, isa):
         failures, _tests = doctest.testmod(module)
         assert failures == 0, f"doctest failures in {module.__name__}"
+
+
+def _cli(*argv):
+    return f"import repro.cli\nassert repro.cli.main({list(argv)!r}) == 0"
+
+
+@pytest.mark.parametrize(
+    "statement, required, forbidden",
+    [
+        pytest.param("import repro", (), "scipy", id="import-repro"),
+        pytest.param("import repro.cli", (), "scipy", id="import-cli"),
+        pytest.param(
+            "import repro.service.server", (), "scipy", id="import-server"
+        ),
+        pytest.param(
+            _cli("simulate", "validation-mlp"), (), "scipy", id="simulate"
+        ),
+        pytest.param(
+            _cli("explore", "mlp:32,16", "--sizes", "32", "64",
+                 "--degrees", "1", "--wires", "45"),
+            (), "scipy", id="explore",
+        ),
+        pytest.param(
+            _cli("campaign", "validate",
+                 str(REPO_ROOT / "examples/campaigns/fault-sweep.json")),
+            (), "scipy", id="campaign-validate",
+        ),
+        pytest.param(
+            _cli("montecarlo", "--size", "8", "--trials", "2"),
+            ("scipy.sparse",), "scipy.optimize", id="montecarlo",
+        ),
+    ],
+)
+def test_scipy_loaded_only_where_called(statement, required, forbidden):
+    """Solver-free entry points must not pay scipy's import cost.
+
+    Each case runs in a fresh interpreter, then lists the scipy modules
+    it ended up holding.  Only the circuit solver (``repro.spice``) and
+    the calibration fit need scipy.
+    """
+    probe = (
+        f"{statement}\n"
+        "import json, sys\n"
+        "print(json.dumps(sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'scipy')))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    loaded = json.loads(result.stdout.splitlines()[-1])
+    for module in required:
+        assert module in loaded
+    offending = [
+        m for m in loaded
+        if m == forbidden or m.startswith(forbidden + ".")
+    ]
+    assert offending == []

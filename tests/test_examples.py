@@ -1,8 +1,8 @@
-"""Smoke-run the example scripts (the fast ones) as subprocesses.
+"""Smoke-run every example script as a subprocess.
 
 Examples are documentation that executes; these tests keep them green.
-The slow, solver-heavy examples (spice_vs_mnsim, functional_simulation)
-are exercised by the benchmark suite instead.
+They also catch an example left importing a name a package no longer
+exports.
 """
 
 import subprocess
@@ -13,16 +13,10 @@ import pytest
 
 EXAMPLES_DIR = Path(__file__).parent.parent / "examples"
 
-FAST_EXAMPLES = [
-    "quickstart.py",
-    "custom_module.py",
-    "prime_isaac.py",
-    "large_layer_dse.py",
-    "explore_and_export.py",
-]
+EXAMPLES = sorted(path.name for path in EXAMPLES_DIR.glob("*.py"))
 
 
-@pytest.mark.parametrize("script", FAST_EXAMPLES)
+@pytest.mark.parametrize("script", EXAMPLES)
 def test_example_runs_clean(script):
     path = EXAMPLES_DIR / script
     assert path.exists(), f"missing example {script}"

@@ -1,6 +1,10 @@
 """Campaign runner: reproducibility, caching, aggregation, CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,6 +180,27 @@ class TestCli:
 
         code = main(["faults", "--modes", "gamma_ray", "--trials", "1"])
         assert code != 0
+
+    def test_parallel_matches_serial_from_a_cold_process(self, tmp_path):
+        """Workers forked before the solver is imported load it themselves.
+
+        In-process parity tests fork from a pytest parent that already
+        holds scipy; a fresh CLI process does not, so its pool workers
+        import the solver on their first trial.
+        """
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        for jobs, name in (("2", "a.json"), ("1", "b.json")):
+            result = subprocess.run(
+                [sys.executable, "-m", "repro", "faults", "--size", "8",
+                 "--trials", "4", "--jobs", jobs, "-o", name],
+                cwd=tmp_path, env=env, capture_output=True, text=True,
+                timeout=120,
+            )
+            assert result.returncode == 0, result.stderr[-2000:]
+        assert (tmp_path / "a.json").read_bytes() == (
+            tmp_path / "b.json"
+        ).read_bytes()
 
 
 def _trial_tasks(spec):
