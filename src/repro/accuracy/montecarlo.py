@@ -242,7 +242,8 @@ def run_monte_carlo(
         specs.append(JobSpec(
             kind="montecarlo-trial",
             payload=task,
-            key=content_key(*key_parts),
+            # Keys only matter to a cache; without one, skip hashing.
+            key=content_key(*key_parts) if cache is not None else None,
         ))
     # Report the total up front so progress consumers (the service's
     # ETA estimator) know the work size before the first chunk lands.

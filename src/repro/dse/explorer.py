@@ -10,7 +10,6 @@ efficiency, reciprocal power, speed, accuracy).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -105,17 +104,18 @@ def _evaluate_point(task: Tuple[SimConfig, Network]) -> AcceleratorSummary:
         return Accelerator(config, network).summary()
 
 
-def _shape_group_key(config: SimConfig) -> str:
-    """Canonical key of the accuracy-equivalent group a config is in.
+def _shape_group_key(config: SimConfig) -> Tuple[Tuple[str, Any], ...]:
+    """Hashable key of the accuracy-equivalent group a config is in.
 
     Parallelism degree changes only digital replication, never the
     crossbar computing accuracy (the paper's Sec. VII.C.1 observation),
     so configs differing only in ``parallelism_degree`` share one
     :meth:`~repro.arch.accelerator.Accelerator.accuracy` result.
     """
-    entries = dict(config.to_dict())
-    entries.pop("parallelism_degree", None)
-    return json.dumps(entries, sort_keys=True, default=str)
+    return tuple(
+        (name, getattr(config, name)) for name in config.__dataclass_fields__
+        if name != "parallelism_degree"
+    )
 
 
 def _evaluate_points_batch(
@@ -129,7 +129,7 @@ def _evaluate_points_batch(
     is the member's own computation verbatim, so results are
     byte-identical to :func:`_evaluate_point` on each task.
     """
-    shared: Dict[str, Any] = {}
+    shared: Dict[Tuple[Tuple[str, Any], ...], Any] = {}
     summaries: List[AcceleratorSummary] = []
     for config, network in tasks:
         with obs_trace.span(
@@ -222,7 +222,8 @@ def explore(
         (the engine guarantees result equivalence).
     cache:
         Optional :class:`~repro.runtime.cache.ResultCache`; previously
-        simulated points are read back instead of recomputed.
+        simulated points are read back instead of recomputed.  Job
+        keys are derived only when a cache is attached.
     metrics:
         Optional :class:`~repro.runtime.metrics.RunMetrics` filled with
         stage times / cache hits for this sweep.
@@ -280,14 +281,19 @@ def _stage_map(stage: Stage, context: StageContext) -> Dict[str, Any]:
     space: DesignSpace = stage.params["space"]
     network: Network = stage.params["network"]
     configs = list(space.configs(stage.params["config"]))
-    fingerprint = network_fingerprint(network)
-    return {
-        "configs": configs,
-        "specs": [
+    # Keys only matter to a cache; without one, skip hashing them.
+    if context.cache is None:
+        specs = [
+            JobSpec(kind="simulate-point", payload=(config, network))
+            for config in configs
+        ]
+    else:
+        fingerprint = network_fingerprint(network)
+        specs = [
             simulation_spec(config, network, fingerprint)
             for config in configs
-        ],
-    }
+        ]
+    return {"configs": configs, "specs": specs}
 
 
 @register_executor("dse.solve")

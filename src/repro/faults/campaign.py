@@ -562,6 +562,8 @@ def _stage_map(stage: Stage, context: StageContext) -> Dict[str, Any]:
     """Expand the sweep into combos and spawn-keyed trial job specs."""
     spec: CampaignSpec = stage.params["spec"]
     device = get_memristor_model(spec.device)
+    # Keys only matter to a cache; without one, skip hashing them.
+    keyed = context.cache is not None
     combos: List[Tuple[str, str, float]] = []
     specs: List[JobSpec] = []
     for net_index, network in enumerate(spec.networks):
@@ -583,7 +585,7 @@ def _stage_map(stage: Stage, context: StageContext) -> Dict[str, Any]:
                             spec.seed, list(spawn_key), device,
                             spec.size, spec.segment_resistance,
                             spec.sense_resistance,
-                        ),
+                        ) if keyed else None,
                     ))
     return {"combos": combos, "specs": specs}
 

@@ -29,6 +29,9 @@ from typing import Any, Optional
 #: be replayed against the new keys.
 SCHEMA_VERSION = "runtime-v2"
 
+#: Leaf types :func:`canonical` returns unchanged (matched exactly).
+_PLAIN_TYPES = (str, int, bool, type(None))
+
 
 def canonical(value: Any) -> Any:
     """Reduce ``value`` to a JSON-safe form with deterministic ordering.
@@ -42,6 +45,9 @@ def canonical(value: Any) -> Any:
     them, and a bare ``"nan"`` string would collide with a genuine
     string of the same spelling.
     """
+    # Exact types only: an IntEnum or str-Enum must reach its branch.
+    if type(value) in _PLAIN_TYPES:
+        return value
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         fields = {
             name: canonical(getattr(value, name))
@@ -126,7 +132,9 @@ class JobSpec:
         The picklable value handed to the worker function.
     key:
         Deterministic content hash (see :func:`content_key`); ``None``
-        marks the job as uncacheable.
+        marks the job as uncacheable.  The sweep drivers derive keys
+        only when a result cache is attached, since nothing else
+        reads them.
     """
 
     kind: str

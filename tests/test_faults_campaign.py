@@ -205,11 +205,14 @@ class TestCli:
 
 def _trial_tasks(spec):
     """The trial payloads the campaign's map stage hands the engine."""
+    from types import SimpleNamespace
+
     from repro.campaign.dag import Stage
     from repro.faults.campaign import _stage_map
 
     stage = Stage(name="map", executor="faults.map", params={"spec": spec})
-    return [job.payload for job in _stage_map(stage, None)["specs"]]
+    context = SimpleNamespace(cache=None)
+    return [job.payload for job in _stage_map(stage, context)["specs"]]
 
 
 class TestBatchedParity:

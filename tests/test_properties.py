@@ -1,5 +1,8 @@
 """Property-based tests (hypothesis) on the core models and invariants."""
 
+import dataclasses
+import enum
+import json
 import math
 
 import numpy as np
@@ -18,6 +21,7 @@ from repro.config import SimConfig
 from repro.dse.tradeoff import inflection_point, pareto_frontier
 from repro.nn.quantize import bit_slice, dequantize, quantize, split_polarity
 from repro.report import Performance
+from repro.runtime.jobs import canonical, canonical_json
 from repro.spice.solver import CrossbarNetwork, ideal_output_voltages
 from repro.tech import get_memristor_model
 
@@ -405,3 +409,104 @@ def test_fault_count_matches_rate_statistically(rate, seed):
         assert flipped == 0
     if rate == 1.0:
         assert flipped == total_cells
+
+
+# ----------------------------------------------------------------------
+# Canonical serialization (job keys)
+# ----------------------------------------------------------------------
+def _oracle_canonical(value):
+    """canonical() as it was before its exact-type fast path."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        fields = {
+            name: _oracle_canonical(getattr(value, name))
+            for name in sorted(f.name for f in dataclasses.fields(value))
+        }
+        fields["__type__"] = type(value).__name__
+        return fields
+    if isinstance(value, enum.Enum):
+        return _oracle_canonical(value.value)
+    if isinstance(value, dict):
+        return {
+            key: item
+            for key, item in sorted(
+                (str(k), _oracle_canonical(v)) for k, v in value.items()
+            )
+        }
+    if isinstance(value, (tuple, list)):
+        return [_oracle_canonical(item) for item in value]
+    if isinstance(value, float):
+        if math.isnan(value):
+            return {"__float__": "nan"}
+        if math.isinf(value):
+            return {"__float__": "inf" if value > 0 else "-inf"}
+        if value == 0.0:
+            return 0.0
+        return value
+    if isinstance(value, (str, int, bool)) or value is None:
+        return value
+    item = getattr(value, "item", None)
+    if callable(item):
+        return _oracle_canonical(item())
+    raise TypeError(type(value).__name__)
+
+
+def _oracle_json(value):
+    return json.dumps(_oracle_canonical(value), sort_keys=True,
+                      separators=(",", ":"))
+
+
+def _typed(value):
+    """``value`` with every leaf paired with its exact type name."""
+    if isinstance(value, dict):
+        return {key: _typed(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_typed(item) for item in value]
+    return (type(value).__name__, value)
+
+
+class _Level(enum.IntEnum):
+    LOW = 0
+    HIGH = 1
+
+
+class _Mode(str, enum.Enum):
+    STUCK = "stuck"
+    OPEN = "open"
+
+
+@dataclasses.dataclass(frozen=True)
+class _Node:
+    label: object
+    child: object
+
+
+_special_floats = st.sampled_from(
+    [-0.0, 0.0, math.nan, math.inf, -math.inf]
+)
+_leaves = (
+    st.none() | st.booleans() | st.integers()
+    | st.sampled_from(list(_Level)) | st.sampled_from(list(_Mode))
+    | st.floats() | _special_floats | st.text(max_size=4)
+)
+# Letter-only string keys cannot collide with str() of an int or bool
+# key, so a dict never holds two entries under one canonical key.
+_dict_keys = (
+    st.integers() | st.text(alphabet="abcxyz", min_size=1, max_size=3)
+)
+_key_values = st.recursive(
+    _leaves,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(_dict_keys, children, max_size=4)
+        | st.builds(_Node, children, children)
+    ),
+    max_leaves=20,
+)
+
+
+@given(_key_values)
+def test_canonical_matches_the_pre_fast_path_oracle(value):
+    """Same bytes and same leaf types as before the exact-type branch."""
+    assert canonical_json(value) == _oracle_json(value)
+    assert _typed(canonical(value)) == _typed(_oracle_canonical(value))
