@@ -13,7 +13,11 @@ class CircuitModule(abc.ABC):
     Subclasses capture their design parameters in ``__init__`` and derive
     all four metrics from the technology substrate in :meth:`performance`.
     ``performance()`` must be pure (idempotent, no state), so callers may
-    cache its result freely.
+    cache its result freely.  A :class:`~repro.circuits.registry.
+    ModuleRegistry` relies on this: it builds each distinct argument set
+    once and runs ``performance()`` once per registry, sharing the
+    module and its record across every bank and design point built on
+    that registry.  Callers that need isolation pass a fresh registry.
     """
 
     #: Human-readable module kind, overridden by subclasses.

@@ -32,11 +32,19 @@ class ModuleRegistry:
     for that slot (documented on each builder) and returns a
     :class:`CircuitModule`.  Overriding a slot replaces the reference
     design for every place that slot is instantiated.
+
+    Factories and ``performance()`` run once per distinct argument set
+    per registry: a later :meth:`build` of the same slot, factory and
+    kwargs returns the same module and its first record.  This relies
+    on the purity contract of :class:`CircuitModule`; callers that need
+    isolation pass a fresh registry.  The memo key holds the resolved
+    factory, so overrides and removals apply from the next build.
     """
 
     def __init__(self) -> None:
         self._factories: Dict[str, ModuleFactory] = {}
         self._removed: set = set()
+        self._built: Dict[tuple, CircuitModule] = {}
 
     def override(self, slot: str, factory: ModuleFactory) -> None:
         """Install ``factory`` for ``slot`` (replacing any previous one)."""
@@ -73,11 +81,31 @@ class ModuleRegistry:
         if slot in self._removed:
             return CustomModule(f"{slot} (removed)", Performance())
         factory = self._factories.get(slot, default)
-        return factory(**kwargs)
+        key = (slot, factory, tuple(kwargs.items()))
+        module = self._built.get(key)
+        if module is None:
+            module = self._built[key] = _evaluate_once(factory(**kwargs))
+        return module
 
     def copy(self) -> "ModuleRegistry":
-        """Shallow copy (factories shared, override sets independent)."""
+        """Shallow copy: factories shared, override sets and memo not."""
         clone = ModuleRegistry()
         clone._factories = dict(self._factories)
         clone._removed = set(self._removed)
         return clone
+
+
+def _evaluate_once(module: CircuitModule) -> CircuitModule:
+    """Make ``module.performance()`` return its first record thereafter."""
+    evaluate = module.performance
+
+    def performance() -> Performance:
+        record = evaluate()
+        module.performance = lambda: record
+        return record
+
+    try:
+        module.performance = performance
+    except AttributeError:  # frozen or slotted: built once, costed per call
+        pass
+    return module

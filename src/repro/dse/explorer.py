@@ -24,6 +24,7 @@ from typing import (
 
 from repro.arch.accelerator import Accelerator, AcceleratorSummary
 from repro.campaign.dag import DagRunner, Stage, StageContext, register_executor
+from repro.circuits import ModuleRegistry
 from repro.config import SimConfig
 from repro.dse.space import DesignSpace
 from repro.errors import ExplorationError
@@ -93,15 +94,8 @@ _SUMMARY_FIELDS = (
 
 
 def _evaluate_point(task: Tuple[SimConfig, Network]) -> AcceleratorSummary:
-    """Worker: simulate one design point (runs in a pool process)."""
-    config, network = task
-    with obs_trace.span(
-        "dse.point",
-        xbar=config.crossbar_size,
-        p=config.parallelism_degree,
-        wire=config.interconnect_tech,
-    ):
-        return Accelerator(config, network).summary()
+    """Worker: simulate one design point, as a batch of one."""
+    return _evaluate_points_batch([task])[0]
 
 
 def _shape_group_key(config: SimConfig) -> Tuple[Tuple[str, Any], ...]:
@@ -121,14 +115,17 @@ def _shape_group_key(config: SimConfig) -> Tuple[Tuple[str, Any], ...]:
 def _evaluate_points_batch(
     tasks: List[Tuple[SimConfig, Network]],
 ) -> List[AcceleratorSummary]:
-    """Batched worker: one group of design points, accuracy shared.
+    """Batched worker: design points sharing modules and accuracy.
 
-    Groups the points by crossbar shape (config minus parallelism
-    degree) and evaluates each group's accuracy model once, reusing it
-    for every member via ``summary(accuracy=...)``.  The shared value
-    is the member's own computation verbatim, so results are
-    byte-identical to :func:`_evaluate_point` on each task.
+    Every point builds on one :class:`~repro.circuits.ModuleRegistry`,
+    so each distinct circuit module in the batch is built and costed
+    once.  Points are grouped by crossbar shape (config minus
+    parallelism degree) and each group's accuracy model is evaluated
+    once, reused via ``summary(accuracy=...)``.  Both shared values are
+    each member's own computation verbatim, so results are
+    byte-identical to a fresh :class:`Accelerator` per point.
     """
+    registry = ModuleRegistry()
     shared: Dict[Tuple[Tuple[str, Any], ...], Any] = {}
     summaries: List[AcceleratorSummary] = []
     for config, network in tasks:
@@ -138,7 +135,7 @@ def _evaluate_points_batch(
             p=config.parallelism_degree,
             wire=config.interconnect_tech,
         ):
-            accelerator = Accelerator(config, network)
+            accelerator = Accelerator(config, network, registry)
             key = _shape_group_key(config)
             accuracy = shared.get(key)
             if accuracy is None:

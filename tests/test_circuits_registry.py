@@ -1,5 +1,7 @@
 """Module registry: the customization hooks of Sec. III.E."""
 
+import dataclasses
+
 import pytest
 
 from repro.circuits.adder import AdderModule
@@ -97,3 +99,151 @@ def test_circuit_module_repr():
             return Performance()
 
     assert "dummy" in repr(Dummy())
+
+
+# ----------------------------------------------------------------------
+# Memo: one module and one record per distinct argument set per registry
+# ----------------------------------------------------------------------
+class _Counted(CircuitModule):
+    """A pure module that counts its constructions and evaluations."""
+
+    kind = "counted"
+    built = 0
+    evaluated = 0
+
+    def __init__(self, bits=8, scale=1.0):
+        type(self).built += 1
+        self.bits = bits
+        self.scale = scale
+
+    def performance(self):
+        type(self).evaluated += 1
+        return Performance(area=self.bits * self.scale)
+
+
+@pytest.fixture
+def counted():
+    _Counted.built = _Counted.evaluated = 0
+    return _Counted
+
+
+def test_factory_runs_once_per_distinct_kwargs(counted):
+    registry = ModuleRegistry()
+    first = registry.build("adder", counted, bits=8)
+    assert registry.build("adder", counted, bits=8) is first
+    other = registry.build("adder", counted, bits=4)
+    assert other is not first
+    assert counted.built == 2
+    # The same factory and kwargs under another slot is another module.
+    assert registry.build("subtractor", counted, bits=8) is not first
+    assert counted.built == 3
+
+
+def test_performance_runs_once_per_module(counted):
+    registry = ModuleRegistry()
+    records = [
+        registry.build("adder", counted, bits=8).performance()
+        for _ in range(3)
+    ]
+    assert counted.evaluated == 1
+    assert records[0] is records[1] is records[2]
+    assert records[0] == Performance(area=8.0)
+
+
+def test_fresh_registries_share_nothing(counted):
+    first = ModuleRegistry().build("adder", counted, bits=8)
+    second = ModuleRegistry().build("adder", counted, bits=8)
+    assert first is not second
+    first.performance()
+    second.performance()
+    assert (counted.built, counted.evaluated) == (2, 2)
+
+
+def test_override_after_build_applies_at_next_build(counted):
+    registry = ModuleRegistry()
+    reference = registry.build("adder", counted, bits=8)
+    registry.override("adder", lambda bits: counted(bits, scale=2.0))
+    overridden = registry.build("adder", counted, bits=8)
+    assert overridden is not reference
+    assert overridden.performance().area == 16.0
+
+
+def test_remove_and_restore_after_build_apply_at_next_build(counted):
+    registry = ModuleRegistry()
+    reference = registry.build("dac", counted, bits=8)
+    registry.remove("dac")
+    removed = registry.build("dac", counted, bits=8)
+    assert removed.performance() == Performance()
+    registry.restore("dac")
+    # Restoring resolves the same factory again: the memoized module.
+    assert registry.build("dac", counted, bits=8) is reference
+    assert counted.built == 1
+
+
+def test_override_fixed_after_build_applies_at_next_build(counted):
+    registry = ModuleRegistry()
+    registry.build("neuron", counted, bits=8).performance()
+    published = Performance(area=3.0)
+    registry.override_fixed("neuron", published)
+    assert registry.build("neuron", counted, bits=8).performance() \
+        is published
+    registry.override_fixed("neuron", Performance(area=4.0))
+    assert registry.build("neuron", counted, bits=8).performance().area \
+        == 4.0
+
+
+def test_copy_never_shares_the_memo(counted):
+    registry = ModuleRegistry()
+    original = registry.build("adder", counted, bits=8)
+    clone = registry.copy()
+    cloned = clone.build("adder", counted, bits=8)
+    assert cloned is not original
+    # Nor does the original see what the clone builds afterwards.
+    assert clone.build("adder", counted, bits=4) \
+        is not registry.build("adder", counted, bits=4)
+    assert counted.built == 4
+
+
+def test_frozen_module_is_built_once_and_costed_per_call():
+    @dataclasses.dataclass(frozen=True)
+    class Frozen:
+        area: float
+
+        def performance(self):
+            return Performance(area=self.area)
+
+    registry = ModuleRegistry()
+    module = registry.build("dac", Frozen, area=2.0)
+    assert registry.build("dac", Frozen, area=2.0) is module
+    assert module.performance() == Performance(area=2.0)
+
+
+def test_explore_builds_and_costs_each_dac_once_per_batch(monkeypatch):
+    """A 300-point jpeg sweep builds its one DAC design once per batch."""
+    import math
+
+    import repro.arch.unit as unit_module
+    from repro.circuits.dac import DacModule
+    from repro.config import SimConfig
+    from repro.dse import DesignSpace, explore
+    from repro.nn.networks import jpeg_autoencoder
+    from repro.runtime.pool import _SERIAL_BATCH_SIZE
+
+    counts = {"built": 0, "evaluated": 0}
+
+    class CountedDac(DacModule):
+        def __init__(self, *args, **kwargs):
+            counts["built"] += 1
+            super().__init__(*args, **kwargs)
+
+        def performance(self):
+            counts["evaluated"] += 1
+            return super().performance()
+
+    monkeypatch.setattr(unit_module, "DacModule", CountedDac)
+    space = DesignSpace()
+    assert len(space) == 300
+    points = explore(SimConfig(cmos_tech=45), jpeg_autoencoder(), space)
+    assert len(points) == 300
+    batches = math.ceil(len(space) / _SERIAL_BATCH_SIZE)
+    assert counts == {"built": batches, "evaluated": batches}

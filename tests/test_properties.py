@@ -510,3 +510,85 @@ def test_canonical_matches_the_pre_fast_path_oracle(value):
     """Same bytes and same leaf types as before the exact-type branch."""
     assert canonical_json(value) == _oracle_json(value)
     assert _typed(canonical(value)) == _typed(_oracle_canonical(value))
+
+
+# ----------------------------------------------------------------------
+# Module sharing: one registry across design points changes no byte
+# ----------------------------------------------------------------------
+_BUILTIN_NETWORKS = ("jpeg", "validation-mlp", "large-bank", "caffenet",
+                     "vgg16")
+
+
+def _fast_dac(cmos, bits):
+    from repro.circuits import DacModule
+
+    return DacModule(cmos, bits, conversion_time=1e-9)
+
+
+def _customized_registry(custom):
+    """A registry, plain (``None``) or with one slot removed, one pinned
+    to fixed numbers and one overridden by a factory."""
+    from repro.circuits import ModuleRegistry
+
+    registry = ModuleRegistry()
+    if custom is not None:
+        removed, fixed = custom
+        registry.remove(removed)
+        registry.override_fixed(fixed, Performance(
+            area=1e-9, dynamic_energy=1e-12, leakage_power=1e-6,
+            latency=2e-9,
+        ))
+        registry.override("dac", _fast_dac)
+    return registry
+
+
+@st.composite
+def design_points(draw):
+    from repro.cli import parse_network
+
+    size = draw(st.sampled_from([8, 16, 64, 128, 256]))
+    degree = draw(st.sampled_from([0, 1, 4, 16, 64]))
+    config = SimConfig(
+        crossbar_size=size,
+        parallelism_degree=min(degree, size),
+        interconnect_tech=draw(st.sampled_from([18, 28, 45])),
+        cmos_tech=draw(st.sampled_from([90, 45, 22])),
+        memristor_model=draw(st.sampled_from(["RRAM", "PCM", "IDEAL"])),
+        device_sigma=draw(st.sampled_from([None, 0.0, 0.1, 0.3])),
+        resistance_range=draw(
+            st.sampled_from([None, (1e5, 1e7), (5e4, 2e6)])
+        ),
+    )
+    spec = draw(st.one_of(
+        st.sampled_from(_BUILTIN_NETWORKS),
+        st.lists(st.sampled_from([16, 48, 128, 300]), min_size=2,
+                 max_size=3).map(
+            lambda sizes: "mlp:" + ",".join(map(str, sizes))
+        ),
+    ))
+    return config, parse_network(spec)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(design_points(), min_size=1, max_size=4),
+    st.one_of(
+        st.none(),
+        st.tuples(
+            st.sampled_from(["column_mux", "subtractor", "pooling"]),
+            st.sampled_from(["read_circuit", "output_buffer", "neuron"]),
+        ),
+    ),
+)
+def test_shared_registry_matches_fresh_registry(points, custom):
+    """Design points built on one shared registry report exactly what
+    each reports on a fresh registry of its own, byte for byte."""
+    from repro.arch.accelerator import Accelerator
+
+    shared = _customized_registry(custom)
+    for config, network in points:
+        reused = Accelerator(config, network, shared)
+        fresh = Accelerator(config, network, _customized_registry(custom))
+        assert reused.summary() == fresh.summary()
+        assert reused.write_performance() == fresh.write_performance()
+        assert reused.report().render() == fresh.report().render()
