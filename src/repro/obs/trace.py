@@ -4,7 +4,8 @@ A *span* is one timed region of work (a solver factorization, a job
 chunk, a whole DSE sweep).  Spans nest through a :mod:`contextvars`
 variable, so the tree mirrors the dynamic call structure — including
 across ``await``-free thread switches — and every finished span lands in
-a process-local buffer.
+a process-local buffer, which keeps at most :data:`MAX_UNOWNED_SPANS`
+spans that belong to no job.
 
 Design constraints (see DESIGN.md S18):
 
@@ -46,8 +47,11 @@ import json
 import os
 import threading
 import time
-from typing import Any, Dict, Iterable, List, Optional, Union
+from collections import deque
+from typing import Any, Deque, Dict, Iterable, List, Optional, Union
 from contextvars import ContextVar
+
+from repro.obs import metrics as _metrics
 
 __all__ = [
     "Span",
@@ -73,9 +77,19 @@ __all__ = [
 _enabled = False
 _debug = False
 
+#: Most spans belonging to no job that the buffer holds.  Beyond it the
+#: oldest job-less spans are dropped and counted in
+#: ``repro_trace_dropped_spans_total``, so a long-lived traced process
+#: stays bounded; job-owned spans leave with their job
+#: (:func:`take_job_spans`).  Traced CLI runs record tens to hundreds
+#: of spans (a 32x32 Monte-Carlo run about 35 per trial).
+MAX_UNOWNED_SPANS = 100_000
+
 #: Finished spans of this process (dicts, oldest first).
-_buffer: List[Dict[str, Any]] = []
+_buffer: Deque[Dict[str, Any]] = deque()
 _buffer_lock = threading.Lock()
+#: How many spans in ``_buffer`` belong to no job (guarded by the lock).
+_unowned = 0
 
 #: The innermost live span of the current context (None at top level).
 _current: ContextVar[Optional["Span"]] = ContextVar(
@@ -218,8 +232,7 @@ class Span:
     def finish(self) -> "Span":
         """Stop the clock and commit the span to the buffer."""
         self.duration = time.perf_counter() - self._t0
-        with _buffer_lock:
-            _buffer.append(self.to_dict())
+        _admit((self.to_dict(),))
         return self
 
     def set(self, **attrs: Any) -> "Span":
@@ -290,10 +303,44 @@ def begin(name: str, **attrs: Any) -> Union[Span, _NoopSpan]:
 # ----------------------------------------------------------------------
 # Buffer access
 # ----------------------------------------------------------------------
+def _admit(records: Iterable[Dict[str, Any]]) -> None:
+    """Append finished spans, then drop the oldest job-less spans past
+    :data:`MAX_UNOWNED_SPANS`."""
+    global _unowned
+    dropped = 0
+    with _buffer_lock:
+        for record in records:
+            _buffer.append(record)
+            if record.get("job") is None:
+                _unowned += 1
+        if _unowned > MAX_UNOWNED_SPANS:
+            kept = []
+            while _unowned > MAX_UNOWNED_SPANS:
+                record = _buffer.popleft()
+                if record.get("job") is None:
+                    _unowned -= 1
+                    dropped += 1
+                else:
+                    kept.append(record)
+            _buffer.extendleft(reversed(kept))
+    if dropped:
+        _metrics.counter(
+            "repro_trace_dropped_spans_total",
+            "Job-less spans dropped from the full trace buffer",
+        ).inc(dropped)
+
+
+def _reset_locked() -> None:
+    """Empty the buffer; caller holds ``_buffer_lock``."""
+    global _unowned
+    _buffer.clear()
+    _unowned = 0
+
+
 def clear() -> None:
     """Drop every buffered span."""
     with _buffer_lock:
-        _buffer.clear()
+        _reset_locked()
 
 
 def spans() -> List[Dict[str, Any]]:
@@ -311,14 +358,13 @@ def collect() -> List[Dict[str, Any]]:
     """
     with _buffer_lock:
         out = list(_buffer)
-        _buffer.clear()
+        _reset_locked()
     return out
 
 
 def absorb(span_dicts: Iterable[Dict[str, Any]]) -> None:
     """Append spans shipped back from another process to the buffer."""
-    with _buffer_lock:
-        _buffer.extend(span_dicts)
+    _admit(span_dicts)
 
 
 def spans_for_job(job_id: str) -> List[Dict[str, Any]]:
@@ -338,7 +384,9 @@ def take_job_spans(job_id: str) -> List[Dict[str, Any]]:
     with _buffer_lock:
         taken = [s for s in _buffer if s.get("job") == job_id]
         if taken:
-            _buffer[:] = [s for s in _buffer if s.get("job") != job_id]
+            kept = [s for s in _buffer if s.get("job") != job_id]
+            _buffer.clear()
+            _buffer.extend(kept)
     return taken
 
 
@@ -379,7 +427,7 @@ def activate(context: Optional[Dict[str, Any]]) -> None:
     _current.set(None)
     _current_job.set(None)
     with _buffer_lock:
-        _buffer.clear()
+        _reset_locked()
     if not context:
         _enabled = False
         _debug = False

@@ -10,7 +10,8 @@ The service layer turns the engine into a multi-tenant job server:
 * :mod:`repro.service.jobs` — the deduping job manager;
 * :mod:`repro.service.server` — the stdlib HTTP front-end
   (``repro serve``);
-* :mod:`repro.service.client` — the ``urllib``-based Python client.
+* :mod:`repro.service.client` — the Python client over persistent
+  ``http.client`` connections.
 """
 
 from repro.service.jobs import JobEvent, JobManager, JobRecord, JobState

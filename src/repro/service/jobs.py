@@ -24,10 +24,11 @@ sample it emits — in the executor thread *and* in worker processes —
 carries the job id.  A :class:`~repro.obs.progress.ProgressTracker`
 turns the engine's progress callbacks into ``eta_seconds`` /
 ``throughput`` on each ``progress`` event, and when the job finishes
-its spans and metric samples are frozen onto the record (served by
-``GET /jobs/{id}/trace`` and ``GET /jobs/{id}/metrics``) before the
-job's label sets are rolled back into the base series — global scrape
-cardinality stays bounded no matter how many jobs have run.
+its spans and a detached snapshot of its metric samples are frozen
+onto the record (rendered on request by ``GET /jobs/{id}/trace`` and
+``GET /jobs/{id}/metrics``) before the job's label sets are rolled
+back into the base series — global scrape cardinality stays bounded
+no matter how many jobs have run.
 """
 
 from __future__ import annotations
@@ -121,10 +122,10 @@ class JobRecord:
     resources: Optional[Dict[str, Any]] = None
     run_metrics: Optional[RunMetrics] = None
     # Frozen observability artefacts (filled just before the terminal
-    # state event; served by /jobs/{id}/trace and /jobs/{id}/metrics):
+    # state event; rendered on request by /jobs/{id}/trace and
+    # /jobs/{id}/metrics):
     run_summary: Optional[Dict[str, Any]] = None
-    metrics_families: Optional[Dict[str, Any]] = None
-    metrics_text: Optional[str] = None
+    metrics_snapshot: Optional[obs_metrics.MetricsRegistry] = None
     trace_spans: Optional[List[Dict[str, Any]]] = None
 
     def status_dict(self) -> Dict[str, Any]:
@@ -154,8 +155,9 @@ class JobManager:
     ----------
     cache_dir:
         Directory for the engine's sqlite result cache; ``None`` runs
-        uncached.  Each execution opens its own :class:`ResultCache`
-        (sqlite connections are per-thread).
+        uncached.  Each executor thread opens one :class:`ResultCache`
+        for its lifetime (sqlite connections are per-thread) and closes
+        it on :meth:`shutdown`.
     workers:
         Executor threads.  The default of 1 serialises engine runs —
         the engine parallelises *inside* a job via its process pool, so
@@ -406,13 +408,24 @@ class JobManager:
                 self._wake.wait()
 
     def _worker_loop(self) -> None:
-        while True:
-            record = self._next_job()
-            if record is None:
-                return
-            self._execute(record)
+        # sqlite connections are bound to their creating thread, so each
+        # executor owns one handle for all the jobs it runs.
+        cache = (
+            ResultCache(self.cache_dir) if self.cache_dir is not None
+            else None
+        )
+        try:
+            while True:
+                record = self._next_job()
+                if record is None:
+                    return
+                self._execute(record, cache)
+        finally:
+            if cache is not None:
+                cache.close()
 
-    def _execute(self, record: JobRecord) -> None:
+    def _execute(self, record: JobRecord,
+                 cache: Optional[ResultCache]) -> None:
         payload = record.payload
         metrics = RunMetrics()
         tracker = ProgressTracker(total=payload.total_work())
@@ -441,12 +454,6 @@ class JobManager:
         def should_cancel() -> bool:
             return record.cancel_requested
 
-        # sqlite connections are bound to their creating thread, so the
-        # executor opens a fresh handle per job rather than sharing one.
-        cache = (
-            ResultCache(self.cache_dir) if self.cache_dir is not None
-            else None
-        )
         outcome = JobState.FAILED
         error: Optional[Dict[str, Any]] = None
         text: Optional[str] = None
@@ -478,9 +485,6 @@ class JobManager:
         except Exception as exc:
             _log.exception("job %s crashed", record.job_id[:12])
             error = {"type": type(exc).__name__, "message": str(exc)}
-        finally:
-            if cache is not None:
-                cache.close()
         # Freeze trace/metrics artefacts and roll up the job's label
         # sets *before* the terminal event: the moment a client sees
         # the stream end, /jobs/{id}/trace and /jobs/{id}/metrics are
@@ -497,20 +501,18 @@ class JobManager:
     ) -> None:
         """Freeze the job's observability artefacts onto its record.
 
-        The job's metric samples are snapshotted into a detached
-        registry view and its spans are drained from the shared buffer;
-        then :meth:`MetricsRegistry.rollup_job` folds the job's label
-        sets back into the base series so the global ``/metrics``
-        scrape does not grow with job count.
+        The job's metric samples are copied into a detached registry
+        (rendered only when ``/jobs/{id}/metrics`` asks) and its spans
+        are drained from the shared buffer; then
+        :meth:`MetricsRegistry.rollup_job` folds the job's label sets
+        back into the base series so the global ``/metrics`` scrape
+        does not grow with job count.
         """
-        job_registry = obs_metrics.REGISTRY.filter_job(record.job_id)
-        families = job_registry.to_dict()
-        text = job_registry.to_prometheus()
+        snapshot = obs_metrics.REGISTRY.filter_job(record.job_id)
         spans = obs_trace.take_job_spans(record.job_id)
         summary = metrics.to_dict()
         with self._lock:
-            record.metrics_families = families
-            record.metrics_text = text
+            record.metrics_snapshot = snapshot
             record.trace_spans = spans
             record.run_summary = summary
         evicted = obs_metrics.REGISTRY.rollup_job(record.job_id)

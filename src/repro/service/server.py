@@ -29,7 +29,10 @@ Method       Path                            Meaning
 
 Every response carries an explicit ``Content-Length`` except the event
 stream, which uses HTTP/1.1 chunked transfer and terminates once the
-job reaches a terminal state.
+job reaches a terminal state.  Connections are persistent (HTTP/1.1
+keep-alive): each response leaves in one send with Nagle's algorithm
+off, and a connection idle for :data:`KEEPALIVE_IDLE_SECONDS` is
+closed by the server.
 """
 
 from __future__ import annotations
@@ -57,6 +60,10 @@ MAX_BODY_BYTES = 1 << 20
 #: waits between keep-alive flushes when a job is idle.
 EVENT_POLL_SECONDS = 1.0
 
+#: How long a persistent connection may sit idle between requests
+#: before the server closes it (clients reconnect transparently).
+KEEPALIVE_IDLE_SECONDS = 15.0
+
 
 class ServiceServer(ThreadingHTTPServer):
     """ThreadingHTTPServer bound to one :class:`JobManager`."""
@@ -73,8 +80,17 @@ class ServiceServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server: ServiceServer
+    # Headers and body leave in one buffered send with TCP_NODELAY; a
+    # separate unbuffered send per part waits on the peer's delayed ACK
+    # (~40 ms) on every reused connection.
+    disable_nagle_algorithm = True
+    wbufsize = -1
 
     # -- plumbing ------------------------------------------------------
+    def setup(self) -> None:
+        self.timeout = KEEPALIVE_IDLE_SECONDS
+        super().setup()
+
     @property
     def manager(self) -> JobManager:
         return self.server.manager
@@ -89,6 +105,9 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
+        # One send, and a vanished client surfaces here, inside the
+        # routes' disconnect handling.
+        self.wfile.flush()
 
     def _send_json(self, status: int, doc: Dict[str, Any]) -> None:
         body = (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
@@ -110,6 +129,9 @@ class _Handler(BaseHTTPRequestHandler):
         except ValueError:
             length = -1
         if length < 0 or length > MAX_BODY_BYTES:
+            # The body stays unread, so the connection cannot carry
+            # another request.
+            self.close_connection = True
             self._send_error_json(413, "request body missing or too large")
             return None
         return self.rfile.read(length)
@@ -156,8 +178,13 @@ class _Handler(BaseHTTPRequestHandler):
         url = urlparse(self.path)
         parts = [p for p in url.path.split("/") if p]
         try:
+            # Read every body, so a persistent connection's next request
+            # starts where this one ends.
+            body = self._read_body()
+            if body is None:
+                return
             if parts == ["jobs"]:
-                self._submit_job()
+                self._submit_job(body)
             elif len(parts) == 3 and parts[0] == "jobs" \
                     and parts[2] == "cancel":
                 self._cancel_job(parts[1])
@@ -170,10 +197,7 @@ class _Handler(BaseHTTPRequestHandler):
             ).inc()
 
     # -- handlers ------------------------------------------------------
-    def _submit_job(self) -> None:
-        body = self._read_body()
-        if body is None:
-            return
+    def _submit_job(self, body: bytes) -> None:
         try:
             # Strict parse: a duplicate key is a path-addressed
             # ValidationError (the structured 400 below), never a
@@ -245,30 +269,26 @@ class _Handler(BaseHTTPRequestHandler):
             return
         params = parse_qs(query)
         fmt = params.get("format", ["json"])[0]
-        if fmt == "prometheus":
-            text = record.metrics_text
-            if text is None:
-                text = obs_metrics.REGISTRY.filter_job(
-                    record.job_id
-                ).to_prometheus()
-            self._send_bytes(
-                200, text.encode("utf-8"), "text/plain; version=0.0.4"
-            )
-            return
-        if fmt != "json":
+        if fmt not in ("json", "prometheus"):
             self._send_error_json(
                 400, f"unknown format {fmt!r} (expected json or prometheus)"
             )
             return
-        families = record.metrics_families
-        if families is None:
-            families = obs_metrics.REGISTRY.filter_job(
-                record.job_id
-            ).to_dict()
+        # Finished jobs render their frozen snapshot; running jobs a
+        # fresh one of the samples recorded so far.
+        registry = record.metrics_snapshot
+        if registry is None:
+            registry = obs_metrics.REGISTRY.filter_job(record.job_id)
+        if fmt == "prometheus":
+            self._send_bytes(
+                200, registry.to_prometheus().encode("utf-8"),
+                "text/plain; version=0.0.4",
+            )
+            return
         self._send_json(200, {
             "job_id": record.job_id,
             "state": record.state,
-            "families": families,
+            "families": registry.to_dict(),
             "resources": dict(record.resources or {}),
             "run": record.run_summary,
         })
@@ -288,6 +308,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Transfer-Encoding", "chunked")
         self.end_headers()
+        # Headers go out now, not after the first long-poll.
+        self.wfile.flush()
 
         def write_chunk(data: bytes) -> None:
             self.wfile.write(b"%x\r\n%s\r\n" % (len(data), data))
@@ -300,7 +322,6 @@ class _Handler(BaseHTTPRequestHandler):
                 after = max(after, event.seq)
                 line = json.dumps(event.to_dict(), sort_keys=True) + "\n"
                 write_chunk(line.encode("utf-8"))
-            self.wfile.flush()
             current = self.manager.get(job_id)
             if current is None or (
                 current.state in JobState.TERMINAL
@@ -308,7 +329,9 @@ class _Handler(BaseHTTPRequestHandler):
                                                   timeout=0)
             ):
                 break
+            self.wfile.flush()
         write_chunk(b"")  # terminating zero-length chunk
+        self.wfile.flush()
 
     def _cancel_job(self, job_id: str) -> None:
         state = self.manager.cancel(job_id)

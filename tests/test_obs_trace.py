@@ -164,6 +164,47 @@ class TestPropagation:
         assert [r["name"] for r in trace.spans()] == ["one"]
 
 
+class TestBufferCap:
+    """Spans outside any job are capped; the oldest are dropped first
+    and counted, while job-owned spans wait for their job."""
+
+    @staticmethod
+    def _dropped():
+        from repro.obs import metrics
+
+        family = metrics.REGISTRY.get("repro_trace_dropped_spans_total")
+        return family.total() if family is not None else 0
+
+    def test_oldest_job_less_spans_dropped_and_counted(self, monkeypatch):
+        monkeypatch.setattr(trace, "MAX_UNOWNED_SPANS", 3)
+        before = self._dropped()
+        trace.enable()
+        for i in range(3):
+            with trace.span(f"free-{i}"):
+                pass
+            with trace.JobContext("job-a"):
+                with trace.span(f"owned-{i}"):
+                    pass
+        for i in range(3, 5):
+            with trace.span(f"free-{i}"):
+                pass
+        assert [r["name"] for r in trace.spans()] == [
+            "owned-0", "owned-1", "free-2", "owned-2", "free-3", "free-4",
+        ]
+        assert self._dropped() - before == 2
+        # Shipped spans count against the same cap.
+        trace.absorb([{"name": "shipped", "job": None}] * 2)
+        names = [r["name"] for r in trace.spans()]
+        assert names == [
+            "owned-0", "owned-1", "owned-2", "free-4", "shipped", "shipped",
+        ]
+        assert self._dropped() - before == 4
+        assert [r["name"] for r in trace.take_job_spans("job-a")] == [
+            "owned-0", "owned-1", "owned-2",
+        ]
+        assert len(trace.spans()) == 3
+
+
 class TestChromeExport:
     def test_schema(self, tmp_path):
         trace.enable()

@@ -1,7 +1,13 @@
 """End-to-end HTTP API: submit, stream, fetch, byte-identity with CLI."""
 
+import http.client
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
+import time
 
 import pytest
 
@@ -312,3 +318,273 @@ def test_duplicate_json_keys_rejected_with_path(service):
     assert error["path"] == "montecarlo"
     assert "duplicate" in error["message"]
     assert manager.snapshot() == [], "rejected payloads must not enqueue"
+
+
+# -- persistent connections -------------------------------------------
+@pytest.fixture
+def count_connects(monkeypatch):
+    """Count new TCP connections opened through ``http.client``."""
+    opened = []
+    original = http.client.HTTPConnection.connect
+
+    def connect(self):
+        opened.append(self)
+        return original(self)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", connect)
+    return opened
+
+
+def _address(client):
+    host, port = client.base_url.rsplit("//", 1)[1].split(":")
+    return host, int(port)
+
+
+def test_reused_connection_does_not_stall(service):
+    """Each response leaves in one send with Nagle off; a response
+    split over two sends waited ~40 ms per request for the peer's
+    delayed ACK on a kept-alive connection."""
+    client, _ = service
+    conn = http.client.HTTPConnection(*_address(client), timeout=10)
+    try:
+        start = time.perf_counter()
+        for _ in range(5):
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            assert response.read() == b"ok\n"
+            assert not response.will_close
+        elapsed = time.perf_counter() - start
+    finally:
+        conn.close()
+    assert elapsed < 0.1, f"5 kept-alive GETs took {elapsed * 1e3:.0f} ms"
+
+
+def test_client_runs_jobs_over_one_connection(service, count_connects):
+    client, _ = service
+    for seed in (31, 32, 33):
+        job_id = client.submit({
+            "kind": "montecarlo",
+            "montecarlo": {"trials": 2, "seed": seed, "size": 8},
+        })["job_id"]
+        # Stop at the terminal event, as callers do: the stream must
+        # already be drained so the connection can carry the next call.
+        for event in client.iter_events(job_id):
+            if event["event"] == "state" and event["state"] == "done":
+                break
+        assert json.loads(client.result_bytes(job_id))["kind"] == \
+            "montecarlo"
+    assert len(count_connects) == 1
+
+
+def test_client_reconnects_after_idle_close(service, count_connects,
+                                            monkeypatch):
+    import repro.service.server as server_mod
+
+    monkeypatch.setattr(server_mod, "KEEPALIVE_IDLE_SECONDS", 0.1)
+    client, _ = service
+    assert client.healthz()
+    time.sleep(0.4)  # the server closes the idle connection
+    receipt = client.submit(MC_PAYLOAD)  # a POST is resent once
+    assert len(count_connects) == 2
+    assert receipt["deduplicated"] is False
+    assert client.wait(receipt["job_id"], timeout=60)["state"] == "done"
+
+
+def test_error_responses_leave_the_connection_usable(service,
+                                                     count_connects):
+    client, manager = service
+    with pytest.raises(ValidationError):
+        client.submit({"kind": "montecarlo",
+                       "montecarlo": {"trials": "many"}})
+    with pytest.raises(ServiceError) as excinfo:
+        client.status("deadbeef")
+    assert excinfo.value.status == 404
+    with pytest.raises(ServiceError) as excinfo:
+        client._json("POST", "/nope", {"ignored": True})
+    assert excinfo.value.status == 404
+    assert client.healthz()
+    assert client.jobs() == []
+    assert len(count_connects) == 1
+
+
+def test_event_resume_sends_headers_before_the_long_poll(service,
+                                                         monkeypatch):
+    """A resume on a job with no new events must get its response
+    headers at once, not after the server's first long-poll."""
+    import repro.service.jobs as jobs_mod
+    import repro.service.server as server_mod
+
+    client, manager = service
+    gate = threading.Event()
+    original = jobs_mod.run_payload
+
+    def parked(payload, **kwargs):
+        gate.wait(timeout=10)
+        return original(payload, **kwargs)
+
+    monkeypatch.setattr(jobs_mod, "run_payload", parked)
+    job_id = client.submit(MC_PAYLOAD)["job_id"]
+    deadline = time.monotonic() + 10
+    while len(manager.events_since(job_id, timeout=0)) < 3:
+        assert time.monotonic() < deadline
+        time.sleep(0.01)  # queued, running, first progress
+    after = manager.events_since(job_id, timeout=0)[-1].seq
+    conn = http.client.HTTPConnection(*_address(client), timeout=10)
+    try:
+        start = time.perf_counter()
+        conn.request("GET", f"/jobs/{job_id}/events?after={after}")
+        response = conn.getresponse()
+        waited = time.perf_counter() - start
+        assert response.status == 200
+        assert waited < server_mod.EVENT_POLL_SECONDS / 2, waited
+        gate.set()
+        events = [json.loads(line) for line in response.read().splitlines()]
+    finally:
+        gate.set()
+        conn.close()
+    assert events[0]["seq"] == after + 1
+    assert events[-1]["state"] == "done"
+
+
+def test_abandoned_event_stream_leaves_the_client_usable(service,
+                                                        monkeypatch):
+    import repro.service.jobs as jobs_mod
+
+    client, _ = service
+    gate = threading.Event()
+    original = jobs_mod.run_payload
+
+    def parked(payload, **kwargs):
+        gate.wait(timeout=10)
+        return original(payload, **kwargs)
+
+    monkeypatch.setattr(jobs_mod, "run_payload", parked)
+    job_id = client.submit(MC_PAYLOAD)["job_id"]
+    try:
+        events = client.iter_events(job_id)
+        assert next(events)["state"] == "queued"
+        events.close()  # the rest of the stream is never read
+        assert client.status(job_id)["job_id"] == job_id
+    finally:
+        gate.set()
+    assert client.wait(job_id, timeout=60)["state"] == "done"
+
+
+def test_job_artefacts_render_the_frozen_snapshot(service, monkeypatch):
+    """On-request rendering returns the bytes an eager rendering of the
+    same snapshot gave at the end of the job, however many jobs ran
+    since."""
+    import repro.obs.metrics as obs_metrics
+    import repro.obs.trace as obs_trace
+
+    client, manager = service
+    eager = {}
+    filter_job = obs_metrics.REGISTRY.filter_job
+    take_job_spans = obs_trace.take_job_spans
+
+    def eager_filter(job_id):
+        snapshot = filter_job(job_id)
+        eager.setdefault(job_id, {}).update(
+            families=snapshot.to_dict(),
+            prometheus=snapshot.to_prometheus().encode("utf-8"),
+        )
+        return snapshot
+
+    def eager_spans(job_id):
+        spans = take_job_spans(job_id)
+        eager.setdefault(job_id, {})["trace"] = (json.dumps({
+            "displayTimeUnit": "ms",
+            "traceEvents": obs_trace.to_chrome_events(spans),
+        }, sort_keys=True) + "\n").encode("utf-8")
+        return spans
+
+    monkeypatch.setattr(obs_metrics.REGISTRY, "filter_job", eager_filter)
+    monkeypatch.setattr(obs_trace, "take_job_spans", eager_spans)
+
+    def served(job_id):
+        return {
+            "json": client._read("GET", f"/jobs/{job_id}/metrics"),
+            "prometheus": client._read(
+                "GET", f"/jobs/{job_id}/metrics?format=prometheus"
+            ),
+            "trace": client._read("GET", f"/jobs/{job_id}/trace"),
+        }
+
+    def expected(job_id):
+        record = manager.get(job_id)
+        metrics_doc = {
+            "job_id": job_id,
+            "state": record.state,
+            "families": eager[job_id]["families"],
+            "resources": dict(record.resources),
+            "run": record.run_summary,
+        }
+        return {
+            "json": (json.dumps(metrics_doc, sort_keys=True)
+                     + "\n").encode("utf-8"),
+            "prometheus": eager[job_id]["prometheus"],
+            "trace": eager[job_id]["trace"],
+        }
+
+    job_id = client.submit(MC_PAYLOAD)["job_id"]
+    client.wait(job_id, timeout=60)
+    first = served(job_id)
+    assert first == expected(job_id)
+    assert b'job="%s"' % job_id.encode() in first["prometheus"]
+
+    for seed in (41, 42, 43):
+        other = client.submit({
+            "kind": "montecarlo",
+            "montecarlo": {"trials": 3, "seed": seed, "size": 8},
+        })["job_id"]
+        client.wait(other, timeout=60)
+    assert served(job_id) == first
+
+
+def test_serve_exits_promptly_with_an_idle_client(tmp_path):
+    """SIGINT stops ``repro serve`` while a client holds an idle
+    persistent connection: closing the server does not wait for the
+    connection's thread."""
+    import repro
+
+    port_file = tmp_path / "port"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        os.path.dirname(os.path.dirname(repro.__file__)),
+        env.get("PYTHONPATH"),
+    ]))
+    # A shell without job control starts background commands with
+    # SIGINT ignored, and the child would inherit that; install
+    # Python's handler explicitly.
+    launcher = (
+        "import runpy, signal, sys; "
+        "signal.signal(signal.SIGINT, signal.default_int_handler); "
+        "sys.argv = ['repro'] + sys.argv[1:]; "
+        "runpy.run_module('repro', run_name='__main__')"
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", launcher, "serve", "--port", "0",
+         "--port-file", str(port_file), "--no-cache"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    client = None
+    try:
+        deadline = time.monotonic() + 60
+        while not port_file.exists() or \
+                not port_file.read_text().endswith("\n"):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.02)
+        client = ServiceClient(
+            "http://127.0.0.1:%d" % int(port_file.read_text())
+        )
+        assert client.healthz()  # the connection stays open, idle
+        start = time.monotonic()
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=10) == 0
+        assert time.monotonic() - start < 2.0
+    finally:
+        if client is not None:
+            client.close()
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()

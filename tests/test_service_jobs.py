@@ -303,3 +303,64 @@ class TestLongPollIsolation:
             thread.join(timeout=5)
         assert [e.event for e in events] == ["progress"]
         assert elapsed < 5.0, "must wake on its own event, not timeout"
+
+
+def test_each_executor_owns_one_cache_closed_on_shutdown(tmp_path,
+                                                        monkeypatch):
+    import repro.service.jobs as jobs_mod
+
+    opened = []
+
+    class RecordingCache(jobs_mod.ResultCache):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.thread = threading.current_thread().name
+            self.closed = False
+            opened.append(self)
+
+        def close(self):
+            self.closed = True
+            super().close()
+
+    monkeypatch.setattr(jobs_mod, "ResultCache", RecordingCache)
+    mgr = JobManager(cache_dir=str(tmp_path / "cache"), workers=2)
+    try:
+        records = [mgr.submit(payload(seed=seed))[0] for seed in range(4)]
+        for record in records:
+            assert mgr.wait(record.job_id, timeout=60) == JobState.DONE
+        assert len(opened) == 2
+        assert not any(cache.closed for cache in opened)
+    finally:
+        mgr.shutdown()
+    assert sorted(cache.thread for cache in opened) == [
+        "repro-service-worker-0", "repro-service-worker-1",
+    ]
+    assert all(cache.closed for cache in opened)
+
+
+def test_shared_cache_handle_keeps_per_job_resources(tmp_path):
+    """Jobs that share an executor's cache handle report the same
+    per-job accounting as jobs that each opened their own."""
+    explore = {
+        "kind": "explore",
+        "network": {"topology": "mlp", "sizes": [16, 8]},
+        "sweep": {"crossbar_sizes": [16, 32], "parallelism_degrees": [1],
+                  "interconnect_nodes": [45]},
+    }
+    refilter = dict(explore, sweep=dict(explore["sweep"],
+                                        max_error_rate=0.5))
+    docs = [MC_PAYLOAD,
+            {"kind": "montecarlo",
+             "montecarlo": dict(MC_PAYLOAD["montecarlo"], trials=3)},
+            explore, refilter]
+    mgr = JobManager(cache_dir=str(tmp_path / "cache"))
+    try:
+        seen = []
+        for doc in docs:
+            record, _ = mgr.submit(SimulationPayload.from_dict(doc))
+            assert mgr.wait(record.job_id, timeout=60) == JobState.DONE
+            seen.append(tuple(record.resources.get(key, 0) for key in
+                              ("jobs_executed", "cache_hits")))
+    finally:
+        mgr.shutdown()
+    assert seen == [(2, 0), (1, 2), (2, 0), (0, 2)]
