@@ -8,7 +8,7 @@ latent crash, and worse, anything whose ``repr``/identity leaks into a
 key makes the key unstable across processes (the PR 1 bug family).
 
 This rule inspects every call to the key-construction entry points
-(``canonical``, ``canonical_json``, ``content_key``,
+(``canonical``, ``canonical_json``, ``content_key``, ``key_of_json``,
 ``network_fingerprint``) and flags arguments that can never serialize
 stably:
 
@@ -28,7 +28,7 @@ from typing import Iterator, Set
 from repro.analysis.core import Finding, ModuleInfo, Rule, register
 from repro.analysis.rules._ast_util import dotted_chain, walk_functions
 
-_KEY_FNS = {"canonical", "canonical_json", "content_key",
+_KEY_FNS = {"canonical", "canonical_json", "content_key", "key_of_json",
             "network_fingerprint"}
 
 

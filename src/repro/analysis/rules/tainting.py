@@ -52,9 +52,9 @@ MAX_HOPS = 3
 
 #: Cache-key sink callables, by suffix name.  ``fingerprint`` covers
 #: SimulationPayload.fingerprint / CampaignConfig.fingerprint (job
-#: ids); the jobs trio covers every engine cache key.
+#: ids); the jobs helpers cover every engine cache key.
 _SINK_NAMES = {"canonical", "canonical_json", "content_key",
-               "fingerprint"}
+               "key_of_json", "fingerprint"}
 
 
 def _source_calls(node: ast.AST) -> Iterator[Tuple[ast.Call, str]]:

@@ -63,6 +63,7 @@ import argparse
 import logging
 import os
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 import numpy as np
@@ -641,10 +642,27 @@ def _cmd_suggest(args: argparse.Namespace) -> int:
     return 0
 
 
+def _database_bytes(db_path: Path) -> int:
+    """Size of the cache database, its write-ahead log included.
+
+    A running writer's newest rows sit in ``results.sqlite-wal`` until
+    a checkpoint, so the main file alone undercounts them.
+    """
+    total = 0
+    for path in (db_path, db_path.with_name(db_path.name + "-wal")):
+        try:
+            total += path.stat().st_size
+        except FileNotFoundError:
+            pass  # no log (no open handle), or one checkpointed away
+    return total
+
+
 def _cmd_runtime_stats(args: argparse.Namespace) -> int:
     cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
+    # Resolve the directory without opening a cache: a handle left to
+    # the garbage collector would keep the write-ahead log alive.
     directory = (
-        ResultCache(cache_dir).cache_dir if cache_dir else default_cache_dir()
+        Path(cache_dir).expanduser() if cache_dir else default_cache_dir()
     )
     last_run = directory / LAST_RUN_FILENAME
     db_path = directory / "results.sqlite"
@@ -657,7 +675,7 @@ def _cmd_runtime_stats(args: argparse.Namespace) -> int:
             [
                 ["entries (current version)", str(stats.entries)],
                 ["stale entries", str(stats.stale_entries)],
-                ["database size (bytes)", str(db_path.stat().st_size)],
+                ["database size (bytes)", str(_database_bytes(db_path))],
             ],
         ))
     else:

@@ -31,7 +31,15 @@ from repro.errors import ExplorationError
 from repro.nn.networks import Network
 from repro.obs import trace as obs_trace
 from repro.runtime.cache import ResultCache
-from repro.runtime.jobs import JobSpec, content_key, network_fingerprint
+from repro.runtime.jobs import (
+    CANONICAL_ENCODER,
+    JobSpec,
+    canonical,
+    canonical_json,
+    content_key,
+    key_of_json,
+    network_fingerprint,
+)
 from repro.runtime.metrics import RunMetrics
 from repro.runtime.pool import RunPolicy, run_jobs
 
@@ -152,20 +160,19 @@ def _decode_summary(data: dict) -> AcceleratorSummary:
     return AcceleratorSummary(**{name: data[name] for name in _SUMMARY_FIELDS})
 
 
-def simulation_spec(config: SimConfig, network: Network,
-                    fingerprint: Optional[str] = None) -> JobSpec:
+def simulation_spec(config: SimConfig, network: Network) -> JobSpec:
     """The :class:`JobSpec` for one (config, network) simulation.
 
     The cache key folds the deterministic config serialization, the
-    network fingerprint, and the engine schema version — the contract
-    of ISSUE's "canonical serialization" requirement.
+    network fingerprint, and the engine schema version.  A cached sweep
+    derives the same keys in its map stage (:func:`_stage_map`).
     """
-    if fingerprint is None:
-        fingerprint = network_fingerprint(network)
     return JobSpec(
         kind="simulate-point",
         payload=(config, network),
-        key=content_key("simulate-point", config.to_dict(), fingerprint),
+        key=content_key(
+            "simulate-point", config.to_dict(), network_fingerprint(network)
+        ),
     )
 
 
@@ -285,11 +292,25 @@ def _stage_map(stage: Stage, context: StageContext) -> Dict[str, Any]:
             for config in configs
         ]
     else:
-        fingerprint = network_fingerprint(network)
-        specs = [
-            simulation_spec(config, network, fingerprint)
-            for config in configs
-        ]
+        # simulation_spec's keys from one canonical base: a point
+        # differs from the base config only in the three swept fields.
+        kind = canonical_json("simulate-point")
+        fingerprint = canonical_json(network_fingerprint(network))
+        fields = canonical(stage.params["config"].to_dict())
+        specs = []
+        for config in configs:
+            fields["crossbar_size"] = canonical(config.crossbar_size)
+            fields["parallelism_degree"] = canonical(
+                config.parallelism_degree
+            )
+            fields["interconnect_tech"] = canonical(config.interconnect_tech)
+            specs.append(JobSpec(
+                kind="simulate-point",
+                payload=(config, network),
+                key=key_of_json(
+                    kind, CANONICAL_ENCODER.encode(fields), fingerprint
+                ),
+            ))
     return {"configs": configs, "specs": specs}
 
 

@@ -8,6 +8,13 @@ version, so bumping :data:`repro.runtime.jobs.SCHEMA_VERSION`
 invalidates every stale entry without deleting files
 (:meth:`ResultCache.prune_stale` reclaims the space).
 
+The database runs in write-ahead-log mode: while a handle is open,
+its newest rows may sit in the ``results.sqlite-wal`` sidecar (next to
+a ``-shm`` index) until a checkpoint folds them into the main file.
+The last handle to close checkpoints and removes both sidecars.  WAL
+needs shared memory between processes, so the cache directory must be
+on a local filesystem.
+
 Values are stored as JSON text; the engine's ``encode``/``decode``
 hooks translate domain objects (summaries, sample arrays) at the
 boundary.  Hit/miss accounting is per :class:`ResultCache` instance and
@@ -88,6 +95,11 @@ class ResultCache:
         self._misses = 0
         self._stores = 0
         self._conn = sqlite3.connect(str(self.path))
+        # Write-ahead log: a commit appends to ``results.sqlite-wal``
+        # rather than creating, syncing and deleting a rollback journal,
+        # and readers no longer wait for a writer.  ``synchronous``
+        # keeps its default, FULL, so a committed row is as durable.
+        self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute(
             "CREATE TABLE IF NOT EXISTS results ("
             " key TEXT PRIMARY KEY,"

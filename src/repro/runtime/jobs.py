@@ -87,10 +87,30 @@ def canonical(value: Any) -> Any:
     )
 
 
+#: The one encoder behind every canonical serialization: compact JSON
+#: with sorted keys.  Encoding keeps no state between calls.  Apply it
+#: only to :func:`canonical` output.
+CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(value: Any) -> str:
     """The canonical serialization: compact JSON with sorted keys."""
-    return json.dumps(canonical(value), sort_keys=True,
-                      separators=(",", ":"))
+    return CANONICAL_ENCODER.encode(canonical(value))
+
+
+def key_of_json(*encoded: str) -> str:
+    """The job key framing over already-serialized parts.
+
+    SHA-256 of :data:`SCHEMA_VERSION`, then each part's UTF-8 bytes
+    behind a ``\\x00`` separator.  Each part must be the
+    :func:`canonical_json` of a value; callers that derive many keys
+    from one base (a sweep) serialize the parts themselves.
+    """
+    digest = hashlib.sha256(SCHEMA_VERSION.encode("ascii"))
+    for part in encoded:
+        digest.update(b"\x00")
+        digest.update(part.encode("utf-8"))
+    return digest.hexdigest()
 
 
 def content_key(*parts: Any) -> str:
@@ -100,12 +120,8 @@ def content_key(*parts: Any) -> str:
     on the *values* — not on dict insertion order, tuple vs. list
     spelling, or enum identity.
     """
-    digest = hashlib.sha256()
-    digest.update(SCHEMA_VERSION.encode("ascii"))
-    for part in parts:
-        digest.update(b"\x00")
-        digest.update(canonical_json(part).encode("utf-8"))
-    return digest.hexdigest()
+    encoded = [canonical_json(part) for part in parts]
+    return key_of_json(*encoded)
 
 
 def network_fingerprint(network: Any) -> str:

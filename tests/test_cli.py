@@ -1,9 +1,12 @@
 """Command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main, parse_network
 from repro.errors import ConfigError, JobExecutionError
+from repro.runtime.cache import ResultCache
 
 
 class TestParseNetwork:
@@ -156,6 +159,21 @@ class TestRuntimeStats:
         assert "entries (current version)" in out
         assert "last run:" in out
         assert "jobs total" in out
+
+    def test_database_size_counts_the_write_ahead_log(self, tmp_path,
+                                                      capsys):
+        cache_dir = tmp_path / "cache"
+        with ResultCache(cache_dir) as server:
+            server.put_many((f"k{i}", "t", {"i": i}) for i in range(50))
+            assert main(["runtime-stats", "--cache-dir", str(cache_dir)]) \
+                == 0
+            files = [cache_dir / "results.sqlite",
+                     cache_dir / "results.sqlite-wal"]
+            expected = sum(path.stat().st_size for path in files)
+            assert files[1].stat().st_size > 0  # rows not checkpointed
+        out = capsys.readouterr().out
+        reported = re.search(r"database size \(bytes\)\s+(\d+)", out)
+        assert int(reported.group(1)) == expected
 
 
 class TestExitCodes:

@@ -107,15 +107,16 @@ def _forbid(monkeypatch, module, *names):
         monkeypatch.setattr(module, name, refuse)
 
 
-def _count(monkeypatch, module):
-    """Count calls to ``module.content_key`` (still the real function)."""
+def _count(monkeypatch, module, name="content_key"):
+    """Count calls to ``module.<name>`` (still the real function)."""
     calls = []
+    real = getattr(module, name)
 
-    def counting(*parts):
-        calls.append(parts)
-        return content_key(*parts)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(module, "content_key", counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -185,7 +186,8 @@ class TestGoldenKeys:
 
 class TestKeysOnlyForACache:
     def test_explore_without_cache_derives_no_key(self, monkeypatch):
-        _forbid(monkeypatch, explorer, "content_key", "network_fingerprint")
+        _forbid(monkeypatch, explorer, "content_key", "network_fingerprint",
+                "key_of_json", "canonical", "canonical_json")
         points = explorer.explore(SWEEP_BASE, SWEEP_NETWORK, SWEEP_SPACE)
         assert len(points) == len(SWEEP_KEYS)
 
@@ -201,13 +203,26 @@ class TestKeysOnlyForACache:
     def test_explore_with_cache_keys_each_spec_once(
         self, monkeypatch, tmp_path
     ):
-        calls = _count(monkeypatch, explorer)
+        # The sweep frames its keys itself, from one canonical base.
+        calls = _count(monkeypatch, explorer, "key_of_json")
         with ResultCache(tmp_path) as cache:
             explorer.explore(
                 SWEEP_BASE, SWEEP_NETWORK, SWEEP_SPACE, cache=cache
             )
             assert len(calls) == len(SWEEP_KEYS)
             assert _cached_keys(cache, SWEEP_KEYS) == set(SWEEP_KEYS)
+
+    def test_explore_with_cache_serializes_the_base_config_once(
+        self, monkeypatch, tmp_path
+    ):
+        calls = _count(monkeypatch, SimConfig, "to_dict")
+        with ResultCache(tmp_path) as cache:
+            explorer.explore(
+                SWEEP_BASE, SWEEP_NETWORK, SWEEP_SPACE, cache=cache
+            )
+            assert _cached_keys(cache, SWEEP_KEYS) == set(SWEEP_KEYS)
+        assert len(SWEEP_KEYS) == 4
+        assert len(calls) == 1
 
     def test_campaign_with_cache_keys_each_spec_once(
         self, monkeypatch, tmp_path

@@ -592,3 +592,85 @@ def test_shared_registry_matches_fresh_registry(points, custom):
         assert reused.summary() == fresh.summary()
         assert reused.write_performance() == fresh.write_performance()
         assert reused.report().render() == fresh.report().render()
+
+
+# ----------------------------------------------------------------------
+# Sweep keys: one canonical base per sweep, simulation_spec's keys
+# ----------------------------------------------------------------------
+def _axis(values):
+    """A non-empty sorted subset of a design-space axis."""
+    return st.lists(
+        st.sampled_from(values), min_size=1, max_size=3, unique=True
+    ).map(lambda chosen: tuple(sorted(chosen)))
+
+
+@st.composite
+def sweep_bases(draw):
+    from repro.tech import (
+        available_cmos_nodes,
+        available_interconnect_nodes,
+        available_memristor_models,
+    )
+
+    low = draw(st.floats(min_value=1e2, max_value=1e5))
+    ratio = draw(st.floats(min_value=1.5, max_value=1e3))
+    return SimConfig(
+        interface_number=(draw(st.integers(1, 512)),
+                          draw(st.integers(1, 512))),
+        cell_type=draw(st.sampled_from(["1T1R", "0T1R"])),
+        memristor_model=draw(st.sampled_from(available_memristor_models())),
+        cmos_tech=draw(st.sampled_from(available_cmos_nodes())),
+        interconnect_tech=draw(
+            st.sampled_from(available_interconnect_nodes())
+        ),
+        device_sigma=draw(st.one_of(
+            st.none(), st.just(0.0), st.floats(min_value=0.0,
+                                               max_value=0.3),
+        )),
+        resistance_range=draw(st.one_of(
+            st.none(), st.just((low, low * ratio)),
+        )),
+        weight_bits=draw(st.integers(1, 16)),
+        signal_bits=draw(st.integers(1, 12)),
+    )
+
+
+@st.composite
+def design_spaces(draw):
+    from repro.dse.space import DesignSpace
+    from repro.tech import available_interconnect_nodes
+
+    space = DesignSpace(
+        crossbar_sizes=draw(_axis([4, 8, 16, 32, 64, 128, 256, 512,
+                                   1024])),
+        parallelism_degrees=draw(_axis([1, 2, 4, 8, 16, 32, 64, 128,
+                                        256])),
+        interconnect_nodes=draw(_axis(available_interconnect_nodes())),
+    )
+    assume(len(space) > 0)
+    return space
+
+
+@settings(max_examples=25, deadline=None)
+@given(sweep_bases(), design_spaces())
+def test_cached_sweep_stores_the_simulation_spec_keys(base, space):
+    """A cached explore stores exactly the keys content_key gives each
+    config on its own, whatever the base config and the grid."""
+    import tempfile
+
+    from repro.dse.explorer import explore
+    from repro.nn.networks import mlp as make_mlp
+    from repro.runtime.cache import ResultCache
+    from repro.runtime.jobs import content_key, network_fingerprint
+
+    network = make_mlp([16, 8], name="prop-keys")
+    expected = {
+        content_key("simulate-point", config.to_dict(),
+                    network_fingerprint(network))
+        for config in space.configs(base)
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        with ResultCache(tmp) as cache:
+            explore(base, network, space, cache=cache)
+            assert set(cache.get_many(sorted(expected))) == expected
+            assert cache.stats().entries == len(expected)

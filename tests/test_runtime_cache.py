@@ -1,8 +1,12 @@
 """On-disk result cache: persistence, stats, versioned invalidation."""
 
+import json
+import sqlite3
+
 import pytest
 
 from repro.runtime.cache import ResultCache, default_cache_dir
+from repro.runtime.jobs import SCHEMA_VERSION
 
 
 @pytest.fixture
@@ -70,6 +74,72 @@ class TestVersioning:
         cache.put_many([("a", "t", 1), ("b", "t", 2)])
         assert cache.clear() == 2
         assert cache.stats().entries == 0
+
+
+class TestWriteAheadLog:
+    def test_fresh_cache_runs_wal_at_full_sync(self, cache):
+        conn = cache._conn
+        assert conn.execute("PRAGMA journal_mode").fetchone() == ("wal",)
+        assert conn.execute("PRAGMA synchronous").fetchone() == (2,)
+
+    def test_rollback_journal_file_opens_with_every_row(self, tmp_path):
+        # The table and rows exactly as a rollback-journal build wrote
+        # them.
+        path = tmp_path / "c" / "results.sqlite"
+        path.parent.mkdir()
+        rows = {f"k{i}": {"i": i, "x": i / 3} for i in range(20)}
+        legacy = sqlite3.connect(str(path))
+        assert legacy.execute("PRAGMA journal_mode").fetchone() == (
+            "delete",
+        )
+        legacy.execute(
+            "CREATE TABLE IF NOT EXISTS results ("
+            " key TEXT PRIMARY KEY,"
+            " version TEXT NOT NULL,"
+            " kind TEXT NOT NULL,"
+            " value TEXT NOT NULL,"
+            " created REAL NOT NULL)"
+        )
+        legacy.executemany(
+            "INSERT INTO results VALUES (?, ?, ?, ?, ?)",
+            [(key, SCHEMA_VERSION, "t", json.dumps(value), 0.0)
+             for key, value in rows.items()],
+        )
+        legacy.commit()
+        legacy.close()
+        with ResultCache(tmp_path / "c") as reopened:
+            assert reopened.get_many(list(rows)) == rows
+            assert reopened.stats().entries == len(rows)
+
+    def test_reader_does_not_wait_for_an_open_write(self, tmp_path):
+        with ResultCache(tmp_path / "c") as reader, \
+                ResultCache(tmp_path / "c") as writer:
+            writer.put("old", "t", 1)
+            # Under a rollback journal an exclusive writer locks every
+            # reader out ("database is locked" once the wait runs out).
+            writer._conn.execute("BEGIN EXCLUSIVE")
+            writer._conn.execute(
+                "INSERT INTO results VALUES (?, ?, ?, ?, ?)",
+                ["new", SCHEMA_VERSION, "t", "2", 0.0],
+            )
+            assert reader.get_many(["old", "new"]) == {"old": 1}
+            writer._conn.commit()
+            assert reader.get_many(["old", "new"]) == {"old": 1, "new": 2}
+
+    def test_last_close_removes_the_sidecar_files(self, tmp_path):
+        directory = tmp_path / "c"
+        first = ResultCache(directory)
+        second = ResultCache(directory)
+        first.put("a", "t", 1)
+        second.put("b", "t", 2)
+        assert (directory / "results.sqlite-wal").exists()
+        first.close()
+        second.close()
+        assert sorted(p.name for p in directory.iterdir()) == [
+            "results.sqlite"
+        ]
+        with ResultCache(directory) as reopened:
+            assert reopened.get_many(["a", "b"]) == {"a": 1, "b": 2}
 
 
 class TestDefaultDir:
