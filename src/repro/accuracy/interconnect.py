@@ -39,8 +39,6 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-import numpy as np
-
 from repro.tech.memristor import MemristorModel
 
 # Equivalent sensing resistance of the reference read circuit (ohms).  A
@@ -214,38 +212,3 @@ def analog_error_rate(
     rs_m = sense_resistance * rows
     return (wire + r_act - r_idl) / (r_act + wire + rs_m)
 
-
-def solver_reference_errors(
-    device: MemristorModel,
-    size: int,
-    segment_resistance: float,
-    input_vectors: np.ndarray,
-    sense_resistance: float = DEFAULT_SENSE_RESISTANCE,
-) -> np.ndarray:
-    """Circuit-level signed relative errors for a batch of input vectors.
-
-    The empirical counterpart of :func:`analog_error_rate`: builds the
-    paper's worst-case array (every cell at ``R_min``), drives it with
-    each row of ``input_vectors`` (shape ``(K, size)``) through the
-    batched :meth:`~repro.spice.solver.CrossbarNetwork.solve_many`
-    path, and returns the per-column signed relative deviation from the
-    ideal divider, shape ``(K, size)``.  Useful for validating the
-    Eq. 11 closed form over many operating points at the cost of a
-    single assembly instead of ``K`` independent solves.
-    """
-    # Imported here to keep the closed-form module import-light; the
-    # solver pulls in scipy.
-    from repro.spice.solver import CrossbarNetwork, ideal_output_voltages
-
-    input_vectors = np.atleast_2d(np.asarray(input_vectors, dtype=float))
-    resistances = np.full((size, size), device.r_min)
-    network = CrossbarNetwork(
-        resistances, segment_resistance, sense_resistance, device=device
-    )
-    batch = network.solve_many(input_vectors)
-    ideal = ideal_output_voltages(
-        resistances, input_vectors, sense_resistance
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        errors = (ideal - batch.output_voltages) / ideal
-    return np.where(np.isfinite(errors), errors, 0.0)

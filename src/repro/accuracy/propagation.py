@@ -14,7 +14,7 @@ layer.  MNSIM evaluates the whole accelerator this way.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Iterable, List
 
 from repro.accuracy.quantization import avg_error_rate, max_error_rate
 
@@ -63,14 +63,3 @@ def propagate_layers(
         deltas.append(delta)
     return deltas
 
-
-def final_error_rates(
-    layer_epsilons: Iterable[float], k: int
-) -> Tuple[float, float]:
-    """Convenience: ``(worst, average)`` error rate after the last layer."""
-    epsilons = list(layer_epsilons)
-    if not epsilons:
-        return (0.0, 0.0)
-    worst = propagate_layers(epsilons, k, case="worst")[-1]
-    average = propagate_layers(epsilons, k, case="average")[-1]
-    return (worst, average)

@@ -24,24 +24,18 @@ from repro.arch.isa import Controller, Instruction, Opcode, assemble
 from repro.arch.breakdown import Breakdown, accelerator_breakdown
 from repro.arch.pipeline import InnerPipeline, PipelineStage, bank_inner_pipeline
 from repro.arch.training import TrainingCost, TrainingCostModel
-from repro.arch.floorplan import Floorplan, floorplan, with_floorplan_overheads
+from repro.arch.floorplan import Floorplan, floorplan
 from repro.arch.throughput import (
     StageRate,
     ThroughputReport,
     bus_lines_for_balance,
     throughput_report,
 )
-from repro.arch.compare import compare_designs, relative_to
-from repro.arch.reliability import (
-    ReliabilityReport,
-    max_sample_rate_for_lifetime,
-    reliability_report,
-)
+from repro.arch.reliability import ReliabilityReport, reliability_report
 from repro.arch.programming import (
     ProgrammingCost,
     expected_pulses_per_cell,
     programming_cost,
-    reloads_supported,
 )
 
 __all__ = [
@@ -63,18 +57,13 @@ __all__ = [
     "TrainingCostModel",
     "Floorplan",
     "floorplan",
-    "with_floorplan_overheads",
     "ProgrammingCost",
     "expected_pulses_per_cell",
     "programming_cost",
-    "reloads_supported",
     "StageRate",
     "ThroughputReport",
     "throughput_report",
     "bus_lines_for_balance",
     "ReliabilityReport",
     "reliability_report",
-    "max_sample_rate_for_lifetime",
-    "compare_designs",
-    "relative_to",
 ]

@@ -24,7 +24,6 @@ from typing import List, Tuple
 
 from repro.arch.accelerator import Accelerator
 from repro.errors import ConfigError
-from repro.report import Performance
 
 # White space (routing, power, clock) added over pure module area.
 DEFAULT_WHITESPACE_FACTOR = 1.25
@@ -167,18 +166,3 @@ def floorplan(
         wire_energy_per_sample=wire_energy,
     )
 
-
-def with_floorplan_overheads(
-    accelerator: Accelerator,
-    whitespace_factor: float = DEFAULT_WHITESPACE_FACTOR,
-) -> Performance:
-    """The accelerator's sample performance including die white space
-    and global-wire latency/energy."""
-    plan = floorplan(accelerator, whitespace_factor)
-    base = accelerator.sample_performance()
-    return Performance(
-        area=plan.die_area,
-        dynamic_energy=base.dynamic_energy + plan.wire_energy_per_sample,
-        leakage_power=base.leakage_power,
-        latency=base.latency + plan.wire_latency,
-    )

@@ -126,16 +126,3 @@ def programming_cost(
         endurance_consumed=pulses / write_endurance,
     )
 
-
-def reloads_supported(
-    accelerator: Accelerator,
-    target_fraction: float = 0.5,
-    write_endurance: float = 1e9,
-) -> float:
-    """How many full weight reloads the endurance budget sustains.
-
-    Relevant for multi-tenant accelerators that swap networks: the
-    paper's fixed-weight argument assumes one load; this quantifies the
-    margin."""
-    cost = programming_cost(accelerator, target_fraction, write_endurance)
-    return 1.0 / cost.endurance_consumed

@@ -19,9 +19,7 @@ squeeze.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.arch.accelerator import Accelerator
 from repro.arch.programming import programming_cost
@@ -147,41 +145,3 @@ def reliability_report(
         hard_fault_rate=hard_fault_rate,
     )
 
-
-def max_sample_rate_for_lifetime(
-    accelerator: Accelerator,
-    target_years: float,
-    drift_budget: float = DEFAULT_DRIFT_BUDGET,
-    retention_per_level: float = DEFAULT_RETENTION_PER_LEVEL,
-    disturb_per_read: float = DEFAULT_DISTURB_PER_READ,
-    write_endurance: float = 1e9,
-) -> Optional[float]:
-    """Highest sustained sample rate meeting a lifetime target.
-
-    Returns ``None`` when even an idle device (retention refreshes
-    alone) cannot reach the target — the retention floor.
-    """
-    if target_years <= 0:
-        raise ConfigError("target_years must be positive")
-    idle = reliability_report(
-        accelerator, 0.0, drift_budget, retention_per_level,
-        disturb_per_read, write_endurance,
-    )
-    if idle.endurance_lifetime_years < target_years:
-        return None
-    if disturb_per_read == 0:
-        return math.inf
-    # lifetime(yrs) = endurance / (pulses * year * total_rate / budget)
-    # Solve total_rate for the target, subtract the retention part.
-    refresh = programming_cost(
-        accelerator, write_endurance=write_endurance
-    )
-    year = 365.0 * 24 * 3600
-    allowed_rate = (
-        write_endurance * drift_budget
-        / (refresh.pulses_per_cell * year * target_years)
-    )
-    disturb_budget = allowed_rate - 1.0 / retention_per_level
-    if disturb_budget <= 0:
-        return 0.0
-    return disturb_budget / disturb_per_read

@@ -22,7 +22,6 @@ from repro.dse.explorer import (
     optimal_table,
     optimal_with_secondary,
     pentagon_factors,
-    weighted_optimal,
 )
 from repro.dse.autocomplete import CompletedDesign, suggest_designs
 from repro.dse.constraints import ConstraintSet
@@ -31,7 +30,7 @@ from repro.dse.heterogeneous import (
     optimise_heterogeneous,
     uniform_best,
 )
-from repro.dse.export import from_json, points_to_rows, to_csv, to_json
+from repro.dse.export import points_to_rows, to_csv, to_json
 from repro.dse.tradeoff import (
     inflection_point,
     pareto_frontier,
@@ -56,11 +55,9 @@ __all__ = [
     "points_to_rows",
     "to_csv",
     "to_json",
-    "from_json",
     "HeterogeneousDesign",
     "optimise_heterogeneous",
     "uniform_best",
     "CompletedDesign",
     "suggest_designs",
-    "weighted_optimal",
 ]

@@ -406,43 +406,6 @@ def optimal_with_secondary(
     return min(candidates, key=lambda p: p.metric(secondary))
 
 
-def weighted_optimal(
-    points: Sequence[DesignPoint],
-    weights: Dict[str, float],
-) -> DesignPoint:
-    """Scalarised multi-objective optimum.
-
-    Each metric is min-max normalised over ``points`` (so weights are
-    unit-free) and combined as a weighted sum; the smallest combined
-    score wins.  Weights must be non-negative with at least one
-    positive entry; valid metric names are ``area``, ``energy``,
-    ``latency``, ``power``, ``accuracy`` (error rate).
-    """
-    if not points:
-        raise ExplorationError("weighted optimisation needs points")
-    if not weights:
-        raise ExplorationError("at least one weight is required")
-    if any(w < 0 for w in weights.values()):
-        raise ExplorationError("weights must be non-negative")
-    if all(w == 0 for w in weights.values()):
-        raise ExplorationError("at least one weight must be positive")
-
-    spans = {}
-    for metric in weights:
-        values = [p.metric(metric) for p in points]  # validates names
-        low, high = min(values), max(values)
-        spans[metric] = (low, (high - low) or 1.0)
-
-    def score(point: DesignPoint) -> float:
-        total = 0.0
-        for metric, weight in weights.items():
-            low, span = spans[metric]
-            total += weight * (point.metric(metric) - low) / span
-        return total
-
-    return min(points, key=score)
-
-
 def pentagon_factors(
     selected: Sequence[DesignPoint],
 ) -> List[Dict[str, float]]:

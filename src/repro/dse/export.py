@@ -5,10 +5,7 @@ DesignPoint` records; these helpers persist them for plotting and
 post-processing outside the simulator:
 
 * :func:`points_to_rows` — flat dict rows (one per design point);
-* :func:`to_csv` / :func:`to_json` — file export;
-* :func:`from_json` — reload a previous run for re-ranking without
-  re-simulating (the summaries round-trip exactly; re-ranking uses the
-  same metric accessors).
+* :func:`to_csv` / :func:`to_json` — file export.
 """
 
 from __future__ import annotations
@@ -18,7 +15,6 @@ import json
 from pathlib import Path
 from typing import Dict, List, Sequence, Union
 
-from repro.arch.accelerator import AcceleratorSummary
 from repro.dse.explorer import DesignPoint
 from repro.errors import ExplorationError
 
@@ -72,28 +68,3 @@ def to_json(points: Sequence[DesignPoint], path: Union[str, Path]) -> Path:
     )
     return path
 
-
-def from_json(path: Union[str, Path]) -> List[DesignPoint]:
-    """Reload design points exported by :func:`to_json`."""
-    rows = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(rows, list):
-        raise ExplorationError("expected a JSON list of design points")
-    points = []
-    for index, row in enumerate(rows):
-        try:
-            summary = AcceleratorSummary(
-                **{field: float(row[field]) for field in _SUMMARY_FIELDS}
-            )
-            points.append(
-                DesignPoint(
-                    crossbar_size=int(row["crossbar_size"]),
-                    parallelism_degree=int(row["parallelism_degree"]),
-                    interconnect_tech=int(row["interconnect_tech"]),
-                    summary=summary,
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ExplorationError(
-                f"malformed design-point record at index {index}: {exc}"
-            ) from exc
-    return points

@@ -21,8 +21,6 @@ Three fidelity modes (:class:`~repro.functional.unit.AnalogMode`):
 from repro.functional.crossbar import FunctionalCrossbar
 from repro.functional.unit import AnalogMode, FunctionalUnit
 from repro.functional.bank import FunctionalBank
-from repro.functional.conv import FunctionalConvBank
-from repro.functional.cnn import FunctionalCnn
 from repro.functional.accelerator import FunctionalAccelerator
 from repro.functional.faults import (
     FaultPoint,
@@ -35,8 +33,6 @@ __all__ = [
     "AnalogMode",
     "FunctionalUnit",
     "FunctionalBank",
-    "FunctionalConvBank",
-    "FunctionalCnn",
     "FunctionalAccelerator",
     "FaultPoint",
     "fault_study",

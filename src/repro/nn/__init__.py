@@ -40,7 +40,6 @@ from repro.nn.trainer import (
     classification_accuracy,
     make_cluster_dataset,
 )
-from repro.nn.persistence import load_network, save_network
 from repro.nn.workloads import (
     crossbar_workload,
     image_blocks,
@@ -73,6 +72,4 @@ __all__ = [
     "random_inputs",
     "image_blocks",
     "crossbar_workload",
-    "save_network",
-    "load_network",
 ]

@@ -14,7 +14,7 @@ print, mirroring the Accelerator -> Bank -> Unit -> module structure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 from repro.units import fmt_si
 
@@ -127,22 +127,6 @@ class Performance:
             f"leakage={fmt_si(self.leakage_power, 'W')}, "
             f"latency={fmt_si(self.latency, 's')}"
         )
-
-
-def serial_sum(parts: Iterable[Performance]) -> Performance:
-    """Serial composition (latencies add) of an iterable of parts."""
-    total = Performance()
-    for part in parts:
-        total = total.serial(part)
-    return total
-
-
-def parallel_sum(parts: Iterable[Performance]) -> Performance:
-    """Parallel composition (latency = max) of an iterable of parts."""
-    total = Performance()
-    for part in parts:
-        total = total.parallel(part)
-    return total
 
 
 @dataclass

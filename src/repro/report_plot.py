@@ -6,8 +6,7 @@ so `benchmarks/results/fig*.txt` actually *look like* the figures they
 reproduce.
 
 * :func:`line_plot` — multi-series X-Y chart with per-series markers;
-* :func:`scatter_plot` — a single-series convenience wrapper;
-* :func:`bar_chart` — horizontal labelled bars (breakdowns).
+* :func:`scatter_plot` — a single-series convenience wrapper.
 """
 
 from __future__ import annotations
@@ -110,33 +109,3 @@ def scatter_plot(
     """Single-series convenience wrapper over :func:`line_plot`."""
     return line_plot({name: points}, **kwargs)
 
-
-def bar_chart(
-    values: Dict[str, float],
-    width: int = 50,
-    unit: str = "",
-) -> str:
-    """Horizontal labelled bars, longest first."""
-    if not values:
-        raise PlotError("nothing to plot")
-    peak = max(values.values())
-    if peak < 0:
-        raise PlotError("bar values must be non-negative")
-    label_pad = max(len(name) for name in values)
-    lines = []
-    for name, value in sorted(
-        values.items(), key=lambda kv: kv[1], reverse=True
-    ):
-        if value < 0:
-            raise PlotError("bar values must be non-negative")
-        bar = "#" * (
-            0 if peak == 0 else max(
-                1 if value > 0 else 0,
-                int(round(width * value / peak)),
-            )
-        )
-        lines.append(
-            f"{name.rjust(label_pad)} |{bar.ljust(width)}| "
-            f"{value:.4g}{unit}"
-        )
-    return "\n".join(lines)

@@ -25,11 +25,6 @@ from repro.spice.solver import (
 )
 from repro.spice.netlist import generate_netlist
 from repro.spice.parser import ParsedNetlist, parse_netlist
-from repro.spice.transient import (
-    SettleEstimate,
-    estimate_settle,
-    settle_time_for_config,
-)
 
 __all__ = [
     "CrossbarNetwork",
@@ -40,7 +35,4 @@ __all__ = [
     "generate_netlist",
     "ParsedNetlist",
     "parse_netlist",
-    "SettleEstimate",
-    "estimate_settle",
-    "settle_time_for_config",
 ]

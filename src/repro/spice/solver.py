@@ -28,8 +28,7 @@ Performance architecture (see DESIGN.md S3):
   (``scipy.sparse.linalg.splu``) and back-substituted for however many
   right-hand sides need it: :meth:`CrossbarNetwork.solve_many` solves a
   whole batch of input vectors against a single factorization in the
-  linear regime, and :meth:`CrossbarNetwork.factorized` exposes the same
-  helper to other modules (RC transient analysis reuses it).
+  linear regime.
 
 ``benchmarks/test_spice_solver_perf.py`` tracks the measured speedups in
 ``BENCH_spice.json`` at the repo root.
@@ -59,7 +58,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     List,
     Optional,
@@ -559,20 +557,6 @@ class CrossbarNetwork:
                 f"wire_resistance={self.wire_resistance:g} ohm, "
                 f"sense_resistance={self.sense_resistance:g} ohm): {exc}"
             ) from exc
-
-    def factorized(
-        self, cell_conductances: Optional[np.ndarray] = None
-    ) -> Callable[[np.ndarray], np.ndarray]:
-        """One-time LU factorization; returns a ``solve(rhs)`` callable.
-
-        Factorizes the linearised MNA matrix at ``cell_conductances``
-        (the programmed ``1/R`` grid when omitted) once, so callers can
-        back-substitute any number of right-hand sides — batched input
-        vectors here, ``C v`` products in the RC transient module.
-        """
-        if cell_conductances is None:
-            cell_conductances = self._base_conductances()
-        return self._factorize(self._matrix(cell_conductances)).solve
 
     # ------------------------------------------------------------------
     def _is_nonlinear(self) -> bool:

@@ -13,11 +13,7 @@ from repro.accuracy.interconnect import (
     voltage_deviation,
 )
 from repro.accuracy.model import AccuracyModel
-from repro.accuracy.propagation import (
-    combine_error_rates,
-    final_error_rates,
-    propagate_layers,
-)
+from repro.accuracy.propagation import combine_error_rates, propagate_layers
 from repro.accuracy.quantization import (
     avg_digital_deviation,
     avg_error_rate,
@@ -185,11 +181,6 @@ class TestPropagation:
         worst = propagate_layers(eps, 256, case="worst")
         average = propagate_layers(eps, 256, case="average")
         assert all(a <= w for a, w in zip(average, worst))
-
-    def test_final_error_rates_tuple(self):
-        worst, average = final_error_rates([0.05, 0.05], 256)
-        assert average <= worst
-        assert final_error_rates([], 256) == (0.0, 0.0)
 
     def test_unknown_case_raises(self):
         with pytest.raises(ValueError):

@@ -89,44 +89,50 @@ def _cli(*argv):
 
 
 @pytest.mark.parametrize(
-    "statement, required, forbidden",
+    "statement, required, forbidden, max_repro",
     [
-        pytest.param("import repro", (), "scipy", id="import-repro"),
-        pytest.param("import repro.cli", (), "scipy", id="import-cli"),
+        pytest.param("import repro", (), "scipy", 71, id="import-repro"),
+        pytest.param("import repro.cli", (), "scipy", 72, id="import-cli"),
         pytest.param(
-            "import repro.service.server", (), "scipy", id="import-server"
+            "import repro.service.server", (), "scipy", 80,
+            id="import-server",
         ),
         pytest.param(
-            _cli("simulate", "validation-mlp"), (), "scipy", id="simulate"
+            _cli("simulate", "validation-mlp"), (), "scipy", 77,
+            id="simulate",
         ),
         pytest.param(
             _cli("explore", "mlp:32,16", "--sizes", "32", "64",
                  "--degrees", "1", "--wires", "45"),
-            (), "scipy", id="explore",
+            (), "scipy", 77, id="explore",
         ),
         pytest.param(
             _cli("campaign", "validate",
                  str(REPO_ROOT / "examples/campaigns/fault-sweep.json")),
-            (), "scipy", id="campaign-validate",
+            (), "scipy", 86, id="campaign-validate",
         ),
         pytest.param(
             _cli("montecarlo", "--size", "8", "--trials", "2"),
-            ("scipy.sparse",), "scipy.optimize", id="montecarlo",
+            ("scipy.sparse",), "scipy.optimize", 89, id="montecarlo",
         ),
     ],
 )
-def test_scipy_loaded_only_where_called(statement, required, forbidden):
+def test_scipy_loaded_only_where_called(
+    statement, required, forbidden, max_repro
+):
     """Solver-free entry points must not pay scipy's import cost.
 
-    Each case runs in a fresh interpreter, then lists the scipy modules
-    it ended up holding.  Only the circuit solver (``repro.spice``) and
-    the calibration fit need scipy.
+    Each case runs in a fresh interpreter, then lists the scipy and
+    ``repro`` modules it ended up holding.  Only the circuit solver
+    (``repro.spice``) and the calibration fit need scipy.  The ``repro``
+    count is capped at what each entry point loads today, so a package
+    re-export that drags a module into every cold command fails here.
     """
     probe = (
         f"{statement}\n"
         "import json, sys\n"
         "print(json.dumps(sorted(m for m in sys.modules "
-        "if m.split('.')[0] == 'scipy')))\n"
+        "if m.split('.')[0] in ('scipy', 'repro'))))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe],
@@ -142,3 +148,5 @@ def test_scipy_loaded_only_where_called(statement, required, forbidden):
         if m == forbidden or m.startswith(forbidden + ".")
     ]
     assert offending == []
+    repro_modules = [m for m in loaded if m.split(".")[0] == "repro"]
+    assert len(repro_modules) <= max_repro, repro_modules

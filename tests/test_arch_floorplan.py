@@ -5,11 +5,7 @@ import math
 import pytest
 
 from repro.arch.accelerator import Accelerator
-from repro.arch.floorplan import (
-    DEFAULT_WHITESPACE_FACTOR,
-    floorplan,
-    with_floorplan_overheads,
-)
+from repro.arch.floorplan import DEFAULT_WHITESPACE_FACTOR, floorplan
 from repro.config import SimConfig
 from repro.errors import ConfigError
 from repro.nn.networks import mlp, validation_mlp
@@ -83,18 +79,3 @@ class TestWires:
         assert plan.wire_latency == 0.0
         assert plan.wire_energy_per_sample == 0.0
 
-
-class TestOverheads:
-    def test_floorplanned_performance_dominates_raw(self, accelerator):
-        raw = accelerator.sample_performance()
-        planned = with_floorplan_overheads(accelerator)
-        assert planned.area > raw.area
-        assert planned.latency > raw.latency
-        assert planned.dynamic_energy > raw.dynamic_energy
-
-    def test_overheads_are_second_order(self, accelerator):
-        """The global wires must stay a correction, not a dominator."""
-        raw = accelerator.sample_performance()
-        planned = with_floorplan_overheads(accelerator)
-        assert planned.latency < raw.latency * 1.5
-        assert planned.dynamic_energy < raw.dynamic_energy * 1.5

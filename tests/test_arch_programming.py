@@ -3,11 +3,7 @@
 import pytest
 
 from repro.arch.accelerator import Accelerator
-from repro.arch.programming import (
-    expected_pulses_per_cell,
-    programming_cost,
-    reloads_supported,
-)
+from repro.arch.programming import expected_pulses_per_cell, programming_cost
 from repro.config import SimConfig
 from repro.errors import ConfigError
 from repro.nn.networks import validation_mlp
@@ -80,7 +76,6 @@ class TestProgrammingCost:
     def test_endurance_accounting(self, accelerator):
         cost = programming_cost(accelerator, write_endurance=1e9)
         assert cost.endurance_consumed == pytest.approx(1e-9)
-        assert reloads_supported(accelerator) == pytest.approx(1e9)
 
     def test_invalid_endurance(self, accelerator):
         with pytest.raises(ConfigError):

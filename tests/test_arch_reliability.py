@@ -1,14 +1,9 @@
 """Retention / read-disturb / refresh lifetime model."""
 
-import math
-
 import pytest
 
 from repro.arch.accelerator import Accelerator
-from repro.arch.reliability import (
-    max_sample_rate_for_lifetime,
-    reliability_report,
-)
+from repro.arch.reliability import reliability_report
 from repro.config import SimConfig
 from repro.errors import ConfigError
 from repro.nn.networks import validation_mlp
@@ -66,42 +61,6 @@ class TestReport:
             reliability_report(accelerator, 1.0, drift_budget=0.0)
         with pytest.raises(ConfigError):
             reliability_report(accelerator, 1.0, retention_per_level=0.0)
-
-
-class TestLifetimeBudget:
-    def test_generous_target_allows_unbounded_rate_wo_disturb(
-        self, accelerator
-    ):
-        rate = max_sample_rate_for_lifetime(
-            accelerator, target_years=1.0, disturb_per_read=0.0
-        )
-        assert rate == math.inf
-
-    def test_rate_budget_meets_the_target(self, accelerator):
-        target = 10.0
-        rate = max_sample_rate_for_lifetime(
-            accelerator, target_years=target, disturb_per_read=1e-6,
-            write_endurance=1e6,
-        )
-        assert rate is not None and rate > 0
-        achieved = reliability_report(
-            accelerator, rate, disturb_per_read=1e-6,
-            write_endurance=1e6,
-        )
-        assert achieved.endurance_lifetime_years == pytest.approx(
-            target, rel=0.01
-        )
-
-    def test_retention_floor_detected(self, accelerator):
-        """A fragile device cannot reach a decade even when idle."""
-        rate = max_sample_rate_for_lifetime(
-            accelerator, target_years=10.0, write_endurance=10.0,
-        )
-        assert rate is None
-
-    def test_invalid_target(self, accelerator):
-        with pytest.raises(ConfigError):
-            max_sample_rate_for_lifetime(accelerator, target_years=0.0)
 
 
 class TestHardFaultRate:

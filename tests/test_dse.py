@@ -193,43 +193,6 @@ class TestTradeoffs:
             inflection_point([])
 
 
-class TestWeightedOptimal:
-    def test_single_weight_matches_plain_optimal(self, points):
-        from repro.dse.explorer import weighted_optimal
-
-        assert weighted_optimal(points, {"area": 1.0}) == optimal(
-            points, "area"
-        )
-        assert weighted_optimal(points, {"energy": 1.0}) == optimal(
-            points, "energy"
-        )
-
-    def test_balanced_weights_compromise(self, points):
-        from repro.dse.explorer import weighted_optimal
-
-        area_opt = optimal(points, "area")
-        latency_opt = optimal(points, "latency")
-        balanced = weighted_optimal(
-            points, {"area": 1.0, "latency": 1.0}
-        )
-        # The compromise never loses to either extreme on both axes.
-        assert balanced.area <= latency_opt.area + 1e-18
-        assert balanced.latency <= area_opt.latency + 1e-18
-
-    def test_weights_validated(self, points):
-        from repro.dse.explorer import weighted_optimal
-        from repro.errors import ExplorationError
-
-        with pytest.raises(ExplorationError):
-            weighted_optimal(points, {})
-        with pytest.raises(ExplorationError):
-            weighted_optimal(points, {"area": -1.0})
-        with pytest.raises(ExplorationError):
-            weighted_optimal(points, {"area": 0.0})
-        with pytest.raises(ExplorationError):
-            weighted_optimal([], {"area": 1.0})
-
-
 class TestBatchedParity:
     """Shape-grouped accuracy sharing returns the exact same points as
     the per-point worker, for every ``jobs`` setting."""

@@ -117,3 +117,16 @@ class TestBuilders:
     def test_total_weights_vgg16(self):
         # VGG-16 has ~138 M parameters (ex biases).
         assert 130e6 < vgg16().total_weights < 140e6
+
+
+class TestDescribe:
+    def test_describe_lists_every_layer(self):
+        text = validation_mlp().describe()
+        assert "validation-mlp-128" in text
+        assert text.count("fc") >= 2
+        assert "128x128" in text
+
+    def test_describe_vgg_totals(self):
+        text = vgg16().describe()
+        assert "16 layers" in text
+        assert "conv" in text and "fc" in text

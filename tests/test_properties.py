@@ -338,41 +338,6 @@ def test_functional_ideal_mode_always_exact(out_features, in_features,
 
 
 # ----------------------------------------------------------------------
-# Persistence round-trips
-# ----------------------------------------------------------------------
-@settings(max_examples=10, deadline=None)
-@given(
-    st.lists(st.integers(min_value=1, max_value=32), min_size=2,
-             max_size=4),
-    st.integers(min_value=0, max_value=2**31 - 1),
-)
-def test_persistence_round_trip_property(sizes, seed):
-    """Any FC network + weights must survive save/load bit for bit."""
-    import tempfile
-    from pathlib import Path
-
-    import numpy as np
-
-    from repro.nn.networks import mlp as make_mlp
-    from repro.nn.persistence import load_network, save_network
-
-    rng = np.random.default_rng(seed)
-    network = make_mlp(sizes, name="prop-save")
-    weights = [
-        rng.uniform(-1, 1, size=layer.weight_shape)
-        for layer in network.layers
-    ]
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "model.npz"
-        save_network(path, network, weights)
-        loaded_net, loaded_weights, _meta = load_network(path)
-    assert loaded_net.depth == network.depth
-    assert all(
-        np.array_equal(a, b) for a, b in zip(weights, loaded_weights)
-    )
-
-
-# ----------------------------------------------------------------------
 # Fault injection invariants
 # ----------------------------------------------------------------------
 @settings(max_examples=10, deadline=None)

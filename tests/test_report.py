@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.report import (
-    Performance,
-    ReportNode,
-    format_table,
-    parallel_sum,
-    serial_sum,
-)
+from repro.report import Performance, ReportNode, format_table
 
 
 def perf(area=1.0, energy=2.0, leak=0.5, latency=3.0):
@@ -71,12 +65,6 @@ class TestPerformance:
     def test_average_power_zero_latency_is_leakage(self):
         p = Performance(leakage_power=0.7)
         assert p.average_power == 0.7
-
-    def test_serial_and_parallel_sums(self):
-        parts = [perf(latency=1), perf(latency=5), perf(latency=2)]
-        assert serial_sum(parts).latency == 8
-        assert parallel_sum(parts).latency == 5
-        assert serial_sum(parts).area == parallel_sum(parts).area == 3
 
     def test_str_is_readable(self):
         text = str(perf())

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.report_plot import PlotError, bar_chart, line_plot, scatter_plot
+from repro.report_plot import PlotError, line_plot, scatter_plot
 
 
 class TestLinePlot:
@@ -61,24 +61,3 @@ class TestScatter:
                             height=8)
         assert "legend: o=pts" in text
 
-
-class TestBarChart:
-    def test_sorted_and_scaled(self):
-        text = bar_chart({"small": 1.0, "big": 4.0}, width=8)
-        lines = text.splitlines()
-        assert lines[0].strip().startswith("big")
-        assert lines[0].count("#") == 8
-        assert lines[1].count("#") == 2
-
-    def test_zero_value_gets_no_bar(self):
-        text = bar_chart({"zero": 0.0, "one": 1.0}, width=10)
-        zero_line = [l for l in text.splitlines() if "zero" in l][0]
-        assert "#" not in zero_line
-
-    def test_negative_rejected(self):
-        with pytest.raises(PlotError):
-            bar_chart({"bad": -1.0})
-
-    def test_empty_rejected(self):
-        with pytest.raises(PlotError):
-            bar_chart({})

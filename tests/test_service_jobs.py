@@ -328,6 +328,11 @@ def test_each_executor_owns_one_cache_closed_on_shutdown(tmp_path,
         records = [mgr.submit(payload(seed=seed))[0] for seed in range(4)]
         for record in records:
             assert mgr.wait(record.job_id, timeout=60) == JobState.DONE
+        # Each worker opens its cache as it starts; one worker can run
+        # all four jobs before the other's open returns.
+        deadline = time.monotonic() + 10
+        while len(opened) < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
         assert len(opened) == 2
         assert not any(cache.closed for cache in opened)
     finally:
