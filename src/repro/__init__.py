@@ -15,87 +15,45 @@ Quickstart
 >>> summary = accelerator.summary()     # area/energy/latency/accuracy
 """
 
-from repro.config import SimConfig
-from repro.report import Performance, ReportNode
-from repro.arch import (
-    Accelerator,
-    AcceleratorSummary,
-    ComputationBank,
-    ComputationUnit,
-    Controller,
-    Instruction,
-    LayerMapping,
-    Opcode,
-    assemble,
-)
-from repro.accuracy import AccuracyModel
-from repro.circuits import CustomModule, ModuleRegistry
-from repro.nn import (
-    ConvLayer,
-    FullyConnectedLayer,
-    Network,
-    caffenet,
-    jpeg_autoencoder,
-    large_bank_layer,
-    mlp,
-    validation_mlp,
-    vgg16,
-)
-from repro.dse import (
-    DesignPoint,
-    DesignSpace,
-    explore,
-    optimal,
-    optimal_table,
-    pentagon_factors,
-)
-from repro.errors import (
-    ConfigError,
-    ExplorationError,
-    MappingError,
-    MnsimError,
-    SolverError,
-    TechnologyError,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "SimConfig",
-    "Performance",
-    "ReportNode",
-    "Accelerator",
-    "AcceleratorSummary",
-    "ComputationBank",
-    "ComputationUnit",
-    "LayerMapping",
-    "Controller",
-    "Instruction",
-    "Opcode",
-    "assemble",
-    "AccuracyModel",
-    "CustomModule",
-    "ModuleRegistry",
-    "Network",
-    "FullyConnectedLayer",
-    "ConvLayer",
-    "mlp",
-    "validation_mlp",
-    "jpeg_autoencoder",
-    "large_bank_layer",
-    "caffenet",
-    "vgg16",
-    "DesignSpace",
-    "DesignPoint",
-    "explore",
-    "optimal",
-    "optimal_table",
-    "pentagon_factors",
-    "MnsimError",
-    "ConfigError",
-    "TechnologyError",
-    "MappingError",
-    "SolverError",
-    "ExplorationError",
-    "__version__",
-]
+__all__ = lazy_exports(globals(), {
+    "repro.config": ["SimConfig"],
+    "repro.report": ["Performance", "ReportNode"],
+    "repro.arch.accelerator": ["Accelerator", "AcceleratorSummary"],
+    "repro.arch.bank": ["ComputationBank"],
+    "repro.arch.unit": ["ComputationUnit"],
+    "repro.arch.mapping": ["LayerMapping"],
+    "repro.arch.isa": ["Controller", "Instruction", "Opcode", "assemble"],
+    "repro.accuracy.model": ["AccuracyModel"],
+    "repro.circuits.base": ["CustomModule"],
+    "repro.circuits.registry": ["ModuleRegistry"],
+    "repro.nn.networks": [
+        "Network",
+        "mlp",
+        "validation_mlp",
+        "jpeg_autoencoder",
+        "large_bank_layer",
+        "caffenet",
+        "vgg16",
+    ],
+    "repro.nn.layers": ["FullyConnectedLayer", "ConvLayer"],
+    "repro.dse.space": ["DesignSpace"],
+    "repro.dse.explorer": [
+        "DesignPoint",
+        "explore",
+        "optimal",
+        "optimal_table",
+        "pentagon_factors",
+    ],
+    "repro.errors": [
+        "MnsimError",
+        "ConfigError",
+        "TechnologyError",
+        "MappingError",
+        "SolverError",
+        "ExplorationError",
+    ],
+}) + ["__version__"]

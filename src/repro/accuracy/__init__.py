@@ -22,47 +22,32 @@ used by the hierarchy and the design-space explorer. The solver-backed
 not re-exported: they load scipy, which the model itself never needs.
 """
 
-from repro.accuracy.interconnect import (
-    DEFAULT_SENSE_RESISTANCE,
-    analog_error_rate,
-    cell_operating_voltage,
-    output_voltage_actual,
-    output_voltage_ideal,
-    voltage_deviation,
-)
-from repro.accuracy.quantization import (
-    avg_digital_deviation,
-    avg_error_rate,
-    max_digital_deviation,
-    max_error_rate,
-)
-from repro.accuracy.propagation import combine_error_rates, propagate_layers
-from repro.accuracy.variation import sample_resistances, variation_error_bounds
-from repro.accuracy.model import AccuracyModel, LayerAccuracy
-from repro.accuracy.sensitivity import (
-    SensitivityReport,
-    sensitivity_analysis,
-    sensitivity_sweep,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_SENSE_RESISTANCE",
-    "analog_error_rate",
-    "cell_operating_voltage",
-    "output_voltage_actual",
-    "output_voltage_ideal",
-    "voltage_deviation",
-    "avg_digital_deviation",
-    "avg_error_rate",
-    "max_digital_deviation",
-    "max_error_rate",
-    "combine_error_rates",
-    "propagate_layers",
-    "sample_resistances",
-    "variation_error_bounds",
-    "AccuracyModel",
-    "LayerAccuracy",
-    "SensitivityReport",
-    "sensitivity_analysis",
-    "sensitivity_sweep",
-]
+__all__ = lazy_exports(globals(), {
+    "repro.accuracy.interconnect": [
+        "DEFAULT_SENSE_RESISTANCE",
+        "analog_error_rate",
+        "cell_operating_voltage",
+        "output_voltage_actual",
+        "output_voltage_ideal",
+        "voltage_deviation",
+    ],
+    "repro.accuracy.quantization": [
+        "avg_digital_deviation",
+        "avg_error_rate",
+        "max_digital_deviation",
+        "max_error_rate",
+    ],
+    "repro.accuracy.propagation": ["combine_error_rates", "propagate_layers"],
+    "repro.accuracy.variation": [
+        "sample_resistances",
+        "variation_error_bounds",
+    ],
+    "repro.accuracy.model": ["AccuracyModel", "LayerAccuracy"],
+    "repro.accuracy.sensitivity": [
+        "SensitivityReport",
+        "sensitivity_analysis",
+        "sensitivity_sweep",
+    ],
+})

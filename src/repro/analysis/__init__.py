@@ -16,36 +16,23 @@ Public surface:
 * :func:`run_lint` — the ``repro lint`` subcommand body.
 """
 
-from repro.analysis.baseline import (
-    DEFAULT_BASELINE_NAME,
-    Baseline,
-    fingerprint_findings,
-)
-from repro.analysis.core import (
-    Finding,
-    ModuleInfo,
-    Rule,
-    all_rules,
-    analyze_paths,
-    analyze_source,
-    register,
-)
-from repro.analysis.lint import add_lint_arguments, run_lint
-from repro.analysis.report import render_json, render_tree
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_BASELINE_NAME",
-    "Baseline",
-    "Finding",
-    "ModuleInfo",
-    "Rule",
-    "add_lint_arguments",
-    "all_rules",
-    "analyze_paths",
-    "analyze_source",
-    "fingerprint_findings",
-    "register",
-    "render_json",
-    "render_tree",
-    "run_lint",
-]
+__all__ = lazy_exports(globals(), {
+    "repro.analysis.baseline": [
+        "DEFAULT_BASELINE_NAME",
+        "Baseline",
+        "fingerprint_findings",
+    ],
+    "repro.analysis.core": [
+        "Finding",
+        "ModuleInfo",
+        "Rule",
+        "all_rules",
+        "analyze_paths",
+        "analyze_source",
+        "register",
+    ],
+    "repro.analysis.lint": ["run_lint"],
+    "repro.analysis.report": ["render_json", "render_tree"],
+})

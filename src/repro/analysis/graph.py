@@ -221,6 +221,8 @@ class ProjectIndex:
                         continue
                     bound = alias.asname or alias.name
                     aliases[bound] = f"{base}.{alias.name}"
+            elif isinstance(node, ast.Call) and is_package:
+                aliases.update(_lazy_exports_table(node))
         self._aliases[info.module] = aliases
 
     @staticmethod
@@ -398,6 +400,27 @@ class ProjectIndex:
 
     def classes_in(self, module: str) -> List[ClassInfo]:
         return [c for c in self.classes.values() if c.module == module]
+
+
+def _lazy_exports_table(call: ast.Call) -> Dict[str, str]:
+    """Aliases a package declares through ``lazy_exports(globals(), {
+    "repro.x.y": ["f", ...]})`` (:mod:`repro._lazy`): ``f`` is
+    ``repro.x.y.f``, as if imported eagerly."""
+    chain = _dotted(call.func)
+    if not chain or chain[-1] != "lazy_exports" or len(call.args) != 2:
+        return {}
+    table = call.args[1]
+    if not isinstance(table, ast.Dict):
+        return {}
+    aliases: Dict[str, str] = {}
+    for key, names in zip(table.keys, table.values):
+        if not (isinstance(key, ast.Constant) and isinstance(key.value, str)
+                and isinstance(names, (ast.List, ast.Tuple))):
+            continue
+        for name in names.elts:
+            if isinstance(name, ast.Constant) and isinstance(name.value, str):
+                aliases[name.value] = f"{key.value}.{name.value}"
+    return aliases
 
 
 def _dotted(node: ast.AST) -> Optional[Tuple[str, ...]]:

@@ -5,7 +5,8 @@ Exit codes follow the CLI convention documented in
 findings (configuration-class failure — the code violates a project
 invariant).  ``--update-baseline`` rewrites the baseline from the
 current findings and always exits 0; hand-edit the justifications
-afterwards, they survive later updates.
+afterwards, they survive later updates.  The flags are declared in
+:mod:`repro.cli`, so building the parser never loads this package.
 """
 
 from __future__ import annotations
@@ -23,48 +24,9 @@ from repro.analysis.core import (
 )
 from repro.analysis.report import render_json, render_tree
 
-__all__ = ["add_lint_arguments", "run_lint"]
+__all__ = ["run_lint"]
 
 _log = logging.getLogger("repro.analysis")
-
-
-def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the ``lint`` subcommand's flags to ``parser``."""
-    parser.add_argument(
-        "paths", nargs="*", default=["src/repro"],
-        help="files/directories to analyze (default: src/repro)",
-    )
-    parser.add_argument(
-        "--format", choices=("tree", "json"), default="tree",
-        help="report style (tree for terminals, json for CI)",
-    )
-    parser.add_argument(
-        "--baseline", metavar="FILE", default=None,
-        help=f"baseline file (default: ./{DEFAULT_BASELINE_NAME} "
-        "when it exists)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="report every finding, including grandfathered ones",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline from the current findings "
-        "(exits 0); add justifications by hand afterwards",
-    )
-    parser.add_argument(
-        "--rules", action="store_true", dest="list_rules",
-        help="list the registered rules and exit",
-    )
-    parser.add_argument(
-        "--select", metavar="IDS", default=None,
-        help="comma-separated rule ids to run (e.g. R1,R4)",
-    )
-    parser.add_argument(
-        "--graph", action=argparse.BooleanOptionalAction, default=True,
-        help="run the project-analysis pass (call graph, R7-R9); "
-        "--no-graph restricts to per-module rules",
-    )
 
 
 def _select_rules(spec: Optional[str]):

@@ -16,54 +16,32 @@
 provides the WRITE / READ / COMPUTE instruction set and controller.
 """
 
-from repro.arch.mapping import LayerMapping
-from repro.arch.unit import ComputationUnit
-from repro.arch.bank import ComputationBank
-from repro.arch.accelerator import Accelerator, AcceleratorSummary
-from repro.arch.isa import Controller, Instruction, Opcode, assemble
-from repro.arch.breakdown import Breakdown, accelerator_breakdown
-from repro.arch.pipeline import InnerPipeline, PipelineStage, bank_inner_pipeline
-from repro.arch.training import TrainingCost, TrainingCostModel
-from repro.arch.floorplan import Floorplan, floorplan
-from repro.arch.throughput import (
-    StageRate,
-    ThroughputReport,
-    bus_lines_for_balance,
-    throughput_report,
-)
-from repro.arch.reliability import ReliabilityReport, reliability_report
-from repro.arch.programming import (
-    ProgrammingCost,
-    expected_pulses_per_cell,
-    programming_cost,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LayerMapping",
-    "ComputationUnit",
-    "ComputationBank",
-    "Accelerator",
-    "AcceleratorSummary",
-    "Controller",
-    "Instruction",
-    "Opcode",
-    "assemble",
-    "Breakdown",
-    "accelerator_breakdown",
-    "InnerPipeline",
-    "PipelineStage",
-    "bank_inner_pipeline",
-    "TrainingCost",
-    "TrainingCostModel",
-    "Floorplan",
-    "floorplan",
-    "ProgrammingCost",
-    "expected_pulses_per_cell",
-    "programming_cost",
-    "StageRate",
-    "ThroughputReport",
-    "throughput_report",
-    "bus_lines_for_balance",
-    "ReliabilityReport",
-    "reliability_report",
-]
+__all__ = lazy_exports(globals(), {
+    "repro.arch.mapping": ["LayerMapping"],
+    "repro.arch.unit": ["ComputationUnit"],
+    "repro.arch.bank": ["ComputationBank"],
+    "repro.arch.accelerator": ["Accelerator", "AcceleratorSummary"],
+    "repro.arch.isa": ["Controller", "Instruction", "Opcode", "assemble"],
+    "repro.arch.breakdown": ["Breakdown", "accelerator_breakdown"],
+    "repro.arch.pipeline": [
+        "InnerPipeline",
+        "PipelineStage",
+        "bank_inner_pipeline",
+    ],
+    "repro.arch.training": ["TrainingCost", "TrainingCostModel"],
+    "repro.arch.floorplan": ["Floorplan", "floorplan"],
+    "repro.arch.throughput": [
+        "StageRate",
+        "ThroughputReport",
+        "bus_lines_for_balance",
+        "throughput_report",
+    ],
+    "repro.arch.reliability": ["ReliabilityReport", "reliability_report"],
+    "repro.arch.programming": [
+        "ProgrammingCost",
+        "expected_pulses_per_cell",
+        "programming_cost",
+    ],
+})

@@ -1,47 +1,23 @@
 """Declarative campaigns and the stage-DAG runner.
 
-Only :mod:`repro.campaign.dag` (a leaf over errors/obs/runtime) loads
-at import time; the declarative layer — :mod:`repro.campaign.config`
-and :mod:`repro.campaign.runner` — imports :mod:`repro.service`, which
-itself reaches back here for the ``campaign`` payload kind, so those
-names resolve lazily (PEP 562) to keep the import graph acyclic.
+The declarative layer — :mod:`repro.campaign.config` and
+:mod:`repro.campaign.runner` — imports :mod:`repro.service`, which
+itself reaches back here for the ``campaign`` payload kind.  Every
+name resolves lazily (:func:`repro._lazy.lazy_exports`), which keeps
+that import graph acyclic and leaves :mod:`repro.campaign.dag` unloaded
+until a stage graph runs.
 """
 
-from repro.campaign.dag import (
-    DagRunner,
-    Stage,
-    StageContext,
-    get_executor,
-    register_executor,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DagRunner",
-    "Stage",
-    "StageContext",
-    "get_executor",
-    "register_executor",
-    "CampaignConfig",
-    "CampaignUnit",
-    "CampaignRun",
-    "run_campaign_config",
-]
-
-_LAZY = {
-    "CampaignConfig": "repro.campaign.config",
-    "CampaignUnit": "repro.campaign.config",
-    "CampaignRun": "repro.campaign.runner",
-    "run_campaign_config": "repro.campaign.runner",
-}
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    import importlib
-
-    module = importlib.import_module(module_name)
-    return getattr(module, name)
+__all__ = lazy_exports(globals(), {
+    "repro.campaign.dag": [
+        "DagRunner",
+        "Stage",
+        "StageContext",
+        "get_executor",
+        "register_executor",
+    ],
+    "repro.campaign.config": ["CampaignConfig", "CampaignUnit"],
+    "repro.campaign.runner": ["CampaignRun", "run_campaign_config"],
+})

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -52,9 +53,11 @@ from typing import (
 from repro.errors import ConfigError, JobCancelled
 from repro.obs import trace as obs_trace
 from repro.obs.progress import ProgressTracker
-from repro.runtime.cache import ResultCache
 from repro.runtime.metrics import RunMetrics
 from repro.runtime.pool import RunPolicy
+
+if TYPE_CHECKING:
+    from repro.runtime.cache import ResultCache
 
 __all__ = [
     "Stage",
@@ -70,8 +73,9 @@ STAGE_CACHE_KIND = "campaign-stage"
 
 Executor = Callable[["Stage", "StageContext"], Any]
 
-#: Executor registry.  Populated at import time only (decorator
-#: registration from the owning modules) and read-only afterwards.
+#: Executor registry, filled by the owning modules: by decorator at
+#: import time, or (:func:`repro.dse.explorer.explore`) before the
+#: owner's first stage graph runs.  Entries are never replaced.
 _EXECUTORS: Dict[str, Executor] = {}
 
 

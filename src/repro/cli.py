@@ -1,47 +1,41 @@
 """Command-line interface: ``python -m repro <command>``.
 
-The subcommands cover the software flow of the paper's Fig. 3:
+The commands cover the software flow of the paper's Fig. 3:
 
 * ``simulate`` — build the accelerator for a configuration (file or
   flags) and a network, print the summary and optional hierarchical
   report / breakdown;
 * ``explore`` — traversal design-space exploration with an error
   constraint, printing the per-target optima (the Tables IV/VI flow);
+* ``suggest`` — auto-complete the design parameters left free, one
+  design per optimization target (:mod:`repro.dse.autocomplete`);
 * ``montecarlo`` — circuit-level Monte-Carlo accuracy sampling (drives
   the SPICE solver, so its traces show the solver's internals);
-  ``--output`` writes a deterministic result JSON byte-identical to
-  the service's result document for the equivalent payload;
-* ``serve`` — the simulation-as-a-service HTTP job server (see
-  :mod:`repro.service`): validated JSON payloads in, content-addressed
-  job ids, progress streaming, cached result retrieval;
 * ``faults`` — fault-injection campaign sweeping fault rate x fault
   mode x network into accuracy-vs-fault-rate curves with confidence
-  intervals (see :mod:`repro.faults`); ``--output`` writes a
-  byte-reproducible campaign JSON;
+  intervals (see :mod:`repro.faults`);
 * ``campaign`` — declarative campaign files (JSON, or TOML on Python
   3.11+): ``validate`` checks a file and summarizes its expansion,
-  ``run`` executes it through the stage-DAG runner
-  (:mod:`repro.campaign`), ``resume`` re-runs an interrupted campaign
-  against its cache so completed stages replay without engine work;
+  ``run`` executes it through the stage-DAG runner, ``resume`` re-runs
+  an interrupted campaign against its cache (:mod:`repro.campaign`);
 * ``netlist`` — export a SPICE netlist for a random-programmed crossbar
   of the configured size (the hand-off path to external simulators);
+* ``serve`` — the simulation-as-a-service HTTP job server (see
+  :mod:`repro.service`);
+* ``jobs`` — ``list`` and ``watch`` jobs on a running service, with
+  live ETA, throughput and resource usage;
+* ``obs-report`` — render a saved trace, or a service job's, as a
+  wall-time tree + top-k table (see :mod:`repro.obs`);
 * ``runtime-stats`` — the job engine's last-run metrics and cache
   effectiveness (see :mod:`repro.runtime`);
-* ``obs-report`` — render a saved trace as a wall-time tree + top-k
-  table (see :mod:`repro.obs`); ``--job ID`` fetches a running
-  service's per-job trace instead of reading a file;
-* ``jobs`` — ``list`` and ``watch`` jobs on a running service;
-  ``watch`` streams progress events with live ETA, throughput and
-  resource usage;
-* ``lint`` — the project-specific static-analysis pass (R1-R5:
-  determinism, cache-key purity, fork-safety, except hygiene, units
-  discipline; plus the call-graph rules R7-R9: lock discipline,
-  thread/executor lifecycle, determinism taint; see
+* ``lint`` — the project-specific static-analysis rules (see
   :mod:`repro.analysis`): exit 0 clean modulo the checked-in baseline,
   exit 2 on new findings.
 
-``simulate``, ``explore``, ``montecarlo`` and ``faults`` accept the
-engine knobs
+``montecarlo``, ``faults`` and ``campaign run`` write a deterministic
+result JSON with ``--output``; Monte Carlo's is byte-identical to the
+service's result document for the equivalent payload.  ``simulate``,
+``explore``, ``montecarlo`` and ``faults`` accept the engine knobs
 ``--jobs N`` (parallel worker processes), ``--cache-dir PATH``
 (persistent result cache; also honoured from ``$REPRO_CACHE_DIR``) and
 ``--no-cache``.
@@ -60,39 +54,24 @@ Network specs are compact strings: ``mlp:784,256,10``, or the built-ins
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
-import numpy as np
-
-import repro.obs as obs
-from repro.arch.accelerator import Accelerator
-from repro.arch.breakdown import accelerator_breakdown
-from repro.config import SimConfig
-from repro.dse.explorer import explore, optimal_table, simulate_point
-from repro.dse.space import DesignSpace
 from repro.errors import JobExecutionError, MnsimError, ValidationError
-from repro.nn.networks import (
-    Network,
-    caffenet,
-    jpeg_autoencoder,
-    large_bank_layer,
-    mlp,
-    validation_mlp,
-    vgg16,
-)
-from repro.report import format_run_metrics, format_table
-from repro.runtime import (
-    LAST_RUN_FILENAME,
-    ResultCache,
-    RunMetrics,
-    default_cache_dir,
-)
-from repro.units import MM2, UJ, US
 
+if TYPE_CHECKING:
+    from repro.config import SimConfig
+    from repro.nn.networks import Network
+    from repro.runtime.cache import ResultCache
+    from repro.runtime.metrics import RunMetrics
+    from repro.service.client import ServiceClient
+
+# Every handler imports its own layer, so a cold process loads only
+# what its command runs (DESIGN.md S33).
 _log = logging.getLogger("repro.cli")
 
 
@@ -125,20 +104,23 @@ def _setup_logging(verbosity: int) -> None:
         logger.setLevel(logging.DEBUG)
 
 
+#: Built-in network specs -> factories in :mod:`repro.nn.networks`.
 _BUILTIN_NETWORKS = {
-    "validation-mlp": validation_mlp,
-    "jpeg": jpeg_autoencoder,
-    "large-bank": large_bank_layer,
-    "caffenet": caffenet,
-    "vgg16": vgg16,
+    "validation-mlp": "validation_mlp",
+    "jpeg": "jpeg_autoencoder",
+    "large-bank": "large_bank_layer",
+    "caffenet": "caffenet",
+    "vgg16": "vgg16",
 }
 
 
 def parse_network(spec: str) -> Network:
     """Resolve a network spec string (built-in name or ``mlp:a,b,c``)."""
+    from repro.nn import networks
+
     spec = spec.strip().lower()
     if spec in _BUILTIN_NETWORKS:
-        return _BUILTIN_NETWORKS[spec]()
+        return getattr(networks, _BUILTIN_NETWORKS[spec])()
     if spec.startswith("mlp:"):
         try:
             sizes = [int(part) for part in spec[4:].split(",") if part]
@@ -147,7 +129,7 @@ def parse_network(spec: str) -> Network:
                 "MLP sizes must be comma-separated integers",
                 path="network", value=spec,
             ) from None
-        return mlp(sizes, name=spec)
+        return networks.mlp(sizes, name=spec)
     raise ValidationError(
         "unknown network",
         path="network", value=spec,
@@ -156,6 +138,8 @@ def parse_network(spec: str) -> Network:
 
 
 def _load_config(args: argparse.Namespace) -> SimConfig:
+    from repro.config import SimConfig
+
     if args.config:
         config = SimConfig.from_file(args.config)
     else:
@@ -183,11 +167,12 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--signal-bits", dest="signal_bits", type=int)
 
 
-def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes (1 = serial, 0 = all cores)",
-    )
+def _add_runtime_flags(
+    parser: argparse.ArgumentParser, jobs_default: Optional[int] = 1,
+    jobs_help: str = "worker processes (1 = serial, 0 = all cores)",
+) -> None:
+    parser.add_argument("--jobs", type=int, default=jobs_default,
+                        help=jobs_help)
     parser.add_argument(
         "--cache-dir",
         help="persistent result-cache directory "
@@ -199,30 +184,84 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _make_cache(args: argparse.Namespace) -> Optional[ResultCache]:
-    """Resolve the opt-in cache: flag > env var > disabled."""
+def _add_lint_flags(parser: argparse.ArgumentParser) -> None:
+    """The ``lint`` flags; :mod:`repro.analysis` loads only to run it."""
+    parser.add_argument(
+        "paths", nargs="*", default=["src/repro"],
+        help="files/directories to analyze (default: src/repro)",
+    )
+    parser.add_argument(
+        "--format", choices=("tree", "json"), default="tree",
+        help="report style (tree for terminals, json for CI)",
+    )
+    parser.add_argument(
+        "--baseline", metavar="FILE", default=None,
+        help="baseline file (default: ./lint-baseline.json when it exists)",
+    )
+    parser.add_argument(
+        "--no-baseline", action="store_true",
+        help="report every finding, including grandfathered ones",
+    )
+    parser.add_argument(
+        "--update-baseline", action="store_true",
+        help="rewrite the baseline from the current findings "
+        "(exits 0); add justifications by hand afterwards",
+    )
+    parser.add_argument(
+        "--rules", action="store_true", dest="list_rules",
+        help="list the registered rules and exit",
+    )
+    parser.add_argument(
+        "--select", metavar="IDS", default=None,
+        help="comma-separated rule ids to run (e.g. R1,R4)",
+    )
+    parser.add_argument(
+        "--graph", action=argparse.BooleanOptionalAction, default=True,
+        help="run the project-analysis pass (call graph, R7-R9); "
+        "--no-graph restricts to per-module rules",
+    )
+
+
+def _open_run(
+    args: argparse.Namespace,
+) -> Tuple[Optional[ResultCache], RunMetrics]:
+    """The run's metrics and opt-in cache: flag > env var > disabled."""
+    from repro.runtime.metrics import RunMetrics
+
+    cache_dir = _cache_dir(args)
+    if not cache_dir:
+        return None, RunMetrics()
+    from repro.runtime.cache import ResultCache
+
+    return ResultCache(cache_dir), RunMetrics()
+
+
+def _cache_dir(args: argparse.Namespace) -> Optional[str]:
+    """The opt-in cache directory: flag > env var > disabled."""
     if getattr(args, "no_cache", False):
         return None
-    cache_dir = getattr(args, "cache_dir", None) or os.environ.get(
-        "REPRO_CACHE_DIR"
-    )
-    return ResultCache(cache_dir) if cache_dir else None
+    return args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
 
 
-def _finish_run(cache: Optional[ResultCache],
-                metrics: RunMetrics) -> None:
+def _finish_run(cache: Optional[ResultCache], metrics: RunMetrics) -> None:
     """Persist run metrics next to the cache for ``runtime-stats``."""
     if cache is not None:
+        from repro.runtime.metrics import LAST_RUN_FILENAME
+
         metrics.save(cache.cache_dir / LAST_RUN_FILENAME)
         cache.close()
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.arch.accelerator import Accelerator
+    from repro.dse.explorer import simulate_point
+    from repro.report import format_table
+    from repro.units import MM2, UJ, US
+
     config = _load_config(args)
     network = parse_network(args.network)
     accelerator = Accelerator(config, network)
-    cache = _make_cache(args)
-    metrics = RunMetrics()
+    cache, metrics = _open_run(args)
     summary = simulate_point(config, network, cache=cache, metrics=metrics)
 
     _log.info("network: %s (%d banks)", network.name, network.depth)
@@ -246,6 +285,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print()
         print(accelerator.report().render(max_depth=args.report_depth))
     if args.breakdown:
+        from repro.arch.breakdown import accelerator_breakdown
+
         print()
         print(accelerator_breakdown(accelerator).render())
     _finish_run(cache, metrics)
@@ -253,6 +294,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
+    from repro.dse.explorer import explore, optimal_table
+    from repro.dse.space import DesignSpace
+    from repro.report import format_table
+    from repro.units import MM2, UJ, US
+
     config = _load_config(args)
     network = parse_network(args.network)
     space = DesignSpace(
@@ -260,8 +306,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         parallelism_degrees=tuple(args.degrees),
         interconnect_nodes=tuple(args.wires),
     )
-    cache = _make_cache(args)
-    metrics = RunMetrics()
+    cache, metrics = _open_run(args)
     points = explore(
         config, network, space, max_error_rate=args.max_error,
         jobs=args.jobs, cache=cache, metrics=metrics,
@@ -304,6 +349,8 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
 
 def _cmd_netlist(args: argparse.Namespace) -> int:
+    import numpy as np
+
     from repro.accuracy.interconnect import DEFAULT_SENSE_RESISTANCE
     from repro.spice.netlist import generate_netlist
 
@@ -322,8 +369,7 @@ def _cmd_netlist(args: argparse.Namespace) -> int:
         title=f"MNSIM {size}x{size} crossbar (seed {args.seed})",
     )
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(netlist)
+        Path(args.output).write_text(netlist, encoding="utf-8")
         _log.info(
             "wrote %s (%d lines)", args.output, len(netlist.splitlines())
         )
@@ -333,22 +379,23 @@ def _cmd_netlist(args: argparse.Namespace) -> int:
 
 
 def _cmd_montecarlo(args: argparse.Namespace) -> int:
+    from repro.report import format_table
     from repro.runtime.pool import RunPolicy
-    from repro.service.schema import InputMode, MonteCarloSpec
+    from repro.service.schema import MonteCarloSpec
     from repro.service.workloads import montecarlo_document, render_document
 
     config = _load_config(args)
-    size = args.size or config.crossbar_size
-    spec = MonteCarloSpec(
-        trials=args.trials,
-        seed=args.seed,
-        size=args.size,
-        sigma=args.sigma,
-        input_mode=InputMode(args.input_mode),
-        inputs_per_trial=args.inputs_per_trial,
-    )
-    cache = _make_cache(args)
-    metrics = RunMetrics()
+    # The service's schema, bounds included (size >= 2), checks the flags.
+    spec = MonteCarloSpec.from_dict({
+        "trials": args.trials,
+        "seed": args.seed,
+        "size": args.size,
+        "sigma": args.sigma,
+        "input_mode": args.input_mode,
+        "inputs_per_trial": args.inputs_per_trial,
+    })
+    size = config.crossbar_size if spec.size is None else spec.size
+    cache, metrics = _open_run(args)
     _log.info(
         "monte-carlo: %dx%d crossbar, %d trials, seed %d",
         size, size, args.trials, args.seed,
@@ -375,8 +422,7 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
         ],
     ))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(render_document(doc))
+        Path(args.output).write_text(render_document(doc), encoding="utf-8")
         _log.info("monte-carlo JSON written to %s", args.output)
     _finish_run(cache, metrics)
     return 0
@@ -384,6 +430,7 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
 
 def _cmd_faults(args: argparse.Namespace) -> int:
     from repro.faults.campaign import CampaignSpec, run_campaign
+    from repro.report import format_table
 
     spec = CampaignSpec(
         networks=tuple(args.networks),
@@ -395,8 +442,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         device=args.device,
         segment_resistance=args.segment_resistance,
     )
-    cache = _make_cache(args)
-    metrics = RunMetrics()
+    cache, metrics = _open_run(args)
     _log.info(
         "faults: %d networks x %d modes x %d rates, %d trials, seed %d",
         len(spec.networks), len(spec.fault_modes), len(spec.fault_rates),
@@ -425,8 +471,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         rows,
     ))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(result.to_json())
+        Path(args.output).write_text(result.to_json(), encoding="utf-8")
         _log.info("campaign JSON written to %s", args.output)
     _finish_run(cache, metrics)
     return 0
@@ -435,17 +480,15 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
     from repro.campaign.config import CampaignConfig
     from repro.campaign.runner import run_campaign_config
+    from repro.report import format_table
 
     config = CampaignConfig.from_file(args.file)
-    cache = _make_cache(args)
+    cache, metrics = _open_run(args)
     if args.resume and cache is None:
-        print(
-            "error: campaign resume needs a result cache; pass "
-            "--cache-dir (or set $REPRO_CACHE_DIR) pointing at the "
-            "interrupted run's cache", file=sys.stderr,
+        raise MnsimError(
+            "campaign resume needs a result cache; pass --cache-dir (or "
+            "set $REPRO_CACHE_DIR) pointing at the interrupted run's cache"
         )
-        return 2
-    metrics = RunMetrics()
     _log.info(
         "campaign %r: %d units, %d jobs total, numCPUs=%d%s",
         config.name, len(config.units), config.total_work(),
@@ -468,8 +511,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         ["stage", "resumed", "jobs", "cache hits", "seconds"], rows,
     ))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(run.to_json())
+        Path(args.output).write_text(run.to_json(), encoding="utf-8")
         _log.info("campaign report written to %s", args.output)
     _finish_run(cache, metrics)
     return 0
@@ -477,6 +519,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
 
 def _cmd_campaign_validate(args: argparse.Namespace) -> int:
     from repro.campaign.config import CampaignConfig
+    from repro.report import format_table
 
     # Validation errors propagate as MnsimError -> exit code 2.
     config = CampaignConfig.from_file(args.file)
@@ -503,15 +546,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.jobs import JobManager
     from repro.service.server import serve
 
-    cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
-    if args.no_cache:
-        cache_dir = None
+    cache_dir = _cache_dir(args)
     manager = JobManager(cache_dir=cache_dir, workers=args.workers)
     server = serve(args.host, args.port, manager)
     host, port = server.server_address[:2]
     if args.port_file:
-        with open(args.port_file, "w", encoding="utf-8") as handle:
-            handle.write(f"{port}\n")
+        Path(args.port_file).write_text(f"{port}\n", encoding="utf-8")
     _log.info(
         "cache: %s | workers: %d | POST a payload to "
         "http://%s:%d/jobs to submit work",
@@ -528,30 +568,32 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis import run_lint
+    from repro.analysis.lint import run_lint
 
     return run_lint(args)
+
+
+@contextlib.contextmanager
+def _reaching(url: str) -> Iterator[ServiceClient]:
+    """A client of the service at ``url``; unreachable means exit 2."""
+    from repro.service.client import ServiceClient
+
+    try:
+        yield ServiceClient(url)
+    except OSError as exc:  # URLError: service not reachable
+        raise MnsimError(f"cannot reach service at {url!r}: {exc}") from exc
 
 
 def _cmd_obs_report(args: argparse.Namespace) -> int:
     from repro.obs.report import render_report, spans_from_trace
 
     if args.job:
-        from repro.service.client import ServiceClient
-
-        client = ServiceClient(args.url)
-        try:
+        with _reaching(args.url) as client:
             spans = spans_from_trace(client.job_trace(args.job))
-        except OSError as exc:  # URLError: service not reachable
-            raise MnsimError(
-                f"cannot reach service at {args.url!r}: {exc}"
-            ) from exc
         print(render_report(spans, k=args.top, max_depth=args.depth))
         return 0
     if not args.trace_file:
-        raise MnsimError(
-            "either a trace file or --job JOB_ID is required"
-        )
+        raise MnsimError("either a trace file or --job JOB_ID is required")
     try:
         print(render_report(
             args.trace_file, k=args.top, max_depth=args.depth,
@@ -564,15 +606,10 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_jobs_list(args: argparse.Namespace) -> int:
-    from repro.service.client import ServiceClient
+    from repro.report import format_table
 
-    client = ServiceClient(args.url)
-    try:
+    with _reaching(args.url) as client:
         jobs = client.jobs()
-    except OSError as exc:
-        raise MnsimError(
-            f"cannot reach service at {args.url!r}: {exc}"
-        ) from exc
     if not jobs:
         print("no jobs known to the service")
         return 0
@@ -594,26 +631,22 @@ def _cmd_jobs_list(args: argparse.Namespace) -> int:
 
 def _cmd_jobs_watch(args: argparse.Namespace) -> int:
     from repro.obs.report import render_progress_line
-    from repro.service.client import ServiceClient
 
-    client = ServiceClient(args.url)
     final_state = None
-    try:
+    with _reaching(args.url) as client:
         for event in client.iter_events(args.job_id):
             if event.get("event") == "progress":
                 print(render_progress_line(event), flush=True)
             elif event.get("event") == "state":
                 final_state = event.get("state")
                 print(f"state: {final_state}", flush=True)
-    except OSError as exc:
-        raise MnsimError(
-            f"cannot reach service at {args.url!r}: {exc}"
-        ) from exc
     return 0 if final_state == "done" else 1
 
 
 def _cmd_suggest(args: argparse.Namespace) -> int:
     from repro.dse.autocomplete import suggest_designs
+    from repro.report import format_table
+    from repro.units import MM2, UJ, US
 
     config = _load_config(args)
     network = parse_network(args.network)
@@ -658,7 +691,11 @@ def _database_bytes(db_path: Path) -> int:
 
 
 def _cmd_runtime_stats(args: argparse.Namespace) -> int:
-    cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
+    from repro.report import format_run_metrics, format_table
+    from repro.runtime.cache import ResultCache, default_cache_dir
+    from repro.runtime.metrics import LAST_RUN_FILENAME, RunMetrics
+
+    cache_dir = _cache_dir(args)
     # Resolve the directory without opening a cache: a handle left to
     # the garbage collector would keep the write-ahead log alive.
     directory = (
@@ -690,6 +727,16 @@ def _cmd_runtime_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+def _command(
+    sub: argparse._SubParsersAction, name: str, func, help_text: str,
+    **defaults,
+) -> argparse.ArgumentParser:
+    """Add subcommand ``name``, whose parsed arguments run ``func``."""
+    parser = sub.add_parser(name, help=help_text)
+    parser.set_defaults(func=func, **defaults)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -718,9 +765,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    simulate = sub.add_parser(
-        "simulate", help="simulate one design point"
-    )
+    simulate = _command(sub, "simulate", _cmd_simulate,
+                        "simulate one design point")
     _add_config_flags(simulate)
     _add_runtime_flags(simulate)
     simulate.add_argument("network", help="network spec (e.g. mlp:784,256,10)")
@@ -734,11 +780,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--breakdown", action="store_true",
         help="print the per-category area/energy breakdown",
     )
-    simulate.set_defaults(func=_cmd_simulate)
 
-    explore_cmd = sub.add_parser(
-        "explore", help="design-space exploration"
-    )
+    explore_cmd = _command(sub, "explore", _cmd_explore,
+                           "design-space exploration")
     _add_config_flags(explore_cmd)
     _add_runtime_flags(explore_cmd)
     explore_cmd.add_argument("network")
@@ -752,12 +796,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--wires", type=int, nargs="+", default=[18, 28, 45],
     )
     explore_cmd.add_argument("--max-error", type=float, default=None)
-    explore_cmd.set_defaults(func=_cmd_explore)
 
-    montecarlo = sub.add_parser(
-        "montecarlo",
-        help="circuit-level Monte-Carlo accuracy sampling",
-    )
+    montecarlo = _command(sub, "montecarlo", _cmd_montecarlo,
+                          "circuit-level Monte-Carlo accuracy sampling")
     _add_config_flags(montecarlo)
     _add_runtime_flags(montecarlo)
     montecarlo.add_argument(
@@ -784,12 +825,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the deterministic result JSON to this file "
         "(byte-identical to the service's result document)",
     )
-    montecarlo.set_defaults(func=_cmd_montecarlo)
 
-    faults = sub.add_parser(
-        "faults",
-        help="fault-injection campaign: accuracy vs fault rate",
-    )
+    faults = _command(sub, "faults", _cmd_faults,
+                      "fault-injection campaign: accuracy vs fault rate")
     _add_runtime_flags(faults)
     faults.add_argument(
         "--networks", nargs="+", default=["crossbar"],
@@ -823,7 +861,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", "-o",
         help="write the deterministic campaign JSON to this file",
     )
-    faults.set_defaults(func=_cmd_faults)
 
     campaign_cmd = sub.add_parser(
         "campaign",
@@ -837,60 +874,40 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument(
             "file", help="campaign file (.json, or .toml on Python 3.11+)"
         )
-        parser.add_argument(
-            "--jobs", type=int, default=None,
-            help="override the file's execution.numCPUs "
+        _add_runtime_flags(
+            parser, None, "override the file's execution.numCPUs "
             "(results are identical for any value)",
-        )
-        parser.add_argument(
-            "--cache-dir",
-            help="persistent result-cache directory "
-            "(default: $REPRO_CACHE_DIR if set, else caching is off)",
-        )
-        parser.add_argument(
-            "--no-cache", action="store_true",
-            help="disable the result cache even if a directory is "
-            "configured",
         )
         parser.add_argument(
             "--output", "-o",
             help="write the deterministic campaign report JSON here",
         )
 
-    campaign_run = campaign_sub.add_parser(
-        "run", help="validate and execute a campaign file"
-    )
-    _add_campaign_run_flags(campaign_run)
-    campaign_run.set_defaults(func=_cmd_campaign_run, resume=False)
-
-    campaign_validate = campaign_sub.add_parser(
-        "validate",
-        help="validate a campaign file and summarize its expansion",
-    )
-    campaign_validate.add_argument(
+    _add_campaign_run_flags(_command(
+        campaign_sub, "run", _cmd_campaign_run,
+        "validate and execute a campaign file", resume=False,
+    ))
+    _command(
+        campaign_sub, "validate", _cmd_campaign_validate,
+        "validate a campaign file and summarize its expansion",
+    ).add_argument(
         "file", help="campaign file (.json, or .toml on Python 3.11+)"
     )
-    campaign_validate.set_defaults(func=_cmd_campaign_validate)
+    _add_campaign_run_flags(_command(
+        campaign_sub, "resume", _cmd_campaign_run,
+        "re-run an interrupted campaign from its cache "
+        "(completed stages replay without engine work)", resume=True,
+    ))
 
-    campaign_resume = campaign_sub.add_parser(
-        "resume",
-        help="re-run an interrupted campaign from its cache "
-        "(completed stages replay without engine work)",
-    )
-    _add_campaign_run_flags(campaign_resume)
-    campaign_resume.set_defaults(func=_cmd_campaign_run, resume=True)
-
-    netlist = sub.add_parser(
-        "netlist", help="export a SPICE netlist of one crossbar"
-    )
+    netlist = _command(sub, "netlist", _cmd_netlist,
+                       "export a SPICE netlist of one crossbar")
     _add_config_flags(netlist)
     netlist.add_argument("--seed", type=int, default=0)
     netlist.add_argument("--output", "-o", help="output file (default stdout)")
-    netlist.set_defaults(func=_cmd_netlist)
 
-    suggest = sub.add_parser(
-        "suggest",
-        help="auto-complete unspecified design parameters per target",
+    suggest = _command(
+        sub, "suggest", _cmd_suggest,
+        "auto-complete unspecified design parameters per target",
     )
     _add_config_flags(suggest)
     suggest.add_argument("network")
@@ -901,12 +918,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="fields the tool may choose",
     )
     suggest.add_argument("--max-error", type=float, default=None)
-    suggest.set_defaults(func=_cmd_suggest)
 
-    serve_cmd = sub.add_parser(
-        "serve",
-        help="run the simulation-as-a-service HTTP job server",
-    )
+    serve_cmd = _command(sub, "serve", _cmd_serve,
+                         "run the simulation-as-a-service HTTP job server")
     serve_cmd.add_argument(
         "--host", default="127.0.0.1",
         help="bind address (default: loopback only)",
@@ -933,32 +947,25 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache", action="store_true",
         help="disable the result cache even if $REPRO_CACHE_DIR is set",
     )
-    serve_cmd.set_defaults(func=_cmd_serve)
 
-    runtime_stats = sub.add_parser(
-        "runtime-stats",
-        help="show job-engine metrics of the last run and cache stats",
-    )
-    runtime_stats.add_argument(
+    _command(
+        sub, "runtime-stats", _cmd_runtime_stats,
+        "show job-engine metrics of the last run and cache stats",
+    ).add_argument(
         "--cache-dir",
         help="cache directory to inspect (default: $REPRO_CACHE_DIR "
         "or ~/.cache/repro)",
     )
-    runtime_stats.set_defaults(func=_cmd_runtime_stats)
 
-    lint = sub.add_parser(
-        "lint",
-        help="run the project static-analysis rules (R1-R5, R7-R9)",
-    )
-    from repro.analysis.lint import add_lint_arguments
+    _add_lint_flags(_command(
+        sub, "lint", _cmd_lint,
+        "run the project static-analysis rules (R1-R5, R7-R9)",
+    ))
 
-    add_lint_arguments(lint)
-    lint.set_defaults(func=_cmd_lint)
-
-    obs_report = sub.add_parser(
-        "obs-report",
-        help="render a saved --trace file (or a service job's trace) "
-             "as a wall-time tree",
+    obs_report = _command(
+        sub, "obs-report", _cmd_obs_report,
+        "render a saved --trace file (or a service job's trace) "
+        "as a wall-time tree",
     )
     obs_report.add_argument(
         "trace_file", nargs="?", default=None,
@@ -978,46 +985,37 @@ def build_parser() -> argparse.ArgumentParser:
     obs_report.add_argument(
         "--depth", type=int, default=None, help="max tree depth"
     )
-    obs_report.set_defaults(func=_cmd_obs_report)
 
     jobs_cmd = sub.add_parser(
         "jobs",
         help="inspect and watch jobs on a running service",
     )
     jobs_sub = jobs_cmd.add_subparsers(dest="jobs_command", required=True)
-    jobs_list = jobs_sub.add_parser(
-        "list", help="list jobs known to the service"
-    )
-    jobs_list.add_argument(
-        "--url", default="http://127.0.0.1:8321",
-        help="service base URL (default %(default)s)",
-    )
-    jobs_list.set_defaults(func=_cmd_jobs_list)
-    jobs_watch = jobs_sub.add_parser(
-        "watch",
-        help="stream a job's progress events with live ETA and "
-             "resource usage",
+    jobs_list = _command(jobs_sub, "list", _cmd_jobs_list,
+                         "list jobs known to the service")
+    jobs_watch = _command(
+        jobs_sub, "watch", _cmd_jobs_watch,
+        "stream a job's progress events with live ETA and resource usage",
     )
     jobs_watch.add_argument("job_id", help="job id (from submit or list)")
-    jobs_watch.add_argument(
-        "--url", default="http://127.0.0.1:8321",
-        help="service base URL (default %(default)s)",
-    )
-    jobs_watch.set_defaults(func=_cmd_jobs_watch)
+    for jobs_parser in (jobs_list, jobs_watch):
+        jobs_parser.add_argument(
+            "--url", default="http://127.0.0.1:8321",
+            help="service base URL (default %(default)s)",
+        )
 
     return parser
 
 
 def _write_metrics(path: str) -> None:
     """Dump the registry: JSON for ``*.json``, Prometheus text else."""
-    if path.endswith(".json"):
-        payload = obs.REGISTRY.to_json()
-    else:
-        payload = obs.REGISTRY.to_prometheus()
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(payload)
-        if not payload.endswith("\n"):
-            handle.write("\n")
+    from repro.obs import REGISTRY
+
+    json_out = path.endswith(".json")
+    payload = REGISTRY.to_json() if json_out else REGISTRY.to_prometheus()
+    if not payload.endswith("\n"):
+        payload += "\n"
+    Path(path).write_text(payload, encoding="utf-8")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -1028,8 +1026,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     exhausted retries (summarized — child tracebacks never reach the
     terminal).
     """
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    import repro.obs as obs
+
+    args = build_parser().parse_args(argv)
     _setup_logging((args.verbose or 0) - (1 if args.quiet else 0))
     trace_path = args.trace or obs.trace_path_from_env()
     metrics_path = args.metrics

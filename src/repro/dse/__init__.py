@@ -13,51 +13,31 @@ flow:
   parallelism degree; Pareto frontier and knee detection).
 """
 
-from repro.dse.space import DesignSpace
-from repro.dse.explorer import (
-    DesignPoint,
-    OPTIMIZATION_METRICS,
-    explore,
-    optimal,
-    optimal_table,
-    optimal_with_secondary,
-    pentagon_factors,
-)
-from repro.dse.autocomplete import CompletedDesign, suggest_designs
-from repro.dse.constraints import ConstraintSet
-from repro.dse.heterogeneous import (
-    HeterogeneousDesign,
-    optimise_heterogeneous,
-    uniform_best,
-)
-from repro.dse.export import points_to_rows, to_csv, to_json
-from repro.dse.tradeoff import (
-    inflection_point,
-    pareto_frontier,
-    parallelism_sweep,
-    size_tradeoff,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DesignSpace",
-    "DesignPoint",
-    "OPTIMIZATION_METRICS",
-    "explore",
-    "optimal",
-    "optimal_table",
-    "optimal_with_secondary",
-    "pentagon_factors",
-    "parallelism_sweep",
-    "size_tradeoff",
-    "pareto_frontier",
-    "inflection_point",
-    "ConstraintSet",
-    "points_to_rows",
-    "to_csv",
-    "to_json",
-    "HeterogeneousDesign",
-    "optimise_heterogeneous",
-    "uniform_best",
-    "CompletedDesign",
-    "suggest_designs",
-]
+__all__ = lazy_exports(globals(), {
+    "repro.dse.space": ["DesignSpace"],
+    "repro.dse.explorer": [
+        "DesignPoint",
+        "OPTIMIZATION_METRICS",
+        "explore",
+        "optimal",
+        "optimal_table",
+        "optimal_with_secondary",
+        "pentagon_factors",
+    ],
+    "repro.dse.autocomplete": ["CompletedDesign", "suggest_designs"],
+    "repro.dse.constraints": ["ConstraintSet"],
+    "repro.dse.heterogeneous": [
+        "HeterogeneousDesign",
+        "optimise_heterogeneous",
+        "uniform_best",
+    ],
+    "repro.dse.export": ["points_to_rows", "to_csv", "to_json"],
+    "repro.dse.tradeoff": [
+        "inflection_point",
+        "pareto_frontier",
+        "parallelism_sweep",
+        "size_tradeoff",
+    ],
+})

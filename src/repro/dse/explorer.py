@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -23,14 +24,12 @@ from typing import (
 )
 
 from repro.arch.accelerator import Accelerator, AcceleratorSummary
-from repro.campaign.dag import DagRunner, Stage, StageContext, register_executor
 from repro.circuits import ModuleRegistry
 from repro.config import SimConfig
 from repro.dse.space import DesignSpace
 from repro.errors import ExplorationError
 from repro.nn.networks import Network
 from repro.obs import trace as obs_trace
-from repro.runtime.cache import ResultCache
 from repro.runtime.jobs import (
     CANONICAL_ENCODER,
     JobSpec,
@@ -42,6 +41,10 @@ from repro.runtime.jobs import (
 )
 from repro.runtime.metrics import RunMetrics
 from repro.runtime.pool import RunPolicy, run_jobs
+
+if TYPE_CHECKING:
+    from repro.campaign.dag import Stage, StageContext
+    from repro.runtime.cache import ResultCache
 
 #: Optimization targets, matching the columns of Tables IV / VI.
 OPTIMIZATION_METRICS = ("area", "energy", "latency", "accuracy")
@@ -184,9 +187,13 @@ def simulate_point(
     metrics: Optional[RunMetrics] = None,
 ) -> AcceleratorSummary:
     """Simulate one design through the job engine (cache-aware)."""
+    # Keys only matter to a cache; without one, skip hashing them.
+    spec = simulation_spec(config, network) if cache is not None else (
+        JobSpec(kind="simulate-point", payload=(config, network))
+    )
     return run_jobs(
         _evaluate_point,
-        [simulation_spec(config, network)],
+        [spec],
         cache=cache,
         encode=_encode_summary,
         decode=_decode_summary,
@@ -238,6 +245,11 @@ def explore(
         Engine hooks forwarded to :func:`repro.runtime.pool.run_jobs`
         (per-sweep completion callback / cooperative cancellation).
     """
+    # The stage DAG loads with the first sweep, not with simulate_point.
+    from repro.campaign.dag import DagRunner, Stage, register_executor
+
+    for name, executor in _STAGE_EXECUTORS:
+        register_executor(name)(executor)
     space = space if space is not None else DesignSpace()
     # The sweep as a three-stage DAG on the shared campaign runner:
     # expand the grid, shard the solves through the engine, filter.
@@ -279,7 +291,6 @@ def explore(
         return runner.run()["report"]
 
 
-@register_executor("dse.map")
 def _stage_map(stage: Stage, context: StageContext) -> Dict[str, Any]:
     """Expand the design grid into configs and engine job specs."""
     space: DesignSpace = stage.params["space"]
@@ -314,7 +325,6 @@ def _stage_map(stage: Stage, context: StageContext) -> Dict[str, Any]:
     return {"configs": configs, "specs": specs}
 
 
-@register_executor("dse.solve")
 def _stage_solve(
     stage: Stage, context: StageContext
 ) -> List[AcceleratorSummary]:
@@ -333,7 +343,6 @@ def _stage_solve(
     )
 
 
-@register_executor("dse.report")
 def _stage_report(stage: Stage, context: StageContext) -> List[DesignPoint]:
     """Pair configs with summaries, dropping constraint violations."""
     max_error_rate = stage.params["max_error_rate"]
@@ -354,6 +363,14 @@ def _stage_report(stage: Stage, context: StageContext) -> List[DesignPoint]:
             )
         )
     return points
+
+
+#: The sweep's stage executors; :func:`explore` registers them.
+_STAGE_EXECUTORS = (
+    ("dse.map", _stage_map),
+    ("dse.solve", _stage_solve),
+    ("dse.report", _stage_report),
+)
 
 
 def optimal(points: Sequence[DesignPoint], metric: str) -> DesignPoint:

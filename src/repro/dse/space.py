@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator, Tuple
 
 from repro.config import SimConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ValidationError
 from repro.tech import available_interconnect_nodes
 
 
@@ -46,6 +46,17 @@ class DesignSpace:
         if not self.crossbar_sizes or not self.parallelism_degrees \
                 or not self.interconnect_nodes:
             raise ConfigError("design space axes must be non-empty")
+        # The bounds SimConfig puts on each point: without them a grid
+        # of too-small sizes would silently yield no valid point.
+        for axis, values, minimum in (
+            ("crossbar_sizes", self.crossbar_sizes, 2),
+            ("parallelism_degrees", self.parallelism_degrees, 0),
+        ):
+            if min(values) < minimum:
+                raise ValidationError(
+                    f"must all be >= {minimum}", path=axis,
+                    value=list(values),
+                )
         known = set(available_interconnect_nodes())
         unknown = set(self.interconnect_nodes) - known
         if unknown:

@@ -28,26 +28,19 @@ streams, so campaigns are bit-identical across serial and parallel
 execution and individually cacheable per trial.
 """
 
-from repro.faults.models import (
-    FAULT_MODES,
-    FaultMask,
-    apply_mask_to_weights,
-    sample_fault_mask,
-)
-from repro.faults.campaign import (
-    CampaignResult,
-    CampaignSpec,
-    CurvePoint,
-    run_campaign,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FAULT_MODES",
-    "FaultMask",
-    "apply_mask_to_weights",
-    "sample_fault_mask",
-    "CampaignSpec",
-    "CampaignResult",
-    "CurvePoint",
-    "run_campaign",
-]
+__all__ = lazy_exports(globals(), {
+    "repro.faults.models": [
+        "FAULT_MODES",
+        "FaultMask",
+        "apply_mask_to_weights",
+        "sample_fault_mask",
+    ],
+    "repro.faults.campaign": [
+        "CampaignResult",
+        "CampaignSpec",
+        "CurvePoint",
+        "run_campaign",
+    ],
+})

@@ -17,59 +17,32 @@ models only need the structure (Sec. III).  This package provides:
   error injection, used to validate the accuracy model end to end.
 """
 
-from repro.nn.layers import ConvLayer, FullyConnectedLayer, LayerSpec
-from repro.nn.networks import (
-    Network,
-    caffenet,
-    jpeg_autoencoder,
-    large_bank_layer,
-    mlp,
-    validation_mlp,
-    vgg16,
-)
-from repro.nn.quantize import (
-    dequantize,
-    quantize,
-    weight_to_cell_levels,
-)
-from repro.nn.inference import MlpInference
-from repro.nn.snn import SnnOperatingPoint, SnnTimingModel
-from repro.nn.trainer import (
-    MlpTrainer,
-    TrainResult,
-    classification_accuracy,
-    make_cluster_dataset,
-)
-from repro.nn.workloads import (
-    crossbar_workload,
-    image_blocks,
-    random_inputs,
-    random_weights,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LayerSpec",
-    "FullyConnectedLayer",
-    "ConvLayer",
-    "Network",
-    "mlp",
-    "validation_mlp",
-    "jpeg_autoencoder",
-    "large_bank_layer",
-    "caffenet",
-    "vgg16",
-    "quantize",
-    "dequantize",
-    "weight_to_cell_levels",
-    "MlpInference",
-    "SnnTimingModel",
-    "SnnOperatingPoint",
-    "MlpTrainer",
-    "TrainResult",
-    "classification_accuracy",
-    "make_cluster_dataset",
-    "random_weights",
-    "random_inputs",
-    "image_blocks",
-    "crossbar_workload",
-]
+__all__ = lazy_exports(globals(), {
+    "repro.nn.layers": ["ConvLayer", "FullyConnectedLayer", "LayerSpec"],
+    "repro.nn.networks": [
+        "Network",
+        "caffenet",
+        "jpeg_autoencoder",
+        "large_bank_layer",
+        "mlp",
+        "validation_mlp",
+        "vgg16",
+    ],
+    "repro.nn.quantize": ["dequantize", "quantize", "weight_to_cell_levels"],
+    "repro.nn.inference": ["MlpInference"],
+    "repro.nn.snn": ["SnnOperatingPoint", "SnnTimingModel"],
+    "repro.nn.trainer": [
+        "MlpTrainer",
+        "TrainResult",
+        "classification_accuracy",
+        "make_cluster_dataset",
+    ],
+    "repro.nn.workloads": [
+        "crossbar_workload",
+        "image_blocks",
+        "random_inputs",
+        "random_weights",
+    ],
+})

@@ -24,37 +24,23 @@ same order, so callers can expose a ``jobs=N`` knob without changing
 semantics.
 """
 
-from repro.runtime.cache import CacheStats, ResultCache, default_cache_dir
-from repro.runtime.jobs import (
-    SCHEMA_VERSION,
-    JobSpec,
-    canonical,
-    canonical_json,
-    content_key,
-    network_fingerprint,
-)
-from repro.runtime.metrics import LAST_RUN_FILENAME, RunMetrics
-from repro.runtime.pool import (
-    RunPolicy,
-    run_jobs,
-    shutdown_warm_pool,
-    warm_pool,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "JobSpec",
-    "canonical",
-    "canonical_json",
-    "content_key",
-    "network_fingerprint",
-    "CacheStats",
-    "ResultCache",
-    "default_cache_dir",
-    "RunMetrics",
-    "LAST_RUN_FILENAME",
-    "RunPolicy",
-    "run_jobs",
-    "shutdown_warm_pool",
-    "warm_pool",
-]
+__all__ = lazy_exports(globals(), {
+    "repro.runtime.cache": ["CacheStats", "ResultCache", "default_cache_dir"],
+    "repro.runtime.jobs": [
+        "SCHEMA_VERSION",
+        "JobSpec",
+        "canonical",
+        "canonical_json",
+        "content_key",
+        "network_fingerprint",
+    ],
+    "repro.runtime.metrics": ["LAST_RUN_FILENAME", "RunMetrics"],
+    "repro.runtime.pool": [
+        "RunPolicy",
+        "run_jobs",
+        "shutdown_warm_pool",
+        "warm_pool",
+    ],
+})

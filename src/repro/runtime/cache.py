@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import os
-import sqlite3
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -94,6 +93,8 @@ class ResultCache:
         self._hits = 0
         self._misses = 0
         self._stores = 0
+        import sqlite3  # here, not at module top: uncached runs skip it
+
         self._conn = sqlite3.connect(str(self.path))
         # Write-ahead log: a commit appends to ``results.sqlite-wal``
         # rather than creating, syncing and deleting a rollback journal,

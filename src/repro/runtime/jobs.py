@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -106,6 +105,8 @@ def key_of_json(*encoded: str) -> str:
     :func:`canonical_json` of a value; callers that derive many keys
     from one base (a sweep) serialize the parts themselves.
     """
+    import hashlib  # loads OpenSSL; an uncached sweep derives no key
+
     digest = hashlib.sha256(SCHEMA_VERSION.encode("ascii"))
     for part in encoded:
         digest.update(b"\x00")
@@ -130,6 +131,8 @@ def network_fingerprint(network: Any) -> str:
     Folds the name, network type and every layer's shape parameters, so
     any structural change yields a different cache key.
     """
+    import hashlib
+
     return hashlib.sha256(
         canonical_json(network).encode("utf-8")
     ).hexdigest()[:16]

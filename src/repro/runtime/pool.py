@@ -39,10 +39,18 @@ import os
 import pickle
 import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 try:
     import resource as _resource
@@ -57,9 +65,16 @@ from repro.errors import (
 )
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.runtime.cache import ResultCache
 from repro.runtime.jobs import JobSpec
 from repro.runtime.metrics import RunMetrics
+
+if TYPE_CHECKING:
+    # concurrent.futures.process loads multiprocessing; a serial run
+    # never starts a pool, so it imports neither (see _acquire_pool).
+    # The cache module loads with the first cache a caller opens.
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.runtime.cache import ResultCache
 
 _log = logging.getLogger(__name__)
 
@@ -433,7 +448,9 @@ def _acquire_pool(workers: int) -> ProcessPoolExecutor:
         pool, _WARM_POOL = _WARM_POOL, None
         return pool
     shutdown_warm_pool()
-    return ProcessPoolExecutor(max_workers=workers)
+    from concurrent.futures import process
+
+    return process.ProcessPoolExecutor(max_workers=workers)
 
 
 def _release_pool(
@@ -644,6 +661,7 @@ def _run_parallel(
         executor = _acquire_pool(policy.worker_count)
     except (OSError, NotImplementedError, ValueError):
         raise _SerialFallback() from None
+    from concurrent.futures.process import BrokenProcessPool
 
     in_flight: Dict[Any, Tuple[int, Optional[float], Any]] = {}
     workers_stuck = False

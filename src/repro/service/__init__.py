@@ -14,58 +14,29 @@ The service layer turns the engine into a multi-tenant job server:
   ``http.client`` connections.
 """
 
-from repro.service.jobs import JobEvent, JobManager, JobRecord, JobState
-from repro.service.schema import (
-    DeviceModel,
-    ExecutionSpec,
-    FaultMode,
-    FaultsSpec,
-    InputMode,
-    MonteCarloSpec,
-    NetworkSpec,
-    NetworkTopology,
-    PAYLOAD_SCHEMA,
-    PayloadKind,
-    SimulationPayload,
-    SweepMode,
-    SweepSpec,
-)
-from repro.service.workloads import (
-    RESULT_SCHEMA,
-    montecarlo_document,
-    render_document,
-    run_payload,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DeviceModel",
-    "ExecutionSpec",
-    "FaultMode",
-    "FaultsSpec",
-    "InputMode",
-    "JobEvent",
-    "JobManager",
-    "JobRecord",
-    "JobState",
-    "MonteCarloSpec",
-    "NetworkSpec",
-    "NetworkTopology",
-    "PAYLOAD_SCHEMA",
-    "PayloadKind",
-    "RESULT_SCHEMA",
-    "SimulationPayload",
-    "SweepMode",
-    "SweepSpec",
-    "montecarlo_document",
-    "render_document",
-    "run_payload",
-    "serve_main",
-]
-
-
-def serve_main(host: str, port: int, cache_dir=None, workers: int = 1):
-    """Convenience: build a manager + bound server (used by the CLI)."""
-    from repro.service.server import serve
-
-    manager = JobManager(cache_dir=cache_dir, workers=workers)
-    return manager, serve(host, port, manager)
+__all__ = lazy_exports(globals(), {
+    "repro.service.jobs": ["JobEvent", "JobManager", "JobRecord", "JobState"],
+    "repro.service.schema": [
+        "DeviceModel",
+        "ExecutionSpec",
+        "FaultMode",
+        "FaultsSpec",
+        "InputMode",
+        "MonteCarloSpec",
+        "NetworkSpec",
+        "NetworkTopology",
+        "PAYLOAD_SCHEMA",
+        "PayloadKind",
+        "SimulationPayload",
+        "SweepMode",
+        "SweepSpec",
+    ],
+    "repro.service.workloads": [
+        "RESULT_SCHEMA",
+        "montecarlo_document",
+        "render_document",
+        "run_payload",
+    ],
+})

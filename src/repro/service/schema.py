@@ -36,12 +36,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.config import SimConfig
 from repro.dse.space import DesignSpace
 from repro.errors import ConfigError, ValidationError
-from repro.faults.campaign import CampaignSpec
 from repro.faults.models import FAULT_MODES
 from repro.nn.networks import (
     Network,
@@ -54,6 +53,9 @@ from repro.nn.networks import (
 )
 from repro.runtime.jobs import content_key
 from repro.runtime.pool import RunPolicy
+
+if TYPE_CHECKING:
+    from repro.faults.campaign import CampaignSpec
 
 #: Version stamp folded into every payload fingerprint (and therefore
 #: every job id); bump on any change to payload semantics.
@@ -491,6 +493,9 @@ class FaultsSpec:
         }
 
     def to_campaign_spec(self) -> CampaignSpec:
+        # Loaded with the first faults payload, not with the schema.
+        from repro.faults.campaign import CampaignSpec
+
         try:
             return CampaignSpec(
                 networks=self.networks,

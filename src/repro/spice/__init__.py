@@ -16,23 +16,16 @@ implements that baseline from scratch:
   ``BENCH_spice.json`` speedup benchmark.
 """
 
-from repro.spice.solver import (
-    CrossbarNetwork,
-    CrossbarSolution,
-    CrossbarSolutionBatch,
-    clear_structure_cache,
-    ideal_output_voltages,
-)
-from repro.spice.netlist import generate_netlist
-from repro.spice.parser import ParsedNetlist, parse_netlist
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CrossbarNetwork",
-    "CrossbarSolution",
-    "CrossbarSolutionBatch",
-    "clear_structure_cache",
-    "ideal_output_voltages",
-    "generate_netlist",
-    "ParsedNetlist",
-    "parse_netlist",
-]
+__all__ = lazy_exports(globals(), {
+    "repro.spice.solver": [
+        "CrossbarNetwork",
+        "CrossbarSolution",
+        "CrossbarSolutionBatch",
+        "clear_structure_cache",
+        "ideal_output_voltages",
+    ],
+    "repro.spice.netlist": ["generate_netlist"],
+    "repro.spice.parser": ["ParsedNetlist", "parse_netlist"],
+})

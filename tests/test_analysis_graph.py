@@ -92,6 +92,26 @@ class TestCallResolution:
         assert "pkg.util.helper" in idx.callees("pkg.main.go")
         assert idx.callers("pkg.util.helper") == {"pkg.main.go"}
 
+    def test_lazy_package_reexport_call(self):
+        package = parse_source(textwrap.dedent("""
+            from repro._lazy import lazy_exports
+
+            __all__ = lazy_exports(globals(), {
+                "pkg.util": ["helper"],
+            })
+        """), module="pkg", path="pkg/__init__.py")
+        idx = build_index([
+            _info("pkg.util", "def helper():\n    pass\n"),
+            package,
+            _info("pkg.main", """
+                from pkg import helper
+
+                def go():
+                    helper()
+            """),
+        ])
+        assert "pkg.util.helper" in idx.callees("pkg.main.go")
+
     def test_module_alias_call(self):
         idx = _index(
             ("pkg.util", "def helper():\n    pass\n"),

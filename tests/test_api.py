@@ -85,54 +85,77 @@ def test_doctests_in_documented_modules():
 
 
 def _cli(*argv):
-    return f"import repro.cli\nassert repro.cli.main({list(argv)!r}) == 0"
+    return (
+        "import repro.cli\n"
+        "try:\n"
+        f"    code = repro.cli.main({list(argv)!r})\n"
+        "except SystemExit as exit_:  # --help\n"
+        "    code = exit_.code\n"
+        "assert code == 0, code"
+    )
+
+
+#: What a cold command without ``--cache-dir`` or ``--jobs`` never needs:
+#: the solver stack, the cache's database, the process pool, and lint.
+_LEAN = ("scipy", "sqlite3", "multiprocessing", "repro.analysis")
 
 
 @pytest.mark.parametrize(
     "statement, required, forbidden, max_repro",
     [
-        pytest.param("import repro", (), "scipy", 71, id="import-repro"),
-        pytest.param("import repro.cli", (), "scipy", 72, id="import-cli"),
         pytest.param(
-            "import repro.service.server", (), "scipy", 80,
+            "import repro", (), _LEAN + ("numpy",), 2, id="import-repro",
+        ),
+        pytest.param(
+            "import repro.cli", (), _LEAN + ("numpy",), 4, id="import-cli",
+        ),
+        pytest.param(
+            _cli("--help"), (), _LEAN + ("numpy",), 9, id="help",
+        ),
+        pytest.param(
+            "import repro.service.server", (), ("scipy",), 59,
             id="import-server",
         ),
         pytest.param(
-            _cli("simulate", "validation-mlp"), (), "scipy", 77,
+            _cli("simulate", "validation-mlp"), (), _LEAN, 51,
             id="simulate",
         ),
         pytest.param(
             _cli("explore", "mlp:32,16", "--sizes", "32", "64",
                  "--degrees", "1", "--wires", "45"),
-            (), "scipy", 77, id="explore",
+            (), _LEAN, 53, id="explore",
         ),
         pytest.param(
             _cli("campaign", "validate",
                  str(REPO_ROOT / "examples/campaigns/fault-sweep.json")),
-            (), "scipy", 86, id="campaign-validate",
+            (), _LEAN, 39, id="campaign-validate",
         ),
         pytest.param(
             _cli("montecarlo", "--size", "8", "--trials", "2"),
-            ("scipy.sparse",), "scipy.optimize", 89, id="montecarlo",
+            ("scipy.sparse",),
+            ("scipy.optimize", "sqlite3", "multiprocessing",
+             "repro.analysis"),
+            60, id="montecarlo",
         ),
     ],
 )
 def test_scipy_loaded_only_where_called(
     statement, required, forbidden, max_repro
 ):
-    """Solver-free entry points must not pay scipy's import cost.
+    """Entry points load only the modules their work needs.
 
-    Each case runs in a fresh interpreter, then lists the scipy and
-    ``repro`` modules it ended up holding.  Only the circuit solver
-    (``repro.spice``) and the calibration fit need scipy.  The ``repro``
-    count is capped at what each entry point loads today, so a package
-    re-export that drags a module into every cold command fails here.
+    Each case runs in a fresh interpreter, then lists the modules it
+    ended up holding.  Only the circuit solver (``repro.spice``) and the
+    calibration fit need scipy; only a cache needs ``sqlite3``, only a
+    process pool ``multiprocessing``, and only ``repro lint`` the
+    analysis package.  The ``repro`` count is capped at what each entry
+    point loads today, so a package re-export or a module-top import
+    that drags a layer into every cold command fails here.
     """
     probe = (
         f"{statement}\n"
         "import json, sys\n"
-        "print(json.dumps(sorted(m for m in sys.modules "
-        "if m.split('.')[0] in ('scipy', 'repro'))))\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe],
@@ -145,8 +168,50 @@ def test_scipy_loaded_only_where_called(
         assert module in loaded
     offending = [
         m for m in loaded
-        if m == forbidden or m.startswith(forbidden + ".")
+        if any(m == f or m.startswith(f + ".") for f in forbidden)
     ]
     assert offending == []
     repro_modules = [m for m in loaded if m.split(".")[0] == "repro"]
     assert len(repro_modules) <= max_repro, repro_modules
+
+
+#: Packages whose ``__init__`` re-exports lazily (repro._lazy).
+LAZY_PACKAGES = [
+    "repro", "repro.arch", "repro.nn", "repro.dse", "repro.runtime",
+    "repro.campaign", "repro.service", "repro.faults", "repro.accuracy",
+    "repro.spice", "repro.analysis",
+]
+
+
+@pytest.mark.parametrize("name", LAZY_PACKAGES)
+def test_lazy_reexports_behave_like_eager_ones(name):
+    package = importlib.import_module(name)
+    for symbol in package.__all__:
+        value = getattr(package, symbol)
+        if symbol == "__version__":
+            continue
+        # The very object of the defining module, not a copy.
+        holders = [
+            module for module_name, module in list(sys.modules.items())
+            if module_name.startswith(name + ".")
+            and vars(module).get(symbol) is value
+        ]
+        assert holders, f"{name}.{symbol}"
+        home = getattr(value, "__module__", None)
+        if home is not None and not isinstance(value, type(sys)):
+            assert getattr(sys.modules[home], symbol) is value
+    namespace = {}
+    exec(f"from {name} import *", namespace)
+    assert set(package.__all__) <= set(namespace)
+    assert set(package.__all__) <= set(dir(package))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        package.no_such_name
+    assert not hasattr(package, "no_such_name")
+
+
+def test_lazy_reexport_identity():
+    import repro.config
+    import repro.dse.explorer
+
+    assert repro.SimConfig is repro.config.SimConfig
+    assert repro.explore is repro.dse.explorer.explore

@@ -88,6 +88,19 @@ class TestExplore:
         assert code == 1
         assert "no feasible" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("axis, flag, values", [
+        ("crossbar_sizes", "--sizes", ["0", "-3"]),
+        ("crossbar_sizes", "--sizes", ["1"]),
+        ("parallelism_degrees", "--degrees", ["1", "-1"]),
+    ])
+    def test_out_of_range_axis_is_a_config_error(self, axis, flag, values,
+                                                 capsys):
+        code = main(["explore", "mlp:32,16", flag, *values])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {axis}: must all be >= ")
+        assert "designs explored" not in err
+
 
 class TestRuntimeFlags:
     def test_explore_parallel(self, capsys):
@@ -187,7 +200,8 @@ class TestExitCodes:
                 "2 attempt(s): TimeoutError"
             )
 
-        monkeypatch.setattr("repro.cli.explore", exploding_explore)
+        # The handler imports explore when it runs: patch its home.
+        monkeypatch.setattr("repro.dse.explorer.explore", exploding_explore)
         code = main([
             "explore", "mlp:64,32", "--sizes", "32",
             "--degrees", "1", "--wires", "45",
@@ -228,6 +242,20 @@ class TestMonteCarlo:
         assert code == 0
         assert "mean |error|" in out
         assert "max |error|" in out
+
+    @pytest.mark.parametrize("size", ["0", "1"])
+    def test_size_below_two_is_rejected_like_the_service(self, size,
+                                                         capsys):
+        code = main(["montecarlo", "--size", size, "--trials", "2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: montecarlo.size: must be >= 2")
+        assert "crossbar" not in err  # rejected before any run is logged
+
+    def test_logs_the_size_it_runs(self, capsys):
+        code = main(["montecarlo", "--crossbar-size", "8", "--trials", "1"])
+        assert code == 0
+        assert "monte-carlo: 8x8 crossbar" in capsys.readouterr().err
 
 
 class TestObservabilityFlags:

@@ -62,6 +62,23 @@ class TestSpace:
         with pytest.raises(ConfigError):
             DesignSpace(crossbar_sizes=())
 
+    @pytest.mark.parametrize("axes, path", [
+        ({"crossbar_sizes": (0, -3)}, "crossbar_sizes"),
+        ({"crossbar_sizes": (1, 64)}, "crossbar_sizes"),
+        ({"parallelism_degrees": (1, -1)}, "parallelism_degrees"),
+    ])
+    def test_out_of_range_axis_rejected(self, axes, path):
+        """A grid no point of which is a valid SimConfig is an error,
+        not an empty sweep."""
+        with pytest.raises(ConfigError) as info:
+            DesignSpace(**axes)
+        assert info.value.path == path
+
+    def test_fully_parallel_degree_zero_allowed(self):
+        assert len(DesignSpace(crossbar_sizes=(64,),
+                               parallelism_degrees=(0,),
+                               interconnect_nodes=(45,))) == 1
+
     def test_configs_inherit_base(self, base_config, small_space):
         for config in small_space.configs(base_config):
             assert config.cmos_tech == 45
