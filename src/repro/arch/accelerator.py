@@ -17,7 +17,7 @@ Accuracy is evaluated with the per-layer effective crossbar fill via
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.accuracy.model import AccuracyModel, LayerAccuracy
 from repro.arch.bank import ComputationBank
@@ -73,6 +73,24 @@ class AcceleratorSummary:
         return 1.0 / self.energy_per_sample
 
 
+def network_fields(config: SimConfig, network: Network) -> Dict[str, Any]:
+    """The config fields a mapped network fixes: its type and depth.
+
+    Raises
+    ------
+    ConfigError
+        If ``config`` names a ``network_depth`` the network lacks.
+    """
+    depth = config.network_depth
+    if depth is not None and depth != network.depth:
+        raise ConfigError(
+            f"configured network_depth {config.network_depth} does not "
+            f"match network depth {network.depth}"
+        )
+    return {"network_type": network.network_type,
+            "network_depth": network.depth}
+
+
 class Accelerator:
     """A full memristor-based neuromorphic accelerator.
 
@@ -93,15 +111,12 @@ class Accelerator:
         network: Network,
         registry: Optional[ModuleRegistry] = None,
     ) -> None:
-        if config.network_depth is not None and config.network_depth != network.depth:
-            raise ConfigError(
-                f"configured network_depth {config.network_depth} does not "
-                f"match network depth {network.depth}"
-            )
-        self.config = config.replace(
-            network_type=network.network_type,
-            network_depth=network.depth,
-        )
+        fields = network_fields(config, network)
+        # A sweep worker folds the fields in when it builds the config.
+        if any(getattr(config, name) != value
+               for name, value in fields.items()):
+            config = config.replace(**fields)
+        self.config = config
         self.network = network
         self.registry = registry if registry is not None else ModuleRegistry()
 

@@ -24,12 +24,13 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.campaign.config import CAMPAIGN_SCHEMA, CampaignConfig
 from repro.campaign.dag import DagRunner, Stage, StageContext, register_executor
+from repro.jsonio import render_document
 from repro.obs import trace as obs_trace
 from repro.runtime.cache import ResultCache
 from repro.runtime.jobs import content_key
 from repro.runtime.metrics import RunMetrics
 from repro.service.schema import PayloadKind
-from repro.service.workloads import render_document, run_payload
+from repro.service.workloads import run_payload
 
 __all__ = ["run_campaign_config", "CampaignRun", "REPORT_STAGE"]
 
@@ -42,7 +43,7 @@ class CampaignRun:
     """Outcome of one campaign execution.
 
     ``document`` is the final report (render with
-    :func:`repro.service.workloads.render_document` for the canonical
+    :func:`repro.jsonio.render_document` for the canonical
     bytes); ``stage_stats`` is the runner's per-stage ledger —
     ``resumed`` / ``jobs`` / ``cache_hits`` per stage — which is what
     the CLI's ``campaign resume`` prints to prove a resume replayed

@@ -382,7 +382,8 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
     from repro.report import format_table
     from repro.runtime.pool import RunPolicy
     from repro.service.schema import MonteCarloSpec
-    from repro.service.workloads import montecarlo_document, render_document
+    from repro.jsonio import render_document
+    from repro.service.workloads import montecarlo_document
 
     config = _load_config(args)
     # The service's schema, bounds included (size >= 2), checks the flags.

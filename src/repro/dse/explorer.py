@@ -23,7 +23,11 @@ from typing import (
     Tuple,
 )
 
-from repro.arch.accelerator import Accelerator, AcceleratorSummary
+from repro.arch.accelerator import (
+    Accelerator,
+    AcceleratorSummary,
+    network_fields,
+)
 from repro.circuits import ModuleRegistry
 from repro.config import SimConfig
 from repro.dse.space import DesignSpace
@@ -104,7 +108,21 @@ _SUMMARY_FIELDS = (
 )
 
 
-def _evaluate_point(task: Tuple[SimConfig, Network]) -> AcceleratorSummary:
+#: One simulation job's payload: base config, network and the grid
+#: point ``(crossbar_size, parallelism_degree, interconnect_tech)``,
+#: the only fields a point changes in its base.
+PointTask = Tuple[SimConfig, Network, Tuple[int, int, int]]
+
+
+def _point_task(config: SimConfig, network: Network) -> PointTask:
+    """The payload that simulates ``config`` itself."""
+    return (config, network, (
+        config.crossbar_size, config.parallelism_degree,
+        config.interconnect_tech,
+    ))
+
+
+def _evaluate_point(task: PointTask) -> AcceleratorSummary:
     """Worker: simulate one design point, as a batch of one."""
     return _evaluate_points_batch([task])[0]
 
@@ -124,28 +142,38 @@ def _shape_group_key(config: SimConfig) -> Tuple[Tuple[str, Any], ...]:
 
 
 def _evaluate_points_batch(
-    tasks: List[Tuple[SimConfig, Network]],
+    tasks: List[PointTask],
 ) -> List[AcceleratorSummary]:
     """Batched worker: design points sharing modules and accuracy.
 
-    Every point builds on one :class:`~repro.circuits.ModuleRegistry`,
-    so each distinct circuit module in the batch is built and costed
-    once.  Points are grouped by crossbar shape (config minus
-    parallelism degree) and each group's accuracy model is evaluated
-    once, reused via ``summary(accuracy=...)``.  Both shared values are
-    each member's own computation verbatim, so results are
-    byte-identical to a fresh :class:`Accelerator` per point.
+    Each point's one :class:`SimConfig` is built here, only for a job
+    the cache missed: its base with the grid point and the network's
+    type and depth folded in, so :class:`Accelerator` copies nothing.
+    Those network fields (and the depth check) are derived once per
+    base and network.  Every point builds on one
+    :class:`~repro.circuits.ModuleRegistry`, so each distinct circuit
+    module in the batch is built and costed once.  Points are grouped
+    by crossbar shape (config minus parallelism degree) and each
+    group's accuracy model is evaluated once, reused via
+    ``summary(accuracy=...)``.  Both shared values are each member's
+    own computation verbatim, so results are byte-identical to a fresh
+    :class:`Accelerator` per point.
     """
     registry = ModuleRegistry()
     shared: Dict[Tuple[Tuple[str, Any], ...], Any] = {}
     summaries: List[AcceleratorSummary] = []
-    for config, network in tasks:
-        with obs_trace.span(
-            "dse.point",
-            xbar=config.crossbar_size,
-            p=config.parallelism_degree,
-            wire=config.interconnect_tech,
-        ):
+    folded: Optional[Tuple[SimConfig, Network, Dict[str, Any]]] = None
+    for base, network, (size, degree, node) in tasks:
+        if folded is None or folded[0] is not base \
+                or folded[1] is not network:
+            folded = (base, network, network_fields(base, network))
+        with obs_trace.span("dse.point", xbar=size, p=degree, wire=node):
+            config = base.replace(
+                crossbar_size=size,
+                parallelism_degree=degree,
+                interconnect_tech=node,
+                **folded[2],
+            )
             accelerator = Accelerator(config, network, registry)
             key = _shape_group_key(config)
             accuracy = shared.get(key)
@@ -172,7 +200,7 @@ def simulation_spec(config: SimConfig, network: Network) -> JobSpec:
     """
     return JobSpec(
         kind="simulate-point",
-        payload=(config, network),
+        payload=_point_task(config, network),
         key=content_key(
             "simulate-point", config.to_dict(), network_fingerprint(network)
         ),
@@ -189,7 +217,7 @@ def simulate_point(
     """Simulate one design through the job engine (cache-aware)."""
     # Keys only matter to a cache; without one, skip hashing them.
     spec = simulation_spec(config, network) if cache is not None else (
-        JobSpec(kind="simulate-point", payload=(config, network))
+        JobSpec(kind="simulate-point", payload=_point_task(config, network))
     )
     return run_jobs(
         _evaluate_point,
@@ -253,7 +281,7 @@ def explore(
     space = space if space is not None else DesignSpace()
     # The sweep as a three-stage DAG on the shared campaign runner:
     # expand the grid, shard the solves through the engine, filter.
-    # ``len(space)`` counts exactly the configs the map stage yields,
+    # ``len(space)`` counts exactly the points the map stage yields,
     # so the solve stage's weight (the progress denominator) is known
     # before any simulation runs.
     stages = [
@@ -291,38 +319,64 @@ def explore(
         return runner.run()["report"]
 
 
+#: The config fields a grid point sets, in their keys' sorted order.
+_SWEPT_FIELDS = ("crossbar_size", "interconnect_tech", "parallelism_degree")
+#: Marks a swept field's place in the base config text; no validated
+#: config holds this string.
+_HOLE = "\x00"
+
+
 def _stage_map(stage: Stage, context: StageContext) -> Dict[str, Any]:
-    """Expand the design grid into configs and engine job specs."""
+    """Expand the design grid into grid points and engine job specs.
+
+    No :class:`SimConfig` is built here: the worker builds one per
+    point the cache missed.  :class:`DesignSpace` has already checked
+    every axis against the bounds ``SimConfig`` enforces.
+    """
     space: DesignSpace = stage.params["space"]
     network: Network = stage.params["network"]
-    configs = list(space.configs(stage.params["config"]))
+    base: SimConfig = stage.params["config"]
+    points = list(space.valid_points())
     # Keys only matter to a cache; without one, skip hashing them.
     if context.cache is None:
         specs = [
-            JobSpec(kind="simulate-point", payload=(config, network))
-            for config in configs
+            JobSpec(kind="simulate-point", payload=(base, network, point))
+            for point in points
         ]
     else:
-        # simulation_spec's keys from one canonical base: a point
-        # differs from the base config only in the three swept fields.
+        # simulation_spec's keys from one canonical base: a point's
+        # config text is the base's with its three swept values in
+        # place, so the base text is split around them once per sweep.
         kind = canonical_json("simulate-point")
         fingerprint = canonical_json(network_fingerprint(network))
-        fields = canonical(stage.params["config"].to_dict())
+        fields = canonical(base.to_dict())
+        fields.update(dict.fromkeys(_SWEPT_FIELDS, _HOLE))
+        head, after_size, after_node, tail = CANONICAL_ENCODER.encode(
+            fields
+        ).split(canonical_json(_HOLE))
+        spelled: Dict[Tuple[type, Any], str] = {}
+
+        def spell(value: Any) -> str:
+            # Keyed by type too: 1 and True are equal but spelled apart.
+            key = (type(value), value)
+            text = spelled.get(key)
+            if text is None:
+                text = spelled[key] = canonical_json(value)
+            return text
+
         specs = []
-        for config in configs:
-            fields["crossbar_size"] = canonical(config.crossbar_size)
-            fields["parallelism_degree"] = canonical(
-                config.parallelism_degree
+        for point in points:
+            size, degree, node = point
+            config_text = (
+                head + spell(size) + after_size + spell(node)
+                + after_node + spell(degree) + tail
             )
-            fields["interconnect_tech"] = canonical(config.interconnect_tech)
             specs.append(JobSpec(
                 kind="simulate-point",
-                payload=(config, network),
-                key=key_of_json(
-                    kind, CANONICAL_ENCODER.encode(fields), fingerprint
-                ),
+                payload=(base, network, point),
+                key=key_of_json(kind, config_text, fingerprint),
             ))
-    return {"configs": configs, "specs": specs}
+    return {"points": points, "specs": specs}
 
 
 def _stage_solve(
@@ -344,21 +398,21 @@ def _stage_solve(
 
 
 def _stage_report(stage: Stage, context: StageContext) -> List[DesignPoint]:
-    """Pair configs with summaries, dropping constraint violations."""
+    """Pair grid points with summaries, dropping constraint violations."""
     max_error_rate = stage.params["max_error_rate"]
-    configs = context.upstream["map"]["configs"]
+    grid = context.upstream["map"]["points"]
     summaries = context.upstream["solve"]
     points: List[DesignPoint] = []
-    for config, summary in zip(configs, summaries):
+    for (size, degree, node), summary in zip(grid, summaries):
         if max_error_rate is not None and (
             summary.worst_error_rate > max_error_rate
         ):
             continue
         points.append(
             DesignPoint(
-                crossbar_size=config.crossbar_size,
-                parallelism_degree=config.parallelism_degree,
-                interconnect_tech=config.interconnect_tech,
+                crossbar_size=size,
+                parallelism_degree=degree,
+                interconnect_tech=node,
                 summary=summary,
             )
         )

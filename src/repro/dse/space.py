@@ -46,8 +46,11 @@ class DesignSpace:
         if not self.crossbar_sizes or not self.parallelism_degrees \
                 or not self.interconnect_nodes:
             raise ConfigError("design space axes must be non-empty")
-        # The bounds SimConfig puts on each point: without them a grid
-        # of too-small sizes would silently yield no valid point.
+        # The bounds SimConfig puts on each point, checked here so a
+        # sweep builds every point's config only when it simulates it:
+        # a bad axis fails before any point runs, not midway.  (Without
+        # the minimum, a grid of too-small sizes would silently yield
+        # no valid point.)
         for axis, values, minimum in (
             ("crossbar_sizes", self.crossbar_sizes, 2),
             ("parallelism_degrees", self.parallelism_degrees, 0),
@@ -57,6 +60,11 @@ class DesignSpace:
                     f"must all be >= {minimum}", path=axis,
                     value=list(values),
                 )
+        if any(size & (size - 1) for size in self.crossbar_sizes):
+            raise ValidationError(
+                "must all be powers of two", path="crossbar_sizes",
+                value=list(self.crossbar_sizes),
+            )
         known = set(available_interconnect_nodes())
         unknown = set(self.interconnect_nodes) - known
         if unknown:

@@ -28,7 +28,6 @@ cacheable through :mod:`repro.runtime`.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -42,6 +41,7 @@ from repro.faults.models import (
     FAULT_MODES,
     sample_fault_mask,
 )
+from repro.jsonio import render_document
 from repro.nn.inference import MlpInference
 from repro.nn.networks import mlp
 from repro.obs import metrics as obs_metrics
@@ -228,10 +228,7 @@ class CampaignResult:
         No timestamps, no environment data, sorted keys — this is what
         the byte-identical reproducibility check in CI compares.
         """
-        return json.dumps(
-            self.to_dict(), sort_keys=True, indent=2,
-            separators=(",", ": "), allow_nan=False,
-        ) + "\n"
+        return render_document(self.to_dict())
 
 
 # ----------------------------------------------------------------------

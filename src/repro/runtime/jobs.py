@@ -107,11 +107,10 @@ def key_of_json(*encoded: str) -> str:
     """
     import hashlib  # loads OpenSSL; an uncached sweep derives no key
 
-    digest = hashlib.sha256(SCHEMA_VERSION.encode("ascii"))
-    for part in encoded:
-        digest.update(b"\x00")
-        digest.update(part.encode("utf-8"))
-    return digest.hexdigest()
+    # SCHEMA_VERSION is ASCII, so this is its bytes, then each part's
+    # UTF-8 behind a NUL, hashed in one call.
+    framed = "\x00".join((SCHEMA_VERSION, *encoded))
+    return hashlib.sha256(framed.encode("utf-8")).hexdigest()
 
 
 def content_key(*parts: Any) -> str:

@@ -40,13 +40,14 @@ from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import JobCancelled, MnsimError
+from repro.jsonio import render_document
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.progress import ProgressTracker
 from repro.runtime.cache import ResultCache
 from repro.runtime.metrics import RunMetrics
 from repro.service.schema import SimulationPayload
-from repro.service.workloads import render_document, run_payload
+from repro.service.workloads import run_payload
 
 _log = logging.getLogger("repro.service")
 

@@ -8,29 +8,22 @@ cancellable) and returns a JSON-safe *result document*.
 
 Byte-identity contract
 ----------------------
-:func:`render_document` is the single serialization used for stored
-service results, and the document builders here are also what the CLI's
-``--output`` paths call — so a service result and the file written by
-the equivalent CLI invocation are byte-identical *by construction*, not
-by coincidence.  The same deterministic settings as
-:meth:`repro.faults.campaign.CampaignResult.to_json` apply: sorted keys,
-two-space indent, no NaN, trailing newline.
+:func:`repro.jsonio.render_document` is the single serialization used
+for stored service results, and the document builders here are also
+what the CLI's ``--output`` paths call — so a service result and the
+file written by the equivalent CLI invocation are byte-identical *by
+construction*, not by coincidence.  It is re-exported here, next to
+:func:`run_payload`, whose documents it renders.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any, Callable, Dict, Optional
 
 from repro.accuracy.interconnect import DEFAULT_SENSE_RESISTANCE
 from repro.config import SimConfig
-from repro.dse.explorer import (
-    _SUMMARY_FIELDS,
-    explore,
-    optimal_table,
-    simulate_point,
-)
 from repro.errors import ExplorationError
+from repro.jsonio import render_document
 from repro.runtime.cache import ResultCache
 from repro.runtime.metrics import RunMetrics
 from repro.runtime.pool import RunPolicy
@@ -41,18 +34,6 @@ RESULT_SCHEMA = "service-result-v1"
 
 ProgressFn = Optional[Callable[[int, int], None]]
 CancelFn = Optional[Callable[[], bool]]
-
-
-def render_document(doc: Dict[str, Any]) -> str:
-    """Deterministic serialization: equal documents -> equal bytes."""
-    return json.dumps(
-        doc, sort_keys=True, indent=2, separators=(",", ": "),
-        allow_nan=False,
-    ) + "\n"
-
-
-def _summary_dict(summary: Any) -> Dict[str, float]:
-    return {name: getattr(summary, name) for name in _SUMMARY_FIELDS}
 
 
 def montecarlo_document(
@@ -122,6 +103,10 @@ def _run_simulate(
     progress: ProgressFn,
     should_cancel: CancelFn,
 ) -> Dict[str, Any]:
+    # The DSE layer loads with the first simulate or explore job: a
+    # cold `montecarlo` command never reaches it.
+    from repro.dse.explorer import _encode_summary, simulate_point
+
     network = payload.network.build()
     if progress is not None:
         progress(0, 1)
@@ -137,7 +122,7 @@ def _run_simulate(
             "config": payload.config.to_dict(),
             "network": payload.network.spec_string(),
         },
-        "summary": _summary_dict(summary),
+        "summary": _encode_summary(summary),
     }
 
 
@@ -149,6 +134,8 @@ def _run_explore(
     progress: ProgressFn,
     should_cancel: CancelFn,
 ) -> Dict[str, Any]:
+    from repro.dse.explorer import _encode_summary, explore, optimal_table
+
     sweep = payload.sweep
     network = payload.network.build()
     points = explore(
@@ -186,7 +173,7 @@ def _run_explore(
                 "crossbar_size": point.crossbar_size,
                 "parallelism_degree": point.parallelism_degree,
                 "interconnect_tech": point.interconnect_tech,
-                "summary": _summary_dict(point.summary),
+                "summary": _encode_summary(point.summary),
             }
             for point in points
         ],
@@ -231,9 +218,8 @@ def _run_faults(
         progress=progress,
         should_cancel=should_cancel,
     )
-    # The campaign document *is* the CLI `faults --output` document, so
-    # byte-identity with the CLI falls out of CampaignResult.to_json()
-    # using the same serialization as render_document().
+    # The campaign document *is* the CLI `faults --output` document, and
+    # CampaignResult.to_json() renders it with render_document().
     return result.to_dict()
 
 

@@ -113,7 +113,7 @@ _LEAN = ("scipy", "sqlite3", "multiprocessing", "repro.analysis")
             _cli("--help"), (), _LEAN + ("numpy",), 9, id="help",
         ),
         pytest.param(
-            "import repro.service.server", (), ("scipy",), 59,
+            "import repro.service.server", (), ("scipy",), 34,
             id="import-server",
         ),
         pytest.param(
@@ -135,7 +135,7 @@ _LEAN = ("scipy", "sqlite3", "multiprocessing", "repro.analysis")
             ("scipy.sparse",),
             ("scipy.optimize", "sqlite3", "multiprocessing",
              "repro.analysis"),
-            60, id="montecarlo",
+            38, id="montecarlo",
         ),
     ],
 )

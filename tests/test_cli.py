@@ -102,6 +102,17 @@ class TestExplore:
         assert "designs explored" not in err
 
 
+    def test_non_power_of_two_size_is_a_config_error(self, capsys):
+        code = main(["explore", "mlp:32,16", "--sizes", "16", "12",
+                     "--degrees", "1", "--wires", "45"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(
+            "error: crossbar_sizes: must all be powers of two"
+        )
+        assert "designs explored" not in err
+
+
 class TestRuntimeFlags:
     def test_explore_parallel(self, capsys):
         code = main([

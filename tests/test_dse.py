@@ -17,8 +17,11 @@ from repro.dse.tradeoff import (
     pareto_frontier,
     size_tradeoff,
 )
-from repro.errors import ConfigError, ExplorationError
-from repro.nn.networks import large_bank_layer
+from repro.errors import ConfigError, ExplorationError, ValidationError
+from repro.nn.networks import large_bank_layer, mlp
+from repro.runtime.cache import ResultCache
+from repro.runtime.jobs import content_key, network_fingerprint
+from repro.runtime.metrics import RunMetrics
 
 
 @pytest.fixture
@@ -74,6 +77,14 @@ class TestSpace:
             DesignSpace(**axes)
         assert info.value.path == path
 
+    def test_non_power_of_two_size_rejected_at_construction(self):
+        """SimConfig's per-point bound, checked for the whole axis
+        before any point runs."""
+        with pytest.raises(ValidationError) as info:
+            DesignSpace(crossbar_sizes=(16, 12))
+        assert info.value.path == "crossbar_sizes"
+        assert "powers of two" in str(info.value)
+
     def test_fully_parallel_degree_zero_allowed(self):
         assert len(DesignSpace(crossbar_sizes=(64,),
                                parallelism_degrees=(0,),
@@ -88,6 +99,19 @@ class TestSpace:
 class TestExplorer:
     def test_every_valid_point_simulated(self, points, small_space):
         assert len(points) == len(small_space)
+
+    def test_bad_size_fails_before_any_point_runs(
+        self, base_config, large_layer_network, monkeypatch
+    ):
+        import repro.dse.explorer as explorer
+
+        ran = []
+        monkeypatch.setattr(explorer, "_evaluate_points_batch", ran.append)
+        with pytest.raises(ValidationError) as info:
+            explore(base_config, large_layer_network,
+                    DesignSpace(crossbar_sizes=(16, 12)))
+        assert info.value.path == "crossbar_sizes"
+        assert ran == []
 
     def test_constraint_filters_points(
         self, base_config, small_space, large_layer_network
@@ -223,9 +247,10 @@ class TestBatchedParity:
             _evaluate_points_batch,
             _shape_group_key,
         )
-        tasks = [(config, large_layer_network)
-                 for config in small_space.configs(base_config)]
-        groups = [_shape_group_key(config) for config, _ in tasks]
+        tasks = [(base_config, large_layer_network, point)
+                 for point in small_space.valid_points()]
+        groups = [_shape_group_key(config)
+                  for config in small_space.configs(base_config)]
         # Several shape groups, each shared by several points.
         assert 1 < len(set(groups)) < len(groups)
         batched = _evaluate_points_batch(tasks)
@@ -240,3 +265,78 @@ class TestBatchedParity:
             base_config, large_layer_network, small_space, jobs=2
         )
         assert points == parallel
+
+
+class TestCachedSweepCost:
+    """What a 300-point sweep builds: counts, not timings.
+
+    A cache hit needs no :class:`SimConfig`: the map stage emits grid
+    points and keys, and the worker builds one config per miss.
+    """
+
+    BASE = SimConfig(cmos_tech=45, weight_bits=4, signal_bits=8)
+
+    @pytest.fixture
+    def network(self):
+        return mlp([64, 32], name="cost-pin")
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every SimConfig constructed (replace() included)."""
+        configs = []
+        real = SimConfig.__post_init__
+
+        def counting(config):
+            configs.append(config)
+            real(config)
+
+        monkeypatch.setattr(SimConfig, "__post_init__", counting)
+        return configs
+
+    def test_cold_sweep_builds_one_config_per_point(
+        self, tmp_path, network, built
+    ):
+        space = DesignSpace()
+        assert len(space) == 300
+        explore(self.BASE, network, space)
+        assert len(built) == 300
+        del built[:]
+        with ResultCache(tmp_path) as cache:
+            explore(self.BASE, network, space, cache=cache)
+        assert len(built) == 300
+
+    def test_warm_sweep_builds_no_config(self, tmp_path, network, built):
+        space = DesignSpace()
+        with ResultCache(tmp_path) as cache:
+            cold = explore(self.BASE, network, space, cache=cache)
+            del built[:]
+            metrics = RunMetrics()
+            warm = explore(self.BASE, network, space, cache=cache,
+                           metrics=metrics)
+        assert warm == cold
+        assert metrics.counters["cache_hits"] == 300
+        assert built == []
+
+    def test_cache_filled_through_content_key_serves_every_point(
+        self, tmp_path, network
+    ):
+        from repro.dse.explorer import _encode_summary
+
+        space = DesignSpace()
+        points = explore(self.BASE, network, space)
+        fingerprint = network_fingerprint(network)
+        keys = [
+            content_key("simulate-point", config.to_dict(), fingerprint)
+            for config in space.configs(self.BASE)
+        ]
+        with ResultCache(tmp_path) as cache:
+            cache.put_many(
+                (key, "simulate-point", _encode_summary(point.summary))
+                for key, point in zip(keys, points)
+            )
+            metrics = RunMetrics()
+            served = explore(self.BASE, network, space, cache=cache,
+                             metrics=metrics)
+        assert metrics.counters["cache_hits"] == 300
+        assert metrics.counters["cache_misses"] == 0
+        assert served == points

@@ -41,6 +41,30 @@ class TestRoundTrip:
             assert second.get("k") == [1, 2, 3]
 
 
+class TestBatchedLookup:
+    def test_get_many_across_select_batches_equals_per_key_get(self, cache):
+        """1201 keys (duplicates, misses, values of every JSON shape)
+        straddle the 500-row SELECT batches."""
+        def value(i):
+            return [
+                {"a": i * 0.5, "n": None}, [i, "x\u00e9\"", True],
+                float(i) + 1e-9, str(i), -i, False,
+            ][i % 6]
+
+        # Every 7th key is never stored: a miss.
+        stored = [i for i in range(1100) if i % 7 != 3]
+        cache.put_many((f"k{i:04d}", "t", value(i)) for i in stored)
+        keys = [f"k{i:04d}" for i in range(1100)]
+        keys += keys[495:505] + ["absent"] * 3 + keys[:88]
+        assert len(keys) == 1201
+
+        found = cache.get_many(keys)
+        assert found == {
+            key: cache.get(key) for key in keys if cache.get(key) is not None
+        }
+        assert found == {f"k{i:04d}": value(i) for i in stored}
+
+
 class TestStats:
     def test_hit_miss_accounting(self, cache):
         cache.put("a", "t", 1)
