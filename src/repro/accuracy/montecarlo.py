@@ -8,9 +8,8 @@ validates the closed-form bounds (the worst case must dominate the
 samples) and supports variation studies the paper defers to the
 ``Memristor_Model`` configuration.
 
-Sampling runs through :mod:`repro.runtime`: pass ``seed=`` (instead of
-a shared ``rng``) and each trial draws from its own
-``np.random.SeedSequence(seed, spawn_key=(trial,))`` stream, which
+Sampling runs through :mod:`repro.runtime`: each trial draws from its
+own ``np.random.SeedSequence(seed, spawn_key=(trial,))`` stream, which
 makes the result *independent of the execution schedule* — ``jobs=N``
 parallel runs reproduce the serial samples bit-for-bit, and trials are
 individually cacheable.
@@ -141,13 +140,12 @@ def run_monte_carlo(
     device: MemristorModel,
     size: int,
     segment_resistance: float,
-    rng: Optional[np.random.Generator] = None,
     trials: int = 10,
     sense_resistance: float = DEFAULT_SENSE_RESISTANCE,
     sigma: Optional[float] = None,
     input_mode: str = "random",
     *,
-    seed: Optional[int] = None,
+    seed: int,
     jobs: int = 1,
     inputs_per_trial: int = 1,
     cache: Optional[ResultCache] = None,
@@ -166,9 +164,6 @@ def run_monte_carlo(
         Square crossbar size.
     segment_resistance:
         Wire segment resistance ``r``.
-    rng:
-        Seeded generator shared across trials (the legacy serial
-        protocol); mutually exclusive with ``seed``.
     trials:
         Number of sampled weight matrices.
     sigma:
@@ -181,7 +176,7 @@ def run_monte_carlo(
         ``SeedSequence(seed, spawn_key=(i,))``, so results are
         identical for any ``jobs`` and individually cacheable.
     jobs:
-        Worker processes for the trial sweep (requires ``seed``).
+        Worker processes for the trial sweep.
     inputs_per_trial:
         Input vectors solved per sampled weight matrix (batched through
         ``solve_many``, which factorizes the system once per trial).
@@ -191,8 +186,7 @@ def run_monte_carlo(
     cache / metrics / policy:
         Engine knobs, as in :func:`repro.dse.explorer.explore`.
     progress / should_cancel:
-        Engine hooks forwarded to :func:`repro.runtime.pool.run_jobs`
-        (requires ``seed=``; the legacy ``rng`` path ignores them).
+        Engine hooks forwarded to :func:`repro.runtime.pool.run_jobs`.
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
@@ -205,27 +199,7 @@ def run_monte_carlo(
             "inputs_per_trial > 1 requires input_mode='random' (a batch "
             "of identical full-scale vectors would resample one point)"
         )
-    if (rng is None) == (seed is None):
-        raise ConfigError("provide exactly one of rng= or seed=")
-    effective_jobs = policy.worker_count if policy is not None else jobs
-    if effective_jobs != 1 and seed is None:
-        raise ConfigError(
-            "parallel Monte-Carlo (jobs != 1) requires seed= for "
-            "schedule-independent reproducibility"
-        )
     sigma = device.sigma if sigma is None else sigma
-
-    if seed is None:
-        # Legacy protocol: one shared generator, strictly sequential.
-        with obs_trace.span("mc.run", trials=trials, size=size):
-            errors = [
-                _single_trial(device, size, segment_resistance,
-                              sense_resistance, sigma, input_mode, rng,
-                              inputs_per_trial)
-                for _ in range(trials)
-            ]
-        return MonteCarloResult(samples=np.concatenate(errors))
-
     specs = []
     for trial in range(trials):
         task = (device, size, segment_resistance, sense_resistance,
@@ -245,10 +219,6 @@ def run_monte_carlo(
             # Keys only matter to a cache; without one, skip hashing.
             key=content_key(*key_parts) if cache is not None else None,
         ))
-    # Report the total up front so progress consumers (the service's
-    # ETA estimator) know the work size before the first chunk lands.
-    if progress is not None:
-        progress(0, len(specs))
     with obs_trace.span("mc.run", trials=trials, size=size):
         errors = run_jobs(
             _run_trial,

@@ -1,20 +1,22 @@
 """The stage DAG: explicit executors, per-stage sharding, resume.
 
-A *campaign* — declarative (:mod:`repro.campaign.config`) or
-programmatic (the :func:`repro.dse.explorer.explore` and
-:func:`repro.faults.campaign.run_campaign` wrappers) — is a directed
-acyclic graph of :class:`Stage`\\ s.  Each stage names an *executor*
-from a registry (``"faults.solve"``, ``"campaign.unit"``, ...), so the
-graph itself is plain data: what runs, after what, with what weight.
+A declarative campaign (:mod:`repro.campaign.config`) runs as a
+directed acyclic graph of :class:`Stage`\\ s.  Each stage names an
+*executor* from a registry (``"campaign.unit"``,
+``"campaign.post.summary"``, ``"campaign.report"``), so the graph
+itself is plain data: what runs, after what, with what weight.
+Programmatic sweeps (explore, fault campaigns, Monte Carlo) do not run
+here: each builds its job specs, calls
+:func:`repro.runtime.pool.run_jobs` once and folds the results.
 
 :class:`DagRunner` walks the graph in a deterministic topological
 order (Kahn's algorithm, input order preserved among ready stages) and
 gives every stage a :class:`StageContext` carrying
 
 * the upstream stages' results,
-* the engine knobs (cache / metrics / policy / ``should_cancel``)
-  threaded through to :func:`repro.runtime.pool.run_jobs`, so each
-  stage shards its own work across the process pool, and
+* the engine knobs (cache / metrics / ``should_cancel``), which a
+  unit threads through to :func:`repro.runtime.pool.run_jobs` under
+  its payload's own execution policy, and
 * a stage-local ``progress`` callback remapped into the campaign-wide
   ``(done, total)`` stream — one monotone progress axis no matter how
   many stages run.
@@ -54,7 +56,6 @@ from repro.errors import ConfigError, JobCancelled
 from repro.obs import trace as obs_trace
 from repro.obs.progress import ProgressTracker
 from repro.runtime.metrics import RunMetrics
-from repro.runtime.pool import RunPolicy
 
 if TYPE_CHECKING:
     from repro.runtime.cache import ResultCache
@@ -73,14 +74,13 @@ STAGE_CACHE_KIND = "campaign-stage"
 
 Executor = Callable[["Stage", "StageContext"], Any]
 
-#: Executor registry, filled by the owning modules: by decorator at
-#: import time, or (:func:`repro.dse.explorer.explore`) before the
-#: owner's first stage graph runs.  Entries are never replaced.
+#: Executor registry, filled by the owning modules' decorators at
+#: import time.  Entries are never replaced.
 _EXECUTORS: Dict[str, Executor] = {}
 
 
 def register_executor(name: str) -> Callable[[Executor], Executor]:
-    """Class-of-work registration: ``@register_executor("dse.solve")``."""
+    """Class-of-work registration: ``@register_executor("campaign.unit")``."""
 
     def wrap(fn: Executor) -> Executor:
         existing = _EXECUTORS.get(name)
@@ -151,7 +151,6 @@ class StageContext:
         self.upstream = upstream
         self.cache = runner.cache
         self.metrics = runner.metrics
-        self.policy = runner.policy
         self.should_cancel = runner.should_cancel
 
     def progress(self, done: int, total: int) -> None:
@@ -173,7 +172,7 @@ class DagRunner:
         The graph.  Stage names must be unique, dependencies must name
         existing stages, and the graph must be acyclic — violations
         raise :class:`~repro.errors.ConfigError` before anything runs.
-    cache / metrics / policy / progress / should_cancel:
+    cache / metrics / progress / should_cancel:
         The engine knobs, threaded to every stage's context.  The
         shared ``metrics`` accumulates across stages exactly as a
         monolithic run would; per-stage deltas are recorded in
@@ -188,7 +187,6 @@ class DagRunner:
         *,
         cache: Optional[ResultCache] = None,
         metrics: Optional[RunMetrics] = None,
-        policy: Optional[RunPolicy] = None,
         progress: Optional[Callable[[int, int], None]] = None,
         should_cancel: Optional[Callable[[], bool]] = None,
         clock: Optional[Callable[[], float]] = None,
@@ -196,7 +194,6 @@ class DagRunner:
         self.stages = tuple(stages)
         self.cache = cache
         self.metrics = metrics
-        self.policy = policy if policy is not None else RunPolicy()
         self.should_cancel = should_cancel
         self._progress = progress
         self._order = _topological_order(self.stages)
@@ -214,10 +211,6 @@ class DagRunner:
         self.stage_stats: Dict[str, Dict[str, Any]] = {}
 
     # ------------------------------------------------------------------
-    @property
-    def total_weight(self) -> int:
-        return self._total
-
     def _check_cancel(self) -> None:
         if self.should_cancel is not None and self.should_cancel():
             raise JobCancelled("campaign cancelled at a stage boundary")

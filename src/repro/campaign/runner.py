@@ -211,7 +211,6 @@ def run_campaign_config(
         stages,
         cache=cache,
         metrics=metrics,
-        policy=config.execution.to_policy(),
         progress=progress,
         should_cancel=should_cancel,
     )

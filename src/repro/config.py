@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence, Tuple, Union
 
@@ -188,9 +189,13 @@ class SimConfig:
     # ------------------------------------------------------------------
     # Derived quantities
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def device(self) -> MemristorModel:
-        """The resolved memristor model, with range/sigma overrides applied."""
+        """The resolved memristor model, with range/sigma overrides applied.
+
+        Resolved once per config: :meth:`replace` builds a new instance,
+        and equality, hashing and :meth:`to_dict` read fields only.
+        """
         model = get_memristor_model(self.memristor_model)
         if self.resistance_range is not None:
             model = model.with_overrides(

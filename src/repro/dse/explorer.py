@@ -47,7 +47,6 @@ from repro.runtime.metrics import RunMetrics
 from repro.runtime.pool import RunPolicy, run_jobs
 
 if TYPE_CHECKING:
-    from repro.campaign.dag import Stage, StageContext
     from repro.runtime.cache import ResultCache
 
 #: Optimization targets, matching the columns of Tables IV / VI.
@@ -196,7 +195,7 @@ def simulation_spec(config: SimConfig, network: Network) -> JobSpec:
 
     The cache key folds the deterministic config serialization, the
     network fingerprint, and the engine schema version.  A cached sweep
-    derives the same keys in its map stage (:func:`_stage_map`).
+    derives the same keys from its base (:func:`_sweep_specs`).
     """
     return JobSpec(
         kind="simulate-point",
@@ -273,50 +272,39 @@ def explore(
         Engine hooks forwarded to :func:`repro.runtime.pool.run_jobs`
         (per-sweep completion callback / cooperative cancellation).
     """
-    # The stage DAG loads with the first sweep, not with simulate_point.
-    from repro.campaign.dag import DagRunner, Stage, register_executor
-
-    for name, executor in _STAGE_EXECUTORS:
-        register_executor(name)(executor)
     space = space if space is not None else DesignSpace()
-    # The sweep as a three-stage DAG on the shared campaign runner:
-    # expand the grid, shard the solves through the engine, filter.
-    # ``len(space)`` counts exactly the points the map stage yields,
-    # so the solve stage's weight (the progress denominator) is known
-    # before any simulation runs.
-    stages = [
-        Stage(
-            name="map",
-            executor="dse.map",
-            params={
-                "config": base_config, "network": network, "space": space,
-            },
-        ),
-        Stage(
-            name="solve",
-            executor="dse.solve",
-            depends_on=("map",),
-            weight=len(space),
-        ),
-        Stage(
-            name="report",
-            executor="dse.report",
-            params={"max_error_rate": max_error_rate},
-            depends_on=("map", "solve"),
-        ),
-    ]
-    runner = DagRunner(
-        stages,
-        cache=cache,
-        metrics=metrics,
-        policy=policy if policy is not None else RunPolicy(jobs=jobs),
-        progress=progress,
-        should_cancel=should_cancel,
-    )
     with obs_trace.span(
         "dse.explore", points=len(space), network=network.name,
     ):
-        return runner.run()["report"]
+        points = list(space.valid_points())
+        summaries = run_jobs(
+            _evaluate_point,
+            # Keys only matter to a cache; without one, skip hashing.
+            _sweep_specs(
+                base_config, network, points, keyed=cache is not None
+            ),
+            policy=policy if policy is not None else RunPolicy(jobs=jobs),
+            cache=cache,
+            encode=_encode_summary,
+            decode=_decode_summary,
+            metrics=metrics,
+            progress=progress,
+            should_cancel=should_cancel,
+            batch_worker=_evaluate_points_batch,
+        )
+    return [
+        DesignPoint(
+            crossbar_size=size,
+            parallelism_degree=degree,
+            interconnect_tech=node,
+            summary=summary,
+        )
+        for (size, degree, node), summary in zip(points, summaries)
+        # ``not >`` rather than ``<=``: only a rate above the bound is
+        # dropped, so a NaN rate stays in the sweep.
+        if max_error_rate is None
+        or not summary.worst_error_rate > max_error_rate
+    ]
 
 
 #: The config fields a grid point sets, in their keys' sorted order.
@@ -326,105 +314,57 @@ _SWEPT_FIELDS = ("crossbar_size", "interconnect_tech", "parallelism_degree")
 _HOLE = "\x00"
 
 
-def _stage_map(stage: Stage, context: StageContext) -> Dict[str, Any]:
-    """Expand the design grid into grid points and engine job specs.
+def _sweep_specs(
+    base: SimConfig,
+    network: Network,
+    points: List[Tuple[int, int, int]],
+    *,
+    keyed: bool,
+) -> List[JobSpec]:
+    """One engine job spec per grid point, keyed only when ``keyed``.
 
     No :class:`SimConfig` is built here: the worker builds one per
     point the cache missed.  :class:`DesignSpace` has already checked
     every axis against the bounds ``SimConfig`` enforces.
     """
-    space: DesignSpace = stage.params["space"]
-    network: Network = stage.params["network"]
-    base: SimConfig = stage.params["config"]
-    points = list(space.valid_points())
-    # Keys only matter to a cache; without one, skip hashing them.
-    if context.cache is None:
-        specs = [
+    if not keyed:
+        return [
             JobSpec(kind="simulate-point", payload=(base, network, point))
             for point in points
         ]
-    else:
-        # simulation_spec's keys from one canonical base: a point's
-        # config text is the base's with its three swept values in
-        # place, so the base text is split around them once per sweep.
-        kind = canonical_json("simulate-point")
-        fingerprint = canonical_json(network_fingerprint(network))
-        fields = canonical(base.to_dict())
-        fields.update(dict.fromkeys(_SWEPT_FIELDS, _HOLE))
-        head, after_size, after_node, tail = CANONICAL_ENCODER.encode(
-            fields
-        ).split(canonical_json(_HOLE))
-        spelled: Dict[Tuple[type, Any], str] = {}
+    # simulation_spec's keys from one canonical base: a point's
+    # config text is the base's with its three swept values in
+    # place, so the base text is split around them once per sweep.
+    kind = canonical_json("simulate-point")
+    fingerprint = canonical_json(network_fingerprint(network))
+    fields = canonical(base.to_dict())
+    fields.update(dict.fromkeys(_SWEPT_FIELDS, _HOLE))
+    head, after_size, after_node, tail = CANONICAL_ENCODER.encode(
+        fields
+    ).split(canonical_json(_HOLE))
+    spelled: Dict[Tuple[type, Any], str] = {}
 
-        def spell(value: Any) -> str:
-            # Keyed by type too: 1 and True are equal but spelled apart.
-            key = (type(value), value)
-            text = spelled.get(key)
-            if text is None:
-                text = spelled[key] = canonical_json(value)
-            return text
+    def spell(value: Any) -> str:
+        # Keyed by type too: 1 and True are equal but spelled apart.
+        key = (type(value), value)
+        text = spelled.get(key)
+        if text is None:
+            text = spelled[key] = canonical_json(value)
+        return text
 
-        specs = []
-        for point in points:
-            size, degree, node = point
-            config_text = (
-                head + spell(size) + after_size + spell(node)
-                + after_node + spell(degree) + tail
-            )
-            specs.append(JobSpec(
-                kind="simulate-point",
-                payload=(base, network, point),
-                key=key_of_json(kind, config_text, fingerprint),
-            ))
-    return {"points": points, "specs": specs}
-
-
-def _stage_solve(
-    stage: Stage, context: StageContext
-) -> List[AcceleratorSummary]:
-    """Shard the point simulations through the job engine."""
-    return run_jobs(
-        _evaluate_point,
-        context.upstream["map"]["specs"],
-        policy=context.policy,
-        cache=context.cache,
-        encode=_encode_summary,
-        decode=_decode_summary,
-        metrics=context.metrics,
-        progress=context.progress,
-        should_cancel=context.should_cancel,
-        batch_worker=_evaluate_points_batch,
-    )
-
-
-def _stage_report(stage: Stage, context: StageContext) -> List[DesignPoint]:
-    """Pair grid points with summaries, dropping constraint violations."""
-    max_error_rate = stage.params["max_error_rate"]
-    grid = context.upstream["map"]["points"]
-    summaries = context.upstream["solve"]
-    points: List[DesignPoint] = []
-    for (size, degree, node), summary in zip(grid, summaries):
-        if max_error_rate is not None and (
-            summary.worst_error_rate > max_error_rate
-        ):
-            continue
-        points.append(
-            DesignPoint(
-                crossbar_size=size,
-                parallelism_degree=degree,
-                interconnect_tech=node,
-                summary=summary,
-            )
+    specs = []
+    for point in points:
+        size, degree, node = point
+        config_text = (
+            head + spell(size) + after_size + spell(node)
+            + after_node + spell(degree) + tail
         )
-    return points
-
-
-#: The sweep's stage executors; :func:`explore` registers them.
-_STAGE_EXECUTORS = (
-    ("dse.map", _stage_map),
-    ("dse.solve", _stage_solve),
-    ("dse.report", _stage_report),
-)
+        specs.append(JobSpec(
+            kind="simulate-point",
+            payload=(base, network, point),
+            key=key_of_json(kind, config_text, fingerprint),
+        ))
+    return specs
 
 
 def optimal(points: Sequence[DesignPoint], metric: str) -> DesignPoint:

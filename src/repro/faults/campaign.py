@@ -35,7 +35,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.accuracy.interconnect import DEFAULT_SENSE_RESISTANCE
-from repro.campaign.dag import DagRunner, Stage, StageContext, register_executor
 from repro.errors import ConfigError, SolverError
 from repro.faults.models import (
     FAULT_MODES,
@@ -517,50 +516,40 @@ def run_campaign(
     progress / should_cancel:
         Engine hooks forwarded to :func:`repro.runtime.pool.run_jobs`.
     """
-    n_combos = (
-        len(spec.networks) * len(spec.fault_modes) * len(spec.fault_rates)
-    )
-    # The campaign as a three-stage DAG on the shared runner: expand
-    # the sweep into spawn-keyed trials, shard them through the
-    # engine, aggregate per combo.  The trial count is a pure function
-    # of the spec, so the solve weight is known before anything runs.
-    stages = [
-        Stage(name="map", executor="faults.map", params={"spec": spec}),
-        Stage(
-            name="solve",
-            executor="faults.solve",
-            depends_on=("map",),
-            weight=n_combos * spec.trials,
-        ),
-        Stage(
-            name="report",
-            executor="faults.report",
-            params={"spec": spec},
-            depends_on=("map", "solve"),
-        ),
-    ]
-    runner = DagRunner(
-        stages,
-        cache=cache,
-        metrics=metrics,
-        policy=policy if policy is not None else RunPolicy(jobs=jobs),
-        progress=progress,
-        should_cancel=should_cancel,
-    )
+    # Keys only matter to a cache; without one, skip hashing them.
+    combos, specs = _trial_specs(spec, keyed=cache is not None)
     with obs_trace.span(
         "faults.campaign",
-        points=n_combos, trials_per_point=spec.trials,
+        points=len(combos), trials_per_point=spec.trials,
     ):
-        return runner.run()["report"]
+        results = run_jobs(
+            _run_trial,
+            specs,
+            policy=policy if policy is not None else RunPolicy(jobs=jobs),
+            cache=cache,
+            metrics=metrics,
+            progress=progress,
+            should_cancel=should_cancel,
+            batch_worker=_run_trial_batch,
+        )
+    points = []
+    for index, (network, mode, rate) in enumerate(combos):
+        start = index * spec.trials
+        points.append(_aggregate(
+            network, mode, rate, results[start:start + spec.trials]
+        ))
+    return CampaignResult(spec=spec, points=tuple(points))
 
 
-@register_executor("faults.map")
-def _stage_map(stage: Stage, context: StageContext) -> Dict[str, Any]:
-    """Expand the sweep into combos and spawn-keyed trial job specs."""
-    spec: CampaignSpec = stage.params["spec"]
+def _trial_specs(
+    spec: CampaignSpec, *, keyed: bool
+) -> Tuple[List[Tuple[str, str, float]], List[JobSpec]]:
+    """Expand the sweep into combos and spawn-keyed trial job specs.
+
+    Trials are laid out combo by combo, ``spec.trials`` each, and carry
+    a cache key only when ``keyed``.
+    """
     device = get_memristor_model(spec.device)
-    # Keys only matter to a cache; without one, skip hashing them.
-    keyed = context.cache is not None
     combos: List[Tuple[str, str, float]] = []
     specs: List[JobSpec] = []
     for net_index, network in enumerate(spec.networks):
@@ -584,34 +573,4 @@ def _stage_map(stage: Stage, context: StageContext) -> Dict[str, Any]:
                             spec.sense_resistance,
                         ) if keyed else None,
                     ))
-    return {"combos": combos, "specs": specs}
-
-
-@register_executor("faults.solve")
-def _stage_solve(stage: Stage, context: StageContext) -> List[Any]:
-    """Shard the fault trials through the job engine."""
-    return run_jobs(
-        _run_trial,
-        context.upstream["map"]["specs"],
-        policy=context.policy,
-        cache=context.cache,
-        metrics=context.metrics,
-        progress=context.progress,
-        should_cancel=context.should_cancel,
-        batch_worker=_run_trial_batch,
-    )
-
-
-@register_executor("faults.report")
-def _stage_report(stage: Stage, context: StageContext) -> CampaignResult:
-    """Aggregate trial results into one curve point per combo."""
-    spec: CampaignSpec = stage.params["spec"]
-    combos = context.upstream["map"]["combos"]
-    results = context.upstream["solve"]
-    points = []
-    for index, (network, mode, rate) in enumerate(combos):
-        start = index * spec.trials
-        points.append(_aggregate(
-            network, mode, rate, results[start:start + spec.trials]
-        ))
-    return CampaignResult(spec=spec, points=tuple(points))
+    return combos, specs

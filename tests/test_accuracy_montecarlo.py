@@ -30,9 +30,8 @@ def device():
 
 @pytest.fixture(scope="module")
 def mc_result(device):
-    rng = np.random.default_rng(99)
     return run_monte_carlo(device, size=16, segment_resistance=SEG_45NM,
-                           rng=rng, trials=5)
+                           seed=99, trials=5)
 
 
 class TestDistribution:
@@ -44,20 +43,16 @@ class TestDistribution:
         )
 
     def test_reproducible_with_same_seed(self, device):
-        a = run_monte_carlo(device, 8, SEG_45NM,
-                            np.random.default_rng(7), trials=3)
-        b = run_monte_carlo(device, 8, SEG_45NM,
-                            np.random.default_rng(7), trials=3)
+        a = run_monte_carlo(device, 8, SEG_45NM, seed=7, trials=3)
+        b = run_monte_carlo(device, 8, SEG_45NM, seed=7, trials=3)
         assert np.array_equal(a.samples, b.samples)
 
     def test_full_input_mode_is_deterministic_worse(self, device):
-        rng = np.random.default_rng(3)
         random_inputs = run_monte_carlo(
-            device, 16, SEG_45NM, rng, trials=3, input_mode="random"
+            device, 16, SEG_45NM, seed=3, trials=3, input_mode="random"
         )
-        rng = np.random.default_rng(3)
         full_inputs = run_monte_carlo(
-            device, 16, SEG_45NM, rng, trials=3, input_mode="full"
+            device, 16, SEG_45NM, seed=3, trials=3, input_mode="full"
         )
         # Driving every row at full scale biases cells harder.
         assert full_inputs.mean_abs_error >= (
@@ -68,12 +63,10 @@ class TestDistribution:
 class TestVariation:
     def test_variation_widens_the_distribution(self, device):
         base = run_monte_carlo(
-            device, 16, SEG_45NM, np.random.default_rng(5), trials=4,
-            sigma=0.0,
+            device, 16, SEG_45NM, seed=5, trials=4, sigma=0.0,
         )
         noisy = run_monte_carlo(
-            device, 16, SEG_45NM, np.random.default_rng(5), trials=4,
-            sigma=0.3,
+            device, 16, SEG_45NM, seed=5, trials=4, sigma=0.3,
         )
         assert noisy.max_abs_error > base.max_abs_error
 
@@ -148,23 +141,18 @@ class TestSeededProtocol:
 
 class TestValidation:
     def test_invalid_args(self, device):
-        rng = np.random.default_rng(0)
         with pytest.raises(ConfigError):
-            run_monte_carlo(device, 8, SEG_45NM, rng, trials=0)
+            run_monte_carlo(device, 8, SEG_45NM, seed=0, trials=0)
         with pytest.raises(ConfigError):
-            run_monte_carlo(device, 8, SEG_45NM, rng, input_mode="spiky")
+            run_monte_carlo(device, 8, SEG_45NM, seed=0, input_mode="spiky")
 
-    def test_rng_and_seed_are_mutually_exclusive(self, device):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ConfigError):
-            run_monte_carlo(device, 8, SEG_45NM, rng, seed=1)
-        with pytest.raises(ConfigError):
-            run_monte_carlo(device, 8, SEG_45NM)  # neither
-
-    def test_parallel_requires_seed(self, device):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ConfigError):
-            run_monte_carlo(device, 8, SEG_45NM, rng, jobs=2)
+    def test_seed_is_required(self, device):
+        """Every run is seeded per trial; there is no shared-generator
+        protocol to fall back to, serial or parallel."""
+        with pytest.raises(TypeError, match="seed"):
+            run_monte_carlo(device, 8, SEG_45NM)
+        with pytest.raises(TypeError, match="seed"):
+            run_monte_carlo(device, 8, SEG_45NM, jobs=2)
 
 
 def _trial_draws(device, size, seed, trials, input_mode="random"):

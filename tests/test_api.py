@@ -98,6 +98,13 @@ def _cli(*argv):
 #: What a cold command without ``--cache-dir`` or ``--jobs`` never needs:
 #: the solver stack, the cache's database, the process pool, and lint.
 _LEAN = ("scipy", "sqlite3", "multiprocessing", "repro.analysis")
+#: What a cold solver sweep (Monte Carlo, faults) never needs: the
+#: calibration fit, the cache, the pool, lint, and the campaign DAG (a
+#: sweep calls ``run_jobs`` directly).
+_SOLVER_SWEEP = (
+    "scipy.optimize", "sqlite3", "multiprocessing", "repro.analysis",
+    "repro.campaign",
+)
 
 
 @pytest.mark.parametrize(
@@ -117,13 +124,13 @@ _LEAN = ("scipy", "sqlite3", "multiprocessing", "repro.analysis")
             id="import-server",
         ),
         pytest.param(
-            _cli("simulate", "validation-mlp"), (), _LEAN, 51,
-            id="simulate",
+            _cli("simulate", "validation-mlp"), (),
+            _LEAN + ("repro.campaign",), 51, id="simulate",
         ),
         pytest.param(
             _cli("explore", "mlp:32,16", "--sizes", "32", "64",
                  "--degrees", "1", "--wires", "45"),
-            (), _LEAN, 53, id="explore",
+            (), _LEAN + ("repro.campaign",), 51, id="explore",
         ),
         pytest.param(
             _cli("campaign", "validate",
@@ -132,10 +139,11 @@ _LEAN = ("scipy", "sqlite3", "multiprocessing", "repro.analysis")
         ),
         pytest.param(
             _cli("montecarlo", "--size", "8", "--trials", "2"),
-            ("scipy.sparse",),
-            ("scipy.optimize", "sqlite3", "multiprocessing",
-             "repro.analysis"),
-            38, id="montecarlo",
+            ("scipy.sparse",), _SOLVER_SWEEP, 38, id="montecarlo",
+        ),
+        pytest.param(
+            _cli("faults", "--size", "8", "--trials", "2"),
+            ("scipy.sparse",), _SOLVER_SWEEP, 33, id="faults",
         ),
     ],
 )

@@ -72,6 +72,33 @@ class TestDerived:
     def test_device_sigma_override(self):
         assert SimConfig(device_sigma=0.2).device.sigma == 0.2
 
+    def test_device_resolved_once_per_simulate_job(self, monkeypatch):
+        """A vgg16 simulate job with a sigma override builds its device
+        model once, not once per ``config.device`` read."""
+        from repro.service.schema import SimulationPayload
+        from repro.service.workloads import run_payload
+        from repro.tech.memristor import MemristorModel
+
+        calls = []
+        real = MemristorModel.with_sigma
+
+        def counting(model, sigma):
+            calls.append(sigma)
+            return real(model, sigma)
+
+        monkeypatch.setattr(MemristorModel, "with_sigma", counting)
+        run_payload(SimulationPayload.from_dict({
+            "kind": "simulate", "network": {"topology": "vgg16"},
+            "config": {"device_sigma": 0.05},
+        }))
+        assert calls == [0.05]
+
+    def test_replace_resolves_a_fresh_device(self):
+        config = SimConfig(device_sigma=0.05)
+        assert config.device.sigma == 0.05
+        assert config.replace(device_sigma=0.1).device.sigma == 0.1
+        assert config.device.sigma == 0.05
+
     def test_cells_per_weight_reference(self):
         # 8-bit signed on a 7-bit device: 1 slice x 2 polarities.
         config = SimConfig(weight_bits=8, weight_polarity=2)

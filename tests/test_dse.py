@@ -270,7 +270,7 @@ class TestBatchedParity:
 class TestCachedSweepCost:
     """What a 300-point sweep builds: counts, not timings.
 
-    A cache hit needs no :class:`SimConfig`: the map stage emits grid
+    A cache hit needs no :class:`SimConfig`: the sweep emits grid
     points and keys, and the worker builds one config per miss.
     """
 

@@ -204,15 +204,11 @@ class TestCli:
 
 
 def _trial_tasks(spec):
-    """The trial payloads the campaign's map stage hands the engine."""
-    from types import SimpleNamespace
+    """The trial payloads the campaign hands the engine."""
+    from repro.faults.campaign import _trial_specs
 
-    from repro.campaign.dag import Stage
-    from repro.faults.campaign import _stage_map
-
-    stage = Stage(name="map", executor="faults.map", params={"spec": spec})
-    context = SimpleNamespace(cache=None)
-    return [job.payload for job in _stage_map(stage, context)["specs"]]
+    _combos, specs = _trial_specs(spec, keyed=False)
+    return [job.payload for job in specs]
 
 
 class TestBatchedParity:
