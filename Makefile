@@ -2,6 +2,10 @@
 
 PYTHON ?= python
 
+# Every recipe imports the package from this checkout, installed or
+# not; an inherited PYTHONPATH is kept after it.
+export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
+
 .PHONY: install test bench bench-runtime bench-spice \
 	examples results trace-demo faults-demo campaign-demo serve-demo \
 	lint lint-graph lint-baseline clean
@@ -37,22 +41,22 @@ results: test bench
 # A small traced run (explore for the worker lanes, montecarlo for the
 # solver internals), rendered with the obs-report terminal view.
 trace-demo:
-	PYTHONPATH=src $(PYTHON) -m repro --trace demo.trace.json \
+	$(PYTHON) -m repro --trace demo.trace.json \
 		explore mlp:128,64 --sizes 32 64 --degrees 1 --wires 45 --jobs 2
-	PYTHONPATH=src $(PYTHON) -m repro obs-report demo.trace.json
-	PYTHONPATH=src $(PYTHON) -m repro --trace demo-mc.trace.json \
+	$(PYTHON) -m repro obs-report demo.trace.json
+	$(PYTHON) -m repro --trace demo-mc.trace.json \
 		montecarlo --size 16 --trials 4 --jobs 2
-	PYTHONPATH=src $(PYTHON) -m repro obs-report demo-mc.trace.json
+	$(PYTHON) -m repro obs-report demo-mc.trace.json
 
 # A small fault-injection sweep: stuck cells + open lines on a 16x16
 # crossbar, run twice through the same cache to demonstrate the
 # byte-reproducible campaign JSON and the 100%-hit replay.
 faults-demo:
-	PYTHONPATH=src $(PYTHON) -m repro faults \
+	$(PYTHON) -m repro faults \
 		--modes stuck_mixed line_open --rates 0 0.02 0.05 \
 		--trials 6 --seed 1 --jobs 2 \
 		--cache-dir .repro-cache -o faults-demo.json
-	PYTHONPATH=src $(PYTHON) -m repro faults \
+	$(PYTHON) -m repro faults \
 		--modes stuck_mixed line_open --rates 0 0.02 0.05 \
 		--trials 6 --seed 1 --jobs 2 \
 		--cache-dir .repro-cache -o faults-demo-rerun.json
@@ -64,12 +68,12 @@ faults-demo:
 # must match byte-for-byte.  The same sequence (plus a mid-flight
 # kill) runs in CI as the campaign-smoke job.
 campaign-demo:
-	PYTHONPATH=src $(PYTHON) -m repro campaign validate \
+	$(PYTHON) -m repro campaign validate \
 		examples/campaigns/fault-sweep.json
-	PYTHONPATH=src $(PYTHON) -m repro campaign run \
+	$(PYTHON) -m repro campaign run \
 		examples/campaigns/fault-sweep.json \
 		--cache-dir .repro-cache -o campaign-demo.json
-	PYTHONPATH=src $(PYTHON) -m repro campaign resume \
+	$(PYTHON) -m repro campaign resume \
 		examples/campaigns/fault-sweep.json \
 		--cache-dir .repro-cache -o campaign-demo-rerun.json
 	cmp campaign-demo.json campaign-demo-rerun.json
@@ -80,7 +84,7 @@ campaign-demo:
 # sequence runs in CI as the service-smoke job.
 serve-demo:
 	@rm -f .serve-demo-port
-	@PYTHONPATH=src $(PYTHON) -m repro serve --port 0 \
+	@$(PYTHON) -m repro serve --port 0 \
 		--port-file .serve-demo-port --cache-dir .repro-cache & \
 	SERVER=$$!; \
 	trap 'kill $$SERVER 2>/dev/null' EXIT; \
@@ -98,7 +102,7 @@ serve-demo:
 	curl -fsS "http://127.0.0.1:$$PORT/jobs/$$JOB/events"; \
 	curl -fsS "http://127.0.0.1:$$PORT/jobs/$$JOB/result" \
 		-o serve-demo.json; \
-	PYTHONPATH=src $(PYTHON) -m repro montecarlo --trials 4 --seed 7 \
+	$(PYTHON) -m repro montecarlo --trials 4 --seed 7 \
 		--size 16 --cache-dir .repro-cache -o serve-demo-cli.json; \
 	cmp serve-demo.json serve-demo-cli.json && \
 	echo "== service result is byte-identical to the CLI"
@@ -107,7 +111,7 @@ serve-demo:
 # generic hygiene via ruff when it is installed (pinned in pyproject;
 # CI always runs it, local runs degrade gracefully without it).
 lint:
-	PYTHONPATH=src $(PYTHON) -m repro lint src/repro \
+	$(PYTHON) -m repro lint src/repro \
 		--baseline lint-baseline.json
 	@command -v ruff >/dev/null 2>&1 \
 		&& ruff check src \
@@ -117,14 +121,14 @@ lint:
 # lifecycle, determinism taint) with the call-graph pass and its
 # build-time figure in the summary line.
 lint-graph:
-	PYTHONPATH=src $(PYTHON) -m repro lint src/repro \
+	$(PYTHON) -m repro lint src/repro \
 		--baseline lint-baseline.json --graph --select R7,R8,R9
 
 # Regenerate lint-baseline.json from the current findings.  Newly
 # grandfathered entries get a placeholder justification — replace it
 # by hand; tests/test_analysis_rules.py rejects the placeholder.
 lint-baseline:
-	PYTHONPATH=src $(PYTHON) -m repro lint src/repro \
+	$(PYTHON) -m repro lint src/repro \
 		--baseline lint-baseline.json --update-baseline
 
 # Local artifacts only — never touches the user-global ~/.cache/repro.

@@ -30,9 +30,15 @@ from pathlib import Path
 from repro.config import SimConfig
 from repro.dse import DesignSpace, explore
 from repro.nn.networks import large_bank_layer
+from repro.obs.metrics import REGISTRY
+from repro.obs.trace import JobContext
 from repro.runtime.cache import ResultCache
-from repro.runtime.metrics import RunMetrics
-from repro.runtime.pool import RunPolicy, shutdown_warm_pool, warm_pool
+from repro.runtime.pool import (
+    RunPolicy,
+    run_summary,
+    shutdown_warm_pool,
+    warm_pool,
+)
 
 BASE = SimConfig(cmos_tech=45, weight_bits=4, signal_bits=8)
 SPACE = DesignSpace()
@@ -120,34 +126,35 @@ def test_min_sweep_serial_fallback(write_result):
         interconnect_nodes=(28,),
     )
 
-    thresholded = RunMetrics()
-    serial_s, serial_points = _best_of(
-        BEST_OF,
-        lambda: explore(
-            BASE, network, tiny,
-            policy=RunPolicy(jobs=JOBS, min_sweep_for_parallel=8),
-            metrics=thresholded,
-        ),
-    )
-    assert thresholded.mode == "serial", (
-        f"2 pending jobs under min_sweep_for_parallel=8 must run "
-        f"serially, got mode={thresholded.mode!r}"
-    )
-
-    permissive = RunMetrics()
-    warm_pool(JOBS)
-    try:
-        process_s, process_points = _best_of(
+    with JobContext("tiny-thresholded"):
+        serial_s, serial_points = _best_of(
             BEST_OF,
             lambda: explore(
                 BASE, network, tiny,
-                policy=RunPolicy(jobs=JOBS, min_sweep_for_parallel=2),
-                metrics=permissive,
+                policy=RunPolicy(jobs=JOBS, min_sweep_for_parallel=8),
             ),
         )
+    mode = run_summary(REGISTRY.filter_job("tiny-thresholded"))["mode"]
+    assert mode == "serial", (
+        f"2 pending jobs under min_sweep_for_parallel=8 must run "
+        f"serially, got mode={mode!r}"
+    )
+
+    warm_pool(JOBS)
+    try:
+        with JobContext("tiny-permissive"):
+            process_s, process_points = _best_of(
+                BEST_OF,
+                lambda: explore(
+                    BASE, network, tiny,
+                    policy=RunPolicy(jobs=JOBS, min_sweep_for_parallel=2),
+                ),
+            )
     finally:
         shutdown_warm_pool()
-    assert permissive.mode == "process"
+    assert run_summary(
+        REGISTRY.filter_job("tiny-permissive")
+    )["mode"] == "process"
     assert process_points == serial_points  # heuristic never changes results
 
     bench_path = REPO_ROOT / "BENCH_runtime.json"

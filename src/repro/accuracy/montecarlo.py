@@ -28,7 +28,6 @@ from repro.errors import ConfigError
 from repro.obs import trace as obs_trace
 from repro.runtime.cache import ResultCache
 from repro.runtime.jobs import JobSpec, content_key
-from repro.runtime.metrics import RunMetrics
 from repro.runtime.pool import RunPolicy, run_jobs
 from repro.spice.solver import CrossbarNetwork, ideal_output_voltages
 from repro.tech.memristor import MemristorModel
@@ -149,7 +148,6 @@ def run_monte_carlo(
     jobs: int = 1,
     inputs_per_trial: int = 1,
     cache: Optional[ResultCache] = None,
-    metrics: Optional[RunMetrics] = None,
     policy: Optional[RunPolicy] = None,
     progress: Optional[Callable[[int, int], None]] = None,
     should_cancel: Optional[Callable[[], bool]] = None,
@@ -183,7 +181,7 @@ def run_monte_carlo(
         Values above 1 require ``input_mode="random"``; the default of
         1 reproduces the original one-vector-per-trial protocol
         bit-for-bit.
-    cache / metrics / policy:
+    cache / policy:
         Engine knobs, as in :func:`repro.dse.explorer.explore`.
     progress / should_cancel:
         Engine hooks forwarded to :func:`repro.runtime.pool.run_jobs`.
@@ -227,7 +225,6 @@ def run_monte_carlo(
             cache=cache,
             encode=lambda arr: [float(v) for v in arr],
             decode=lambda data: np.asarray(data, dtype=float),
-            metrics=metrics,
             progress=progress,
             should_cancel=should_cancel,
         )

@@ -14,7 +14,7 @@ order (Kahn's algorithm, input order preserved among ready stages) and
 gives every stage a :class:`StageContext` carrying
 
 * the upstream stages' results,
-* the engine knobs (cache / metrics / ``should_cancel``), which a
+* the engine knobs (cache / ``should_cancel``), which a
   unit threads through to :func:`repro.runtime.pool.run_jobs` under
   its payload's own execution policy, and
 * a stage-local ``progress`` callback remapped into the campaign-wide
@@ -53,9 +53,10 @@ from typing import (
 )
 
 from repro.errors import ConfigError, JobCancelled
+from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.progress import ProgressTracker
-from repro.runtime.metrics import RunMetrics
+from repro.runtime.pool import RUNTIME_EVENTS
 
 if TYPE_CHECKING:
     from repro.runtime.cache import ResultCache
@@ -150,7 +151,6 @@ class StageContext:
         self._offset = offset
         self.upstream = upstream
         self.cache = runner.cache
-        self.metrics = runner.metrics
         self.should_cancel = runner.should_cancel
 
     def progress(self, done: int, total: int) -> None:
@@ -172,10 +172,9 @@ class DagRunner:
         The graph.  Stage names must be unique, dependencies must name
         existing stages, and the graph must be acyclic — violations
         raise :class:`~repro.errors.ConfigError` before anything runs.
-    cache / metrics / progress / should_cancel:
-        The engine knobs, threaded to every stage's context.  The
-        shared ``metrics`` accumulates across stages exactly as a
-        monolithic run would; per-stage deltas are recorded in
+    cache / progress / should_cancel:
+        The engine knobs, threaded to every stage's context.  Per-stage
+        deltas of the engine's job and cache-hit counts are recorded in
         :attr:`stage_stats`.
     clock:
         Injectable monotonic clock for the per-stage tracker (tests).
@@ -186,14 +185,12 @@ class DagRunner:
         stages: Sequence[Stage],
         *,
         cache: Optional[ResultCache] = None,
-        metrics: Optional[RunMetrics] = None,
         progress: Optional[Callable[[int, int], None]] = None,
         should_cancel: Optional[Callable[[], bool]] = None,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
         self.stages = tuple(stages)
         self.cache = cache
-        self.metrics = metrics
         self.should_cancel = should_cancel
         self._progress = progress
         self._order = _topological_order(self.stages)
@@ -226,11 +223,15 @@ class DagRunner:
         self._report(min(offset + done, self._total))
 
     def _counter_snapshot(self) -> Tuple[int, int]:
-        if self.metrics is None:
-            return (0, 0)
+        """Engine job and cache-hit counts so far: the current job's
+        series inside a JobContext (a campaign running concurrently in
+        another job never counts here), else the base series."""
+        events = obs_metrics.counter(RUNTIME_EVENTS)
+        job = obs_trace.current_job()
+        scope = {} if job is None else {"job": job}
         return (
-            self.metrics.counters.get("jobs_total", 0),
-            self.metrics.counters.get("cache_hits", 0),
+            int(events.value(event="jobs_total", **scope)),
+            int(events.value(event="cache_hits", **scope)),
         )
 
     # ------------------------------------------------------------------

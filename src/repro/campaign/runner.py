@@ -28,7 +28,6 @@ from repro.jsonio import render_document
 from repro.obs import trace as obs_trace
 from repro.runtime.cache import ResultCache
 from repro.runtime.jobs import content_key
-from repro.runtime.metrics import RunMetrics
 from repro.service.schema import PayloadKind
 from repro.service.workloads import run_payload
 
@@ -67,7 +66,6 @@ def _run_unit(stage: Stage, context: StageContext) -> Dict[str, Any]:
     return run_payload(
         unit.payload,
         cache=context.cache,
-        metrics=context.metrics,
         progress=context.progress,
         should_cancel=context.should_cancel,
     )
@@ -194,7 +192,6 @@ def run_campaign_config(
     *,
     jobs: Optional[int] = None,
     cache: Optional[ResultCache] = None,
-    metrics: Optional[RunMetrics] = None,
     progress: Optional[Callable[[int, int], None]] = None,
     should_cancel: Optional[Callable[[], bool]] = None,
 ) -> CampaignRun:
@@ -210,7 +207,6 @@ def run_campaign_config(
     runner = DagRunner(
         stages,
         cache=cache,
-        metrics=metrics,
         progress=progress,
         should_cancel=should_cancel,
     )

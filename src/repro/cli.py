@@ -59,7 +59,7 @@ import logging
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional
 
 from repro.errors import JobExecutionError, MnsimError, ValidationError
 
@@ -67,7 +67,6 @@ if TYPE_CHECKING:
     from repro.config import SimConfig
     from repro.nn.networks import Network
     from repro.runtime.cache import ResultCache
-    from repro.runtime.metrics import RunMetrics
     from repro.service.client import ServiceClient
 
 # Every handler imports its own layer, so a cold process loads only
@@ -222,18 +221,14 @@ def _add_lint_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _open_run(
-    args: argparse.Namespace,
-) -> Tuple[Optional[ResultCache], RunMetrics]:
-    """The run's metrics and opt-in cache: flag > env var > disabled."""
-    from repro.runtime.metrics import RunMetrics
-
+def _open_run(args: argparse.Namespace) -> Optional[ResultCache]:
+    """The run's opt-in cache: flag > env var > disabled."""
     cache_dir = _cache_dir(args)
     if not cache_dir:
-        return None, RunMetrics()
+        return None
     from repro.runtime.cache import ResultCache
 
-    return ResultCache(cache_dir), RunMetrics()
+    return ResultCache(cache_dir)
 
 
 def _cache_dir(args: argparse.Namespace) -> Optional[str]:
@@ -243,12 +238,16 @@ def _cache_dir(args: argparse.Namespace) -> Optional[str]:
     return args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
 
 
-def _finish_run(cache: Optional[ResultCache], metrics: RunMetrics) -> None:
-    """Persist run metrics next to the cache for ``runtime-stats``."""
+def _finish_run(cache: Optional[ResultCache]) -> None:
+    """Persist the run summary next to the cache for ``runtime-stats``."""
     if cache is not None:
-        from repro.runtime.metrics import LAST_RUN_FILENAME
+        from repro.jsonio import render_document
+        from repro.obs.metrics import REGISTRY
+        from repro.runtime.pool import LAST_RUN_FILENAME, run_summary
 
-        metrics.save(cache.cache_dir / LAST_RUN_FILENAME)
+        (cache.cache_dir / LAST_RUN_FILENAME).write_text(
+            render_document(run_summary(REGISTRY)), encoding="utf-8"
+        )
         cache.close()
 
 
@@ -261,8 +260,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args)
     network = parse_network(args.network)
     accelerator = Accelerator(config, network)
-    cache, metrics = _open_run(args)
-    summary = simulate_point(config, network, cache=cache, metrics=metrics)
+    cache = _open_run(args)
+    summary = simulate_point(config, network, cache=cache)
 
     _log.info("network: %s (%d banks)", network.name, network.depth)
     print(format_table(
@@ -289,7 +288,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
         print()
         print(accelerator_breakdown(accelerator).render())
-    _finish_run(cache, metrics)
+    _finish_run(cache)
     return 0
 
 
@@ -306,10 +305,10 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         parallelism_degrees=tuple(args.degrees),
         interconnect_nodes=tuple(args.wires),
     )
-    cache, metrics = _open_run(args)
+    cache = _open_run(args)
     points = explore(
         config, network, space, max_error_rate=args.max_error,
-        jobs=args.jobs, cache=cache, metrics=metrics,
+        jobs=args.jobs, cache=cache,
     )
     _log.info(
         "%d designs explored, %d feasible%s",
@@ -317,13 +316,17 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         f" (error <= {args.max_error:.0%})" if args.max_error else "",
     )
     if args.jobs != 1 or cache is not None:
-        hits = metrics.counters.get("cache_hits", 0)
+        from repro.obs.metrics import REGISTRY
+        from repro.runtime.pool import run_summary
+
+        run = run_summary(REGISTRY)
         _log.info(
             "runtime: %s x%d, %s jobs/s, %d cache hits",
-            metrics.mode, metrics.workers,
-            f"{metrics.jobs_per_second:,.0f}", hits,
+            run["mode"], run["workers"],
+            f"{run['jobs_per_second']:,.0f}",
+            run["counters"].get("cache_hits", 0),
         )
-    _finish_run(cache, metrics)
+    _finish_run(cache)
     if not points:
         _log.error("no feasible design; relax --max-error")
         return 1
@@ -396,7 +399,7 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
         "inputs_per_trial": args.inputs_per_trial,
     })
     size = config.crossbar_size if spec.size is None else spec.size
-    cache, metrics = _open_run(args)
+    cache = _open_run(args)
     _log.info(
         "monte-carlo: %dx%d crossbar, %d trials, seed %d",
         size, size, args.trials, args.seed,
@@ -407,7 +410,6 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
     doc = montecarlo_document(
         config, spec,
         cache=cache,
-        metrics=metrics,
         policy=RunPolicy(jobs=args.jobs),
     )
     summary = doc["summary"]
@@ -425,7 +427,7 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
     if args.output:
         Path(args.output).write_text(render_document(doc), encoding="utf-8")
         _log.info("monte-carlo JSON written to %s", args.output)
-    _finish_run(cache, metrics)
+    _finish_run(cache)
     return 0
 
 
@@ -443,15 +445,13 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         device=args.device,
         segment_resistance=args.segment_resistance,
     )
-    cache, metrics = _open_run(args)
+    cache = _open_run(args)
     _log.info(
         "faults: %d networks x %d modes x %d rates, %d trials, seed %d",
         len(spec.networks), len(spec.fault_modes), len(spec.fault_rates),
         spec.trials, spec.seed,
     )
-    result = run_campaign(
-        spec, jobs=args.jobs, cache=cache, metrics=metrics
-    )
+    result = run_campaign(spec, jobs=args.jobs, cache=cache)
     rows = []
     for point in result.points:
         rows.append([
@@ -474,7 +474,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     if args.output:
         Path(args.output).write_text(result.to_json(), encoding="utf-8")
         _log.info("campaign JSON written to %s", args.output)
-    _finish_run(cache, metrics)
+    _finish_run(cache)
     return 0
 
 
@@ -484,7 +484,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     from repro.report import format_table
 
     config = CampaignConfig.from_file(args.file)
-    cache, metrics = _open_run(args)
+    cache = _open_run(args)
     if args.resume and cache is None:
         raise MnsimError(
             "campaign resume needs a result cache; pass --cache-dir (or "
@@ -496,9 +496,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         config.execution.jobs if args.jobs is None else args.jobs,
         " (resume)" if args.resume else "",
     )
-    run = run_campaign_config(
-        config, jobs=args.jobs, cache=cache, metrics=metrics,
-    )
+    run = run_campaign_config(config, jobs=args.jobs, cache=cache)
     rows = []
     for name, stats in run.stage_stats.items():
         rows.append([
@@ -514,7 +512,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     if args.output:
         Path(args.output).write_text(run.to_json(), encoding="utf-8")
         _log.info("campaign report written to %s", args.output)
-    _finish_run(cache, metrics)
+    _finish_run(cache)
     return 0
 
 
@@ -692,9 +690,11 @@ def _database_bytes(db_path: Path) -> int:
 
 
 def _cmd_runtime_stats(args: argparse.Namespace) -> int:
+    import json
+
     from repro.report import format_run_metrics, format_table
     from repro.runtime.cache import ResultCache, default_cache_dir
-    from repro.runtime.metrics import LAST_RUN_FILENAME, RunMetrics
+    from repro.runtime.pool import LAST_RUN_FILENAME
 
     cache_dir = _cache_dir(args)
     # Resolve the directory without opening a cache: a handle left to
@@ -721,7 +721,9 @@ def _cmd_runtime_stats(args: argparse.Namespace) -> int:
     print()
     if last_run.exists():
         print("last run:")
-        print(format_run_metrics(RunMetrics.load(last_run)))
+        print(format_run_metrics(
+            json.loads(last_run.read_text(encoding="utf-8"))
+        ))
     else:
         print("no runtime statistics recorded yet; run simulate/explore "
               "with --cache-dir")
@@ -1034,9 +1036,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     trace_path = args.trace or obs.trace_path_from_env()
     metrics_path = args.metrics
     observing = bool(trace_path or metrics_path)
+    # A command's accounting is what the registry holds when it ends
+    # (``last_run.json``), so every command starts from an empty one.
+    obs.REGISTRY.reset()
     if observing:
         obs.trace.clear()
-        obs.REGISTRY.reset()
         obs.enable(debug=obs.debug_from_env())
     try:
         return args.func(args)

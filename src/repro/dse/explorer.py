@@ -43,7 +43,6 @@ from repro.runtime.jobs import (
     key_of_json,
     network_fingerprint,
 )
-from repro.runtime.metrics import RunMetrics
 from repro.runtime.pool import RunPolicy, run_jobs
 
 if TYPE_CHECKING:
@@ -211,7 +210,6 @@ def simulate_point(
     network: Network,
     *,
     cache: Optional[ResultCache] = None,
-    metrics: Optional[RunMetrics] = None,
 ) -> AcceleratorSummary:
     """Simulate one design through the job engine (cache-aware)."""
     # Keys only matter to a cache; without one, skip hashing them.
@@ -224,7 +222,6 @@ def simulate_point(
         cache=cache,
         encode=_encode_summary,
         decode=_decode_summary,
-        metrics=metrics,
     )[0]
 
 
@@ -236,7 +233,6 @@ def explore(
     *,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    metrics: Optional[RunMetrics] = None,
     policy: Optional[RunPolicy] = None,
     progress: Optional[Callable[[int, int], None]] = None,
     should_cancel: Optional[Callable[[], bool]] = None,
@@ -262,9 +258,6 @@ def explore(
         Optional :class:`~repro.runtime.cache.ResultCache`; previously
         simulated points are read back instead of recomputed.  Job
         keys are derived only when a cache is attached.
-    metrics:
-        Optional :class:`~repro.runtime.metrics.RunMetrics` filled with
-        stage times / cache hits for this sweep.
     policy:
         Full :class:`~repro.runtime.pool.RunPolicy` override (timeout,
         retries, chunking); when given, ``jobs`` is ignored.
@@ -287,7 +280,6 @@ def explore(
             cache=cache,
             encode=_encode_summary,
             decode=_decode_summary,
-            metrics=metrics,
             progress=progress,
             should_cancel=should_cancel,
             batch_worker=_evaluate_points_batch,

@@ -47,7 +47,6 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.runtime.cache import ResultCache
 from repro.runtime.jobs import JobSpec, content_key
-from repro.runtime.metrics import RunMetrics
 from repro.runtime.pool import RunPolicy, run_jobs
 from repro.tech.memristor import MemristorModel, get_memristor_model
 
@@ -496,7 +495,6 @@ def run_campaign(
     *,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    metrics: Optional[RunMetrics] = None,
     policy: Optional[RunPolicy] = None,
     progress: Optional[Callable[[int, int], None]] = None,
     should_cancel: Optional[Callable[[], bool]] = None,
@@ -510,7 +508,7 @@ def run_campaign(
     jobs:
         Worker processes (``0`` = all cores); results are bit-identical
         for any value because every trial owns a spawn-keyed stream.
-    cache / metrics / policy:
+    cache / policy:
         Engine knobs, as in :func:`repro.dse.explorer.explore`; cached
         campaigns replay without touching the solver.
     progress / should_cancel:
@@ -527,7 +525,6 @@ def run_campaign(
             specs,
             policy=policy if policy is not None else RunPolicy(jobs=jobs),
             cache=cache,
-            metrics=metrics,
             progress=progress,
             should_cancel=should_cancel,
             batch_worker=_run_trial_batch,

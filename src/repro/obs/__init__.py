@@ -9,8 +9,6 @@ simulator — see DESIGN.md S18.  Three parts:
   ``chrome://tracing``, one lane per worker pid);
 * :mod:`repro.obs.metrics` — a process-global registry of counters /
   gauges / histograms with JSON and Prometheus text exposition;
-  :class:`repro.runtime.metrics.RunMetrics` is a thin per-run facade
-  over it;
 * :mod:`repro.obs.report` — terminal rendering of saved traces (span
   tree + top-k table) and live job progress, surfaced by
   ``repro obs-report`` / ``repro jobs watch``;
@@ -22,9 +20,11 @@ spans and labelled metric samples recorded inside it carry the job id
 (propagated to worker processes), which the service layer serves back
 per job — see DESIGN.md S23.
 
-Everything is **disabled by default** and the no-op path is a cached
+Tracing is **disabled by default** and the no-op path is a cached
 singleton, so instrumented hot paths (the crossbar solver, the job
-engine) pay a few hundred nanoseconds per call when off.  Turn it on
+engine's spans) pay a few hundred nanoseconds per call when off.  The
+job engine's accounting series (``repro_runtime_*``,
+``repro_job_resources``) record either way (DESIGN.md S36).  Turn it on
 with :func:`enable`, the ``REPRO_TRACE=<file>`` environment variable,
 or the CLI's global ``--trace FILE`` / ``--metrics FILE`` flags::
 

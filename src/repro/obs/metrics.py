@@ -22,11 +22,6 @@ instantiate :class:`MetricsRegistry` directly for isolated registries
 dict lookups), but hot-path callers still gate on
 :func:`repro.obs.trace.enabled` so a disabled run pays nothing.
 
-:class:`repro.runtime.metrics.RunMetrics` is a thin per-run facade over
-this registry: it keeps its historical per-run dict snapshot (the
-``runtime-stats`` contract) and mirrors every stage/counter into the
-global registry whenever observability is enabled.
-
 **Job scoping.**  A registry created with ``job_scoped=True`` (the
 global :data:`REGISTRY` is) injects a ``job=<id>`` label into every
 recorded sample while a :class:`repro.obs.trace.JobContext` is active.
@@ -147,19 +142,83 @@ class _Metric:
                 labels = dict(labels, job=job)
         return _labelset(labels)
 
+    def totals(self, label: str, **where: Any) -> Dict[str, float]:
+        """Sample values summed per value of ``label``.
+
+        Only samples whose labels include ``where`` count (every sample
+        by default); the sum runs across their other labels, an
+        injected ``job`` included.  Histograms contribute their
+        observation sums.  Samples without ``label`` are skipped.
+        """
+        want = _labelset(where)
+        out: Dict[str, float] = {}
+        for key, value in self._sample_values():
+            if not all(map(key.__contains__, want)):
+                continue
+            for name, text in key:
+                if name == label:
+                    out[text] = out.get(text, 0) + value
+                    break
+        return out
+
+    def _label_keys(self) -> List[LabelSet]:
+        return [key for key, _ in self._sample_values()]
+
     # Subclasses provide: exposition() -> list of exposition lines,
-    # to_dict() -> JSON-safe payload, _label_keys(), filter_job(),
-    # rollup_job().
+    # to_dict() -> JSON-safe payload, _sample_values() -> (label set,
+    # value) pairs, filter_job(), rollup_job().
 
 
-class Counter(_Metric):
-    """Monotonically increasing count, optionally per label set."""
-
-    kind = "counter"
+class _Scalar(_Metric):
+    """One number per label set: what counters and gauges share."""
 
     def __init__(self, name: str, help_text: str = "") -> None:
         super().__init__(name, help_text)
         self._values: Dict[LabelSet, float] = {}
+
+    def value(self, **labels: Any) -> float:
+        with self._lock:
+            return self._values.get(_labelset(labels), 0)
+
+    def _sample_values(self) -> List[Tuple[LabelSet, float]]:
+        with self._lock:
+            return list(self._values.items())
+
+    def filter_job(self, job_id: str) -> Optional["_Scalar"]:
+        with self._lock:
+            values = {
+                k: v for k, v in self._values.items() if _has_job(k, job_id)
+            }
+        if not values:
+            return None
+        out = type(self)(self.name, self.help)
+        out._values = values
+        return out
+
+    def to_dict(self) -> Dict[str, Any]:
+        with self._lock:
+            values = dict(self._values)
+        return {
+            "type": self.kind,
+            "help": self.help,
+            "values": {
+                _format_labels(k) or "": v for k, v in values.items()
+            },
+        }
+
+    def exposition(self) -> List[str]:
+        with self._lock:
+            values = sorted(self._values.items())
+        return [
+            f"{self.name}{_format_labels(k)} {_format_value(v)}"
+            for k, v in values
+        ]
+
+
+class Counter(_Scalar):
+    """Monotonically increasing count, optionally per label set."""
+
+    kind = "counter"
 
     def inc(self, amount: Union[int, float] = 1, **labels: Any) -> None:
         if amount < 0:
@@ -167,10 +226,6 @@ class Counter(_Metric):
         key = self._record_key(labels)
         with self._lock:
             self._values[key] = self._values.get(key, 0) + amount
-
-    def value(self, **labels: Any) -> float:
-        with self._lock:
-            return self._values.get(_labelset(labels), 0)
 
     def total(self, **labels: Any) -> float:
         """Sum over every sample whose labels *include* ``labels``.
@@ -185,21 +240,6 @@ class Counter(_Metric):
                 v for k, v in self._values.items() if want <= set(k)
             )
 
-    def _label_keys(self) -> List[LabelSet]:
-        with self._lock:
-            return list(self._values)
-
-    def filter_job(self, job_id: str) -> Optional["Counter"]:
-        with self._lock:
-            values = {
-                k: v for k, v in self._values.items() if _has_job(k, job_id)
-            }
-        if not values:
-            return None
-        out = Counter(self.name, self.help)
-        out._values = values
-        return out
-
     def rollup_job(self, job_id: str) -> int:
         """Fold ``job_id``'s series into the base series additively."""
         with self._lock:
@@ -211,34 +251,11 @@ class Counter(_Metric):
                 )
         return len(doomed)
 
-    def to_dict(self) -> Dict[str, Any]:
-        with self._lock:
-            values = dict(self._values)
-        return {
-            "type": self.kind,
-            "help": self.help,
-            "values": {
-                _format_labels(k) or "": v for k, v in values.items()
-            },
-        }
 
-    def exposition(self) -> List[str]:
-        with self._lock:
-            values = sorted(self._values.items())
-        return [
-            f"{self.name}{_format_labels(k)} {_format_value(v)}"
-            for k, v in values
-        ]
-
-
-class Gauge(_Metric):
+class Gauge(_Scalar):
     """Last-written value, optionally per label set."""
 
     kind = "gauge"
-
-    def __init__(self, name: str, help_text: str = "") -> None:
-        super().__init__(name, help_text)
-        self._values: Dict[LabelSet, float] = {}
 
     def set(self, value: Union[int, float], **labels: Any) -> None:
         with self._lock:
@@ -249,24 +266,12 @@ class Gauge(_Metric):
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
-    def value(self, **labels: Any) -> float:
+    def set_max(self, value: Union[int, float], **labels: Any) -> None:
+        """Raise the sample to ``value`` when that is higher (a peak)."""
+        key = self._record_key(labels)
         with self._lock:
-            return self._values.get(_labelset(labels), 0.0)
-
-    def _label_keys(self) -> List[LabelSet]:
-        with self._lock:
-            return list(self._values)
-
-    def filter_job(self, job_id: str) -> Optional["Gauge"]:
-        with self._lock:
-            values = {
-                k: v for k, v in self._values.items() if _has_job(k, job_id)
-            }
-        if not values:
-            return None
-        out = Gauge(self.name, self.help)
-        out._values = values
-        return out
+            if value > self._values.get(key, 0.0):
+                self._values[key] = float(value)
 
     def rollup_job(self, job_id: str) -> int:
         """Evict ``job_id``'s series (gauges are not additive)."""
@@ -275,25 +280,6 @@ class Gauge(_Metric):
             for key in doomed:
                 del self._values[key]
         return len(doomed)
-
-    def to_dict(self) -> Dict[str, Any]:
-        with self._lock:
-            values = dict(self._values)
-        return {
-            "type": self.kind,
-            "help": self.help,
-            "values": {
-                _format_labels(k) or "": v for k, v in values.items()
-            },
-        }
-
-    def exposition(self) -> List[str]:
-        with self._lock:
-            values = sorted(self._values.items())
-        return [
-            f"{self.name}{_format_labels(k)} {_format_value(v)}"
-            for k, v in values
-        ]
 
 
 class _HistogramState:
@@ -384,9 +370,9 @@ class Histogram(_Metric):
                 running += count
             return self.bounds[-1]
 
-    def _label_keys(self) -> List[LabelSet]:
+    def _sample_values(self) -> List[Tuple[LabelSet, float]]:
         with self._lock:
-            return list(self._states)
+            return [(k, s.total) for k, s in self._states.items()]
 
     def filter_job(self, job_id: str) -> Optional["Histogram"]:
         with self._lock:

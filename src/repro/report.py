@@ -14,7 +14,7 @@ print, mirroring the Accelerator -> Bank -> Unit -> module structure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Any, List, Mapping, Optional
 
 from repro.units import fmt_si
 
@@ -170,14 +170,13 @@ class ReportNode:
         return "\n".join(lines)
 
 
-def format_run_metrics(metrics) -> str:
-    """Render engine run metrics (``repro.runtime``) as a table.
+def format_run_metrics(data: Mapping[str, Any]) -> str:
+    """Render an engine run summary as a table.
 
-    Accepts a :class:`~repro.runtime.metrics.RunMetrics` or its
-    :meth:`to_dict` mapping; used by ``repro runtime-stats`` and
+    ``data`` is a :func:`repro.runtime.pool.run_summary` mapping (the
+    ``last_run.json`` format); used by ``repro runtime-stats`` and
     available to any report that wants to surface sweep cost.
     """
-    data = metrics.to_dict() if hasattr(metrics, "to_dict") else dict(metrics)
     rows = [
         ["execution mode", str(data.get("mode", "serial"))],
         ["worker processes", str(data.get("workers", 1))],

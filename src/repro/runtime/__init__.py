@@ -1,4 +1,4 @@
-"""Simulation-job engine: parallel execution, result cache, run metrics.
+"""Simulation-job engine: parallel execution, result cache, run accounting.
 
 Every sweep-shaped workload in the repository — design-space
 exploration, Monte-Carlo accuracy sampling, batch simulation — reduces
@@ -13,10 +13,11 @@ one shared engine:
   ``ProcessPoolExecutor`` fan-out with per-job timeout, bounded retry,
   and automatic graceful fallback to in-process serial execution;
 * :mod:`repro.runtime.cache` — an opt-in on-disk (sqlite) result cache
-  keyed by job hash with versioned invalidation and hit/miss stats;
-* :mod:`repro.runtime.metrics` — lightweight run instrumentation
-  (per-stage wall time, throughput, failure counts) surfaced by
-  ``repro runtime-stats``.
+  keyed by job hash with versioned invalidation and hit/miss stats.
+
+The engine records its accounting (per-stage wall time, event counts,
+resources) into the obs registry; :func:`run_summary` reads one run's
+worth back, which is what ``repro runtime-stats`` shows.
 
 The engine guarantees *result equivalence*: for any job list, the
 parallel path returns exactly the values the serial path would, in the
@@ -36,10 +37,11 @@ __all__ = lazy_exports(globals(), {
         "content_key",
         "network_fingerprint",
     ],
-    "repro.runtime.metrics": ["LAST_RUN_FILENAME", "RunMetrics"],
     "repro.runtime.pool": [
+        "LAST_RUN_FILENAME",
         "RunPolicy",
         "run_jobs",
+        "run_summary",
         "shutdown_warm_pool",
         "warm_pool",
     ],

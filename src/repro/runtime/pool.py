@@ -40,12 +40,14 @@ import pickle
 import sys
 import time
 from concurrent.futures import FIRST_COMPLETED, wait
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -66,7 +68,6 @@ from repro.errors import (
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.runtime.jobs import JobSpec
-from repro.runtime.metrics import RunMetrics
 
 if TYPE_CHECKING:
     # concurrent.futures.process loads multiprocessing; a serial run
@@ -74,9 +75,24 @@ if TYPE_CHECKING:
     # The cache module loads with the first cache a caller opens.
     from concurrent.futures import ProcessPoolExecutor
 
+    from repro.obs.metrics import MetricsRegistry
     from repro.runtime.cache import ResultCache
 
 _log = logging.getLogger(__name__)
+
+#: Where CLI runs persist their :func:`run_summary`, relative to the
+#: cache dir (``repro runtime-stats`` renders it).
+LAST_RUN_FILENAME = "last_run.json"
+
+#: The registry series engine accounting records into (DESIGN.md S36).
+RUNTIME_EVENTS = "repro_runtime_events_total"
+RUNTIME_STAGES = "repro_runtime_stage_seconds"
+RUNTIME_POOL = "repro_runtime_pool"
+JOB_RESOURCES = "repro_job_resources"
+
+#: The engine's own stages.  The progress tracker observes
+#: ``progress-chunk`` on the same histogram; a summary leaves it out.
+_ENGINE_STAGES = ("cache-lookup", "execute", "cache-store")
 
 #: Seconds between deadline sweeps while waiting on in-flight chunks.
 _WAIT_SLICE = 0.05
@@ -158,7 +174,6 @@ def run_jobs(
     cache: Optional[ResultCache] = None,
     encode: Optional[Callable[[Any], Any]] = None,
     decode: Optional[Callable[[Any], Any]] = None,
-    metrics: Optional[RunMetrics] = None,
     progress: Optional[Callable[[int, int], None]] = None,
     should_cancel: Optional[Callable[[], bool]] = None,
     batch_worker: Optional[Callable[[List[Any]], List[Any]]] = None,
@@ -179,9 +194,6 @@ def run_jobs(
     encode / decode:
         Translate worker results to/from the JSON-safe form the cache
         stores (identity when omitted).
-    metrics:
-        Optional :class:`RunMetrics` to fill in; pass your own to
-        inspect stage times, cache effectiveness and failures.
     progress:
         Optional ``progress(done, total)`` callback, invoked from the
         dispatching thread after the cache stage and as jobs/chunks
@@ -201,16 +213,20 @@ def run_jobs(
         share assembly and amortise per-call overhead.  Caching,
         retries and cancellation semantics are unchanged — a cache hit
         still skips the job, and results are cached per spec key.
+
+    Stage times, event counts, resources and the execution mode are
+    recorded into the obs registry's runtime series, job-labelled
+    inside a :class:`~repro.obs.trace.JobContext`; :func:`run_summary`
+    reads them back.
     """
     policy = policy or RunPolicy()
-    metrics = metrics if metrics is not None else RunMetrics()
     specs = list(specs)
     with obs_trace.span(
         "runtime.run_jobs", jobs=len(specs), workers=policy.worker_count,
         kind=specs[0].kind if specs else "",
     ):
         return _run_jobs_traced(
-            worker, specs, policy, cache, encode, decode, metrics,
+            worker, specs, policy, cache, encode, decode,
             progress, should_cancel, batch_worker,
         )
 
@@ -220,6 +236,73 @@ def _check_cancel(should_cancel: Optional[Callable[[], bool]]) -> None:
         raise JobCancelled("run cancelled by caller")
 
 
+# ----------------------------------------------------------------------
+# Accounting (obs registry series, recorded with tracing on or off)
+# ----------------------------------------------------------------------
+def _count(event: str, amount: int = 1) -> None:
+    obs_metrics.counter(
+        RUNTIME_EVENTS, "Engine event counts across all run_jobs calls",
+    ).inc(amount, event=event)
+
+
+def _set_pool(setting: str, value: float) -> None:
+    obs_metrics.gauge(
+        RUNTIME_POOL,
+        "Last run_jobs call: resolved worker count (workers) and 1 when "
+        "its execute stage ran in worker processes (process)",
+    ).set(value, setting=setting)
+
+
+@contextmanager
+def _stage(name: str) -> Iterator[None]:
+    """Time the enclosed block as engine stage ``name``."""
+    start = time.perf_counter()
+    try:
+        with obs_trace.span("runtime." + name):
+            yield
+    finally:
+        obs_metrics.histogram(
+            RUNTIME_STAGES, "Engine stage wall time per run_jobs call",
+        ).observe(time.perf_counter() - start, stage=name)
+
+
+def run_summary(registry: MetricsRegistry) -> Dict[str, Any]:
+    """The engine accounting recorded in ``registry``, as one run.
+
+    Pass the global registry for a CLI command (it is reset per
+    command) or a job's :meth:`~repro.obs.metrics.MetricsRegistry.
+    filter_job` snapshot.  The keys are ``counters``,
+    ``jobs_per_second`` (executed jobs over the execute stage),
+    ``mode`` (``"serial"`` or ``"process"``), ``resources``,
+    ``stages`` (wall seconds of the engine's own stages),
+    ``total_seconds`` and ``workers`` — the ``last_run.json`` format.
+    """
+    def totals(name: str, label: str) -> Dict[str, float]:
+        metric = registry.get(name)
+        return metric.totals(label) if metric is not None else {}
+
+    counters = totals(RUNTIME_EVENTS, "event")
+    stages = {
+        name: seconds
+        for name, seconds in totals(RUNTIME_STAGES, "stage").items()
+        if name in _ENGINE_STAGES
+    }
+    pool = totals(RUNTIME_POOL, "setting")
+    execute = stages.get("execute", 0.0)
+    return {
+        "counters": dict(sorted(counters.items())),
+        "jobs_per_second": (
+            counters.get("jobs_executed", 0) / execute if execute > 0
+            else 0.0
+        ),
+        "mode": "process" if pool.get("process") else "serial",
+        "resources": dict(sorted(totals(JOB_RESOURCES, "resource").items())),
+        "stages": dict(sorted(stages.items())),
+        "total_seconds": sum(stages.values()),
+        "workers": int(pool.get("workers", 1)),
+    }
+
+
 def _run_jobs_traced(
     worker: Callable[[Any], Any],
     specs: List[JobSpec],
@@ -227,13 +310,12 @@ def _run_jobs_traced(
     cache: Optional[ResultCache],
     encode: Optional[Callable[[Any], Any]],
     decode: Optional[Callable[[Any], Any]],
-    metrics: RunMetrics,
     progress: Optional[Callable[[int, int], None]],
     should_cancel: Optional[Callable[[], bool]],
     batch_worker: Optional[Callable[[List[Any]], List[Any]]] = None,
 ) -> List[Any]:
-    metrics.workers = policy.worker_count
-    metrics.count("jobs_total", len(specs))
+    _set_pool("workers", policy.worker_count)
+    _count("jobs_total", len(specs))
     _check_cancel(should_cancel)
 
     results: List[Any] = [None] * len(specs)
@@ -241,7 +323,7 @@ def _run_jobs_traced(
 
     # Stage 1: cache short-circuit ------------------------------------
     if cache is not None:
-        with metrics.stage("cache-lookup"):
+        with _stage("cache-lookup"):
             keyed = [s.key for s in specs if s.key is not None]
             found = cache.get_many(keyed) if keyed else {}
             for i, spec in enumerate(specs):
@@ -249,8 +331,8 @@ def _run_jobs_traced(
                     value = found[spec.key]
                     results[i] = decode(value) if decode else value
                     done[i] = True
-        metrics.count("cache_hits", sum(done))
-        metrics.count("cache_misses", len(specs) - sum(done))
+        _count("cache_hits", sum(done))
+        _count("cache_misses", len(specs) - sum(done))
     if progress is not None:
         progress(sum(done), len(specs))
 
@@ -266,7 +348,7 @@ def _run_jobs_traced(
             if progress is not None:
                 progress(completed, len(specs))
 
-        with metrics.stage("execute"):
+        with _stage("execute"):
             # Processes are used whenever more than one worker is
             # requested — even on a single core they buy crash/timeout
             # isolation; genuine pool failures fall back below.  An
@@ -282,27 +364,27 @@ def _run_jobs_traced(
                 and _picklable(worker)
                 and (batch_worker is None or _picklable(batch_worker))
             )
+            process = 0
             if use_processes:
                 try:
-                    _run_parallel(worker, pending, policy, metrics, results,
+                    _run_parallel(worker, pending, policy, results,
                                   done, advance, should_cancel, batch_worker)
-                    metrics.mode = "process"
+                    process = 1
                 except _SerialFallback:
                     pending = [
                         (i, spec) for i, spec in pending if not done[i]
                     ]
-                    _run_serial(worker, pending, policy, metrics, results,
+                    _run_serial(worker, pending, policy, results,
                                 advance, should_cancel, batch_worker)
-                    metrics.mode = "serial"
             else:
-                _run_serial(worker, pending, policy, metrics, results,
+                _run_serial(worker, pending, policy, results,
                             advance, should_cancel, batch_worker)
-                metrics.mode = "serial"
-        metrics.count("jobs_executed", len(pending))
+        _set_pool("process", process)
+        _count("jobs_executed", len(pending))
 
     # Stage 3: cache store ---------------------------------------------
     if cache is not None and pending:
-        with metrics.stage("cache-store"):
+        with _stage("cache-store"):
             cache.put_many(
                 (
                     spec.key,
@@ -336,14 +418,13 @@ def _run_serial(
     worker: Callable[[Any], Any],
     pending: Sequence[Tuple[int, JobSpec]],
     policy: RunPolicy,
-    metrics: RunMetrics,
     results: List[Any],
     advance: Optional[Callable[[int], None]] = None,
     should_cancel: Optional[Callable[[], bool]] = None,
     batch_worker: Optional[Callable[[List[Any]], List[Any]]] = None,
 ) -> None:
     if batch_worker is not None:
-        _run_serial_batched(batch_worker, pending, policy, metrics,
+        _run_serial_batched(batch_worker, pending, policy,
                             results, advance, should_cancel)
         return
     for index, spec in pending:
@@ -361,11 +442,11 @@ def _run_serial(
                 raise
             except Exception as exc:
                 attempts += 1
-                metrics.count("worker_failures")
+                _count("worker_failures")
                 if attempts > policy.retries:
                     raise _job_error(spec, attempts, exc) from None
-                metrics.count("retries")
-        _account_usage(metrics, _usage_since(before))
+                _count("retries")
+        _account_usage(_usage_since(before))
         if advance is not None:
             advance(1)
 
@@ -374,7 +455,6 @@ def _run_serial_batched(
     batch_worker: Callable[[List[Any]], List[Any]],
     pending: Sequence[Tuple[int, JobSpec]],
     policy: RunPolicy,
-    metrics: RunMetrics,
     results: List[Any],
     advance: Optional[Callable[[int], None]] = None,
     should_cancel: Optional[Callable[[], bool]] = None,
@@ -407,17 +487,17 @@ def _run_serial_batched(
                 raise
             except Exception as exc:
                 attempts += 1
-                metrics.count("worker_failures")
+                _count("worker_failures")
                 if attempts > policy.retries:
                     raise _job_error(
                         group[0][1], attempts, exc,
                         jobs_in_chunk=len(group),
                     ) from None
-                metrics.count("retries")
+                _count("retries")
         for (index, _spec), value in zip(group, values):
             results[index] = value
-        metrics.count("batched_jobs", len(group))
-        _account_usage(metrics, _usage_since(before))
+        _count("batched_jobs", len(group))
+        _account_usage(_usage_since(before))
         if advance is not None:
             advance(len(group))
 
@@ -569,17 +649,19 @@ def _usage_since(before: Dict[str, float]) -> Dict[str, float]:
     }
 
 
-def _account_usage(
-    metrics: RunMetrics, usage: Optional[Dict[str, float]]
-) -> None:
-    """Fold one chunk's usage delta into the run's resource totals."""
+def _account_usage(usage: Optional[Dict[str, float]]) -> None:
+    """Fold one chunk's usage delta into the run's resource totals
+    (sums, and the maximum for peak RSS)."""
     if not usage:
         return
+    resources = obs_metrics.gauge(
+        JOB_RESOURCES, "Accumulated resource usage of the current run",
+    )
     for name, amount in usage.items():
         if name == "peak_rss_bytes":
-            metrics.account_peak(name, amount)
+            resources.set_max(amount, resource=name)
         elif amount:
-            metrics.account(name, amount)
+            resources.add(amount, resource=name)
 
 
 def _picklable(obj: Any) -> bool:
@@ -639,7 +721,6 @@ def _run_parallel(
     worker: Callable[[Any], Any],
     pending: Sequence[Tuple[int, JobSpec]],
     policy: RunPolicy,
-    metrics: RunMetrics,
     results: List[Any],
     done: List[bool],
     advance: Optional[Callable[[int], None]] = None,
@@ -682,7 +763,7 @@ def _run_parallel(
             _run_chunk, worker, [spec.payload for _, spec in chunk],
             context, batch_worker,
         )
-        metrics.count("chunks_dispatched")
+        _count("chunks_dispatched")
         deadline = (
             time.monotonic() + policy.timeout * len(chunk)
             if policy.timeout is not None
@@ -692,14 +773,14 @@ def _run_parallel(
 
     def fail(chunk_index: int, cause: BaseException) -> None:
         attempts[chunk_index] += 1
-        metrics.count("worker_failures")
+        _count("worker_failures")
         if attempts[chunk_index] > policy.retries:
             first_spec = chunks[chunk_index][0][1]
             raise _job_error(
                 first_spec, attempts[chunk_index], cause,
                 jobs_in_chunk=len(chunks[chunk_index]),
             ) from None
-        metrics.count("retries")
+        _count("retries")
         submit(chunk_index)
 
     try:
@@ -800,14 +881,14 @@ def _run_parallel(
                     chunk_span.finish()
                     if worker_spans:
                         obs_trace.absorb(worker_spans)
-                    _account_usage(metrics, chunk_usage)
+                    _account_usage(chunk_usage)
                     for (index, _spec), value in zip(
                         chunks[ci], chunk_results
                     ):
                         results[index] = value
                         done[index] = True
                     if batch_worker is not None:
-                        metrics.count("batched_jobs", len(chunks[ci]))
+                        _count("batched_jobs", len(chunks[ci]))
                     if advance is not None:
                         advance(len(chunks[ci]))
         clean_exit = True

@@ -45,11 +45,43 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.progress import ProgressTracker
 from repro.runtime.cache import ResultCache
-from repro.runtime.metrics import RunMetrics
+from repro.runtime.pool import JOB_RESOURCES, RUNTIME_EVENTS, run_summary
 from repro.service.schema import SimulationPayload
 from repro.service.workloads import run_payload
 
 _log = logging.getLogger("repro.service")
+
+#: Engine counters a ``resources`` snapshot carries after the resources.
+_RESOURCE_COUNTERS = (
+    "jobs_executed", "cache_hits", "cache_misses", "retries",
+    "worker_failures",
+)
+
+
+def _resource_snapshot(
+    resources: Dict[str, float], counters: Dict[str, float]
+) -> Dict[str, Any]:
+    """Resources plus the cache/job counters a progress consumer wants
+    in one place (``progress`` events and the job status ship this)."""
+    snapshot: Dict[str, Any] = dict(sorted(resources.items()))
+    snapshot.update(
+        (name, counters[name]) for name in _RESOURCE_COUNTERS
+        if name in counters
+    )
+    return snapshot
+
+
+def _live_resources(job_id: str) -> Dict[str, Any]:
+    """The running job's snapshot, read from its two runtime families
+    only (a full ``filter_job`` per event would walk every family)."""
+    totals = {}
+    for name, label in ((JOB_RESOURCES, "resource"),
+                        (RUNTIME_EVENTS, "event")):
+        metric = obs_metrics.REGISTRY.get(name)
+        totals[label] = (
+            metric.totals(label, job=job_id) if metric is not None else {}
+        )
+    return _resource_snapshot(totals["resource"], totals["event"])
 
 
 class JobState:
@@ -121,7 +153,6 @@ class JobRecord:
     eta_seconds: Optional[float] = None
     throughput: Optional[float] = None
     resources: Optional[Dict[str, Any]] = None
-    run_metrics: Optional[RunMetrics] = None
     # Frozen observability artefacts (filled just before the terminal
     # state event; rendered on request by /jobs/{id}/trace and
     # /jobs/{id}/metrics):
@@ -428,21 +459,20 @@ class JobManager:
     def _execute(self, record: JobRecord,
                  cache: Optional[ResultCache]) -> None:
         payload = record.payload
-        metrics = RunMetrics()
         tracker = ProgressTracker(total=payload.total_work())
         with self._lock:
-            record.run_metrics = metrics
             record.total = tracker.total
 
         def progress(done: int, total: int) -> None:
             tracker.update(done, total)
             snapshot = tracker.snapshot()
+            resources = _live_resources(record.job_id)
             with self._wake:
                 record.done = tracker.done
                 record.total = tracker.total
                 record.eta_seconds = snapshot["eta_seconds"]
                 record.throughput = snapshot["throughput"]
-                record.resources = metrics.resource_snapshot()
+                record.resources = resources
                 self._append_event(record, "progress")
             # The job label is injected by the active JobContext — the
             # sanctioned path for per-job labels (never pass job=).
@@ -473,7 +503,6 @@ class JobManager:
                     document = run_payload(
                         payload,
                         cache=cache,
-                        metrics=metrics,
                         progress=progress,
                         should_cancel=should_cancel,
                     )
@@ -490,16 +519,17 @@ class JobManager:
         # sets *before* the terminal event: the moment a client sees
         # the stream end, /jobs/{id}/trace and /jobs/{id}/metrics are
         # servable and global cardinality is already back to baseline.
-        self._persist_observability(record, metrics)
+        self._persist_observability(record)
         with self._wake:
             if outcome == JobState.DONE:
                 record.result_text = text
-                record.resources = metrics.resource_snapshot()
+                summary = record.run_summary
+                record.resources = _resource_snapshot(
+                    summary["resources"], summary["counters"]
+                )
             self._finish(record, outcome, error=error)
 
-    def _persist_observability(
-        self, record: JobRecord, metrics: RunMetrics
-    ) -> None:
+    def _persist_observability(self, record: JobRecord) -> None:
         """Freeze the job's observability artefacts onto its record.
 
         The job's metric samples are copied into a detached registry
@@ -511,7 +541,7 @@ class JobManager:
         """
         snapshot = obs_metrics.REGISTRY.filter_job(record.job_id)
         spans = obs_trace.take_job_spans(record.job_id)
-        summary = metrics.to_dict()
+        summary = run_summary(snapshot)
         with self._lock:
             record.metrics_snapshot = snapshot
             record.trace_spans = spans

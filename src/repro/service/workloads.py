@@ -25,7 +25,6 @@ from repro.config import SimConfig
 from repro.errors import ExplorationError
 from repro.jsonio import render_document
 from repro.runtime.cache import ResultCache
-from repro.runtime.metrics import RunMetrics
 from repro.runtime.pool import RunPolicy
 from repro.service.schema import MonteCarloSpec, PayloadKind, SimulationPayload
 
@@ -41,7 +40,6 @@ def montecarlo_document(
     spec: MonteCarloSpec,
     *,
     cache: Optional[ResultCache] = None,
-    metrics: Optional[RunMetrics] = None,
     policy: Optional[RunPolicy] = None,
     progress: ProgressFn = None,
     should_cancel: CancelFn = None,
@@ -68,7 +66,6 @@ def montecarlo_document(
         seed=spec.seed,
         inputs_per_trial=spec.inputs_per_trial,
         cache=cache,
-        metrics=metrics,
         policy=policy,
         progress=progress,
         should_cancel=should_cancel,
@@ -99,7 +96,6 @@ def _run_simulate(
     payload: SimulationPayload,
     *,
     cache: Optional[ResultCache],
-    metrics: Optional[RunMetrics],
     progress: ProgressFn,
     should_cancel: CancelFn,
 ) -> Dict[str, Any]:
@@ -110,9 +106,7 @@ def _run_simulate(
     network = payload.network.build()
     if progress is not None:
         progress(0, 1)
-    summary = simulate_point(
-        payload.config, network, cache=cache, metrics=metrics
-    )
+    summary = simulate_point(payload.config, network, cache=cache)
     if progress is not None:
         progress(1, 1)
     return {
@@ -130,7 +124,6 @@ def _run_explore(
     payload: SimulationPayload,
     *,
     cache: Optional[ResultCache],
-    metrics: Optional[RunMetrics],
     progress: ProgressFn,
     should_cancel: CancelFn,
 ) -> Dict[str, Any]:
@@ -144,7 +137,6 @@ def _run_explore(
         space=sweep.to_design_space(),
         max_error_rate=sweep.max_error_rate,
         cache=cache,
-        metrics=metrics,
         policy=payload.execution.to_policy(),
         progress=progress,
         should_cancel=should_cancel,
@@ -185,7 +177,6 @@ def _run_montecarlo(
     payload: SimulationPayload,
     *,
     cache: Optional[ResultCache],
-    metrics: Optional[RunMetrics],
     progress: ProgressFn,
     should_cancel: CancelFn,
 ) -> Dict[str, Any]:
@@ -193,7 +184,6 @@ def _run_montecarlo(
         payload.config,
         payload.montecarlo,
         cache=cache,
-        metrics=metrics,
         policy=payload.execution.to_policy(),
         progress=progress,
         should_cancel=should_cancel,
@@ -204,7 +194,6 @@ def _run_faults(
     payload: SimulationPayload,
     *,
     cache: Optional[ResultCache],
-    metrics: Optional[RunMetrics],
     progress: ProgressFn,
     should_cancel: CancelFn,
 ) -> Dict[str, Any]:
@@ -213,7 +202,6 @@ def _run_faults(
     result = run_campaign(
         payload.faults.to_campaign_spec(),
         cache=cache,
-        metrics=metrics,
         policy=payload.execution.to_policy(),
         progress=progress,
         should_cancel=should_cancel,
@@ -227,7 +215,6 @@ def _run_campaign(
     payload: SimulationPayload,
     *,
     cache: Optional[ResultCache],
-    metrics: Optional[RunMetrics],
     progress: ProgressFn,
     should_cancel: CancelFn,
 ) -> Dict[str, Any]:
@@ -237,7 +224,6 @@ def _run_campaign(
     run = run_campaign_config(
         payload.campaign,
         cache=cache,
-        metrics=metrics,
         progress=progress,
         should_cancel=should_cancel,
     )
@@ -259,7 +245,6 @@ def run_payload(
     payload: SimulationPayload,
     *,
     cache: Optional[ResultCache] = None,
-    metrics: Optional[RunMetrics] = None,
     progress: ProgressFn = None,
     should_cancel: CancelFn = None,
 ) -> Dict[str, Any]:
@@ -273,7 +258,6 @@ def run_payload(
     return runner(
         payload,
         cache=cache,
-        metrics=metrics,
         progress=progress,
         should_cancel=should_cancel,
     )

@@ -2,11 +2,47 @@
 
 from __future__ import annotations
 
+import itertools
+from typing import Any, Dict
+
 import numpy as np
 import pytest
 
 from repro.config import SimConfig
 from repro.nn.networks import jpeg_autoencoder, large_bank_layer, validation_mlp
+from repro.obs.metrics import REGISTRY
+from repro.obs.trace import JobContext
+from repro.runtime.pool import run_summary
+
+_SCOPE_IDS = itertools.count()
+
+
+class RunScope:
+    """Engine calls made inside ``with scope:`` record under one fresh
+    job label; :meth:`summary` reads them back the way the service
+    reads a job's (``run_summary`` of its ``filter_job`` snapshot)."""
+
+    def __init__(self) -> None:
+        self.job_id = f"test-run-{next(_SCOPE_IDS)}"
+        self._context = JobContext(self.job_id)
+
+    def __enter__(self) -> "RunScope":
+        self._context.__enter__()
+        return self
+
+    def __exit__(self, *exc: Any) -> bool:
+        return self._context.__exit__(*exc)
+
+    def summary(self) -> Dict[str, Any]:
+        return run_summary(REGISTRY.filter_job(self.job_id))
+
+
+@pytest.fixture
+def run_scope():
+    """A :class:`RunScope`, rolled back into the base series after."""
+    scope = RunScope()
+    yield scope
+    REGISTRY.rollup_job(scope.job_id)
 
 
 @pytest.fixture

@@ -120,30 +120,30 @@ _SOLVER_SWEEP = (
             _cli("--help"), (), _LEAN + ("numpy",), 9, id="help",
         ),
         pytest.param(
-            "import repro.service.server", (), ("scipy",), 34,
+            "import repro.service.server", (), ("scipy",), 33,
             id="import-server",
         ),
         pytest.param(
             _cli("simulate", "validation-mlp"), (),
-            _LEAN + ("repro.campaign",), 51, id="simulate",
+            _LEAN + ("repro.campaign",), 50, id="simulate",
         ),
         pytest.param(
             _cli("explore", "mlp:32,16", "--sizes", "32", "64",
                  "--degrees", "1", "--wires", "45"),
-            (), _LEAN + ("repro.campaign",), 51, id="explore",
+            (), _LEAN + ("repro.campaign",), 50, id="explore",
         ),
         pytest.param(
             _cli("campaign", "validate",
                  str(REPO_ROOT / "examples/campaigns/fault-sweep.json")),
-            (), _LEAN, 39, id="campaign-validate",
+            (), _LEAN, 38, id="campaign-validate",
         ),
         pytest.param(
             _cli("montecarlo", "--size", "8", "--trials", "2"),
-            ("scipy.sparse",), _SOLVER_SWEEP, 38, id="montecarlo",
+            ("scipy.sparse",), _SOLVER_SWEEP, 37, id="montecarlo",
         ),
         pytest.param(
             _cli("faults", "--size", "8", "--trials", "2"),
-            ("scipy.sparse",), _SOLVER_SWEEP, 33, id="faults",
+            ("scipy.sparse",), _SOLVER_SWEEP, 32, id="faults",
         ),
     ],
 )

@@ -10,8 +10,10 @@ from repro.campaign.dag import (
     register_executor,
 )
 from repro.errors import ConfigError, JobCancelled
+from repro.obs import metrics as obs_metrics
+from repro.obs import trace as obs_trace
 from repro.runtime.cache import ResultCache
-from repro.runtime.metrics import RunMetrics
+from repro.runtime.pool import RUNTIME_EVENTS
 
 CALLS = []
 
@@ -26,6 +28,15 @@ def _echo(stage, context):
 def _sum(stage, context):
     CALLS.append(stage.name)
     return sum(context.upstream.values())
+
+
+@register_executor("test.count")
+def _count(stage, context):
+    # What an engine run records: 3 jobs, 1 of them a cache hit.
+    events = obs_metrics.counter(RUNTIME_EVENTS)
+    events.inc(3, event="jobs_total")
+    events.inc(1, event="cache_hits")
+    return None
 
 
 @register_executor("test.progress")
@@ -189,17 +200,32 @@ class TestStageResume:
         assert runner._tracker.total == 1
 
     def test_stage_stats_count_engine_deltas(self):
-        metrics = RunMetrics()
-
-        @register_executor("test.count")
-        def _count(stage, context):
-            context.metrics.count("jobs_total", 3)
-            context.metrics.count("cache_hits", 1)
-            return None
-
-        runner = DagRunner(
-            [Stage("n", "test.count")], metrics=metrics
-        )
+        runner = DagRunner([Stage("n", "test.count")])
         runner.run()
         assert runner.stage_stats["n"]["jobs"] == 3
         assert runner.stage_stats["n"]["cache_hits"] == 1
+
+    def test_stage_stats_ignore_other_jobs(self):
+        """A campaign running in job "a" counts only its own engine
+        events, even when job "b" records some between its stages."""
+        events = obs_metrics.counter(RUNTIME_EVENTS)
+
+        def intrude(done, total):
+            with obs_trace.JobContext("b"):
+                events.inc(100, event="jobs_total")
+                events.inc(100, event="cache_hits")
+
+        runner = DagRunner(
+            [Stage("one", "test.count"),
+             Stage("two", "test.count", depends_on=("one",))],
+            progress=intrude,
+        )
+        try:
+            with obs_trace.JobContext("a"):
+                runner.run()
+        finally:
+            obs_metrics.REGISTRY.rollup_job("a")
+            obs_metrics.REGISTRY.rollup_job("b")
+        for name in ("one", "two"):
+            assert runner.stage_stats[name]["jobs"] == 3
+            assert runner.stage_stats[name]["cache_hits"] == 1

@@ -8,7 +8,6 @@ from repro.campaign.config import CampaignConfig
 from repro.campaign.runner import run_campaign_config
 from repro.errors import JobCancelled
 from repro.runtime.cache import ResultCache
-from repro.runtime.metrics import RunMetrics
 
 CAMPAIGN = {
     "version": 0,
@@ -98,18 +97,15 @@ def _interrupt_then_resume(cache, jobs, baseline, done_threshold=3):
             should_cancel=interrupter.should_cancel,
         )
 
-    metrics = RunMetrics()
-    resumed = run_campaign_config(
-        config(), jobs=jobs, cache=cache, metrics=metrics,
-    )
+    resumed = run_campaign_config(config(), jobs=jobs, cache=cache)
     assert resumed.to_json() == baseline
-    return resumed, metrics
+    return resumed
 
 
 class TestInterruptionAndResume:
     def test_serial_resume_is_byte_identical(self, tmp_path, baseline):
         cache = ResultCache(tmp_path / "cache")
-        resumed, _metrics = _interrupt_then_resume(cache, None, baseline)
+        resumed = _interrupt_then_resume(cache, None, baseline)
         stats = resumed.stage_stats
         # The first unit completed before the kill: it replays from
         # the sqlite stage cache with zero engine work.  The unit the
@@ -122,7 +118,7 @@ class TestInterruptionAndResume:
 
     def test_parallel_resume_is_byte_identical(self, tmp_path, baseline):
         cache = ResultCache(tmp_path / "cache")
-        resumed, _metrics = _interrupt_then_resume(cache, 2, baseline)
+        resumed = _interrupt_then_resume(cache, 2, baseline)
         stats = resumed.stage_stats
         assert stats["unit-000-run-0"]["resumed"] is True
         assert stats["unit-000-run-0"]["jobs"] == 0
@@ -133,24 +129,25 @@ class TestInterruptionAndResume:
         # (and is cached), and the runner cancels at the boundary
         # before the second unit starts.
         cache = ResultCache(tmp_path / "cache")
-        resumed, _metrics = _interrupt_then_resume(
+        resumed = _interrupt_then_resume(
             cache, None, baseline, done_threshold=2
         )
         assert resumed.stage_stats["unit-000-run-0"]["resumed"] is True
 
     def test_fully_cached_rerun_does_no_engine_work(self, tmp_path,
-                                                    baseline):
+                                                    baseline, run_scope):
         cache = ResultCache(tmp_path / "cache")
         run_campaign_config(config(), cache=cache)
-        metrics = RunMetrics()
-        again = run_campaign_config(config(), cache=cache, metrics=metrics)
+        with run_scope:
+            again = run_campaign_config(config(), cache=cache)
         assert again.to_json() == baseline
         assert all(
             stats["resumed"]
             for name, stats in again.stage_stats.items()
             if name.startswith("unit-")
         )
-        assert metrics.counters.get("jobs_executed", 0) == 0
+        counters = run_scope.summary()["counters"]
+        assert counters.get("jobs_executed", 0) == 0
 
     def test_overridden_jobs_share_the_same_cache_rows(self, tmp_path,
                                                        baseline):

@@ -21,7 +21,6 @@ from repro.errors import ConfigError, ExplorationError, ValidationError
 from repro.nn.networks import large_bank_layer, mlp
 from repro.runtime.cache import ResultCache
 from repro.runtime.jobs import content_key, network_fingerprint
-from repro.runtime.metrics import RunMetrics
 
 
 @pytest.fixture
@@ -305,20 +304,20 @@ class TestCachedSweepCost:
             explore(self.BASE, network, space, cache=cache)
         assert len(built) == 300
 
-    def test_warm_sweep_builds_no_config(self, tmp_path, network, built):
+    def test_warm_sweep_builds_no_config(self, tmp_path, network, built,
+                                         run_scope):
         space = DesignSpace()
         with ResultCache(tmp_path) as cache:
             cold = explore(self.BASE, network, space, cache=cache)
             del built[:]
-            metrics = RunMetrics()
-            warm = explore(self.BASE, network, space, cache=cache,
-                           metrics=metrics)
+            with run_scope:
+                warm = explore(self.BASE, network, space, cache=cache)
         assert warm == cold
-        assert metrics.counters["cache_hits"] == 300
+        assert run_scope.summary()["counters"]["cache_hits"] == 300
         assert built == []
 
     def test_cache_filled_through_content_key_serves_every_point(
-        self, tmp_path, network
+        self, tmp_path, network, run_scope
     ):
         from repro.dse.explorer import _encode_summary
 
@@ -334,9 +333,9 @@ class TestCachedSweepCost:
                 (key, "simulate-point", _encode_summary(point.summary))
                 for key, point in zip(keys, points)
             )
-            metrics = RunMetrics()
-            served = explore(self.BASE, network, space, cache=cache,
-                             metrics=metrics)
-        assert metrics.counters["cache_hits"] == 300
-        assert metrics.counters["cache_misses"] == 0
+            with run_scope:
+                served = explore(self.BASE, network, space, cache=cache)
+        counters = run_scope.summary()["counters"]
+        assert counters["cache_hits"] == 300
+        assert counters["cache_misses"] == 0
         assert served == points

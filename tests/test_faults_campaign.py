@@ -17,7 +17,6 @@ from repro.faults.campaign import (
     run_campaign,
 )
 from repro.runtime.cache import ResultCache
-from repro.runtime.metrics import RunMetrics
 
 
 def _tiny_spec(**overrides):
@@ -90,14 +89,14 @@ class TestReproducibility:
 
 
 class TestCaching:
-    def test_rerun_is_full_cache_hit(self, tmp_path):
+    def test_rerun_is_full_cache_hit(self, tmp_path, run_scope):
         spec = _tiny_spec()
         cache = ResultCache(tmp_path)
-        first = run_campaign(spec, cache=cache, metrics=RunMetrics())
-        metrics = RunMetrics()
-        second = run_campaign(spec, cache=cache, metrics=metrics)
+        first = run_campaign(spec, cache=cache)
+        with run_scope:
+            second = run_campaign(spec, cache=cache)
         assert first.to_json() == second.to_json()
-        counters = metrics.counters
+        counters = run_scope.summary()["counters"]
         assert counters["jobs_total"] > 0
         assert counters["cache_hits"] == counters["jobs_total"]
         cache.close()

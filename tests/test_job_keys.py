@@ -20,7 +20,6 @@ from repro.dse.space import DesignSpace
 from repro.nn.networks import mlp, validation_mlp, vgg16
 from repro.runtime.cache import ResultCache
 from repro.runtime.jobs import content_key, network_fingerprint
-from repro.runtime.metrics import RunMetrics
 from repro.service.schema import SimulationPayload
 from repro.tech import get_memristor_model
 
@@ -163,7 +162,7 @@ class TestGoldenKeys:
     def test_network_fingerprint(self):
         assert network_fingerprint(vgg16()) == VGG16_FINGERPRINT
 
-    def test_cached_explore_replays_pinned_rows(self, tmp_path):
+    def test_cached_explore_replays_pinned_rows(self, tmp_path, run_scope):
         # Rows stored under the pinned keys (as an older build wrote
         # them) must all be found again: no point is recomputed.
         expected = explorer.explore(SWEEP_BASE, SWEEP_NETWORK, SWEEP_SPACE)
@@ -173,14 +172,14 @@ class TestGoldenKeys:
                 (key, "simulate-point", explorer._encode_summary(p.summary))
                 for key, p in zip(SWEEP_KEYS, expected)
             )
-            metrics = RunMetrics()
-            replayed = explorer.explore(
-                SWEEP_BASE, SWEEP_NETWORK, SWEEP_SPACE,
-                cache=cache, metrics=metrics,
-            )
+            with run_scope:
+                replayed = explorer.explore(
+                    SWEEP_BASE, SWEEP_NETWORK, SWEEP_SPACE, cache=cache,
+                )
             assert cache.stats().hit_rate == 1.0
-        assert metrics.counters["cache_hits"] == len(SWEEP_KEYS)
-        assert metrics.counters.get("jobs_executed", 0) == 0
+        counters = run_scope.summary()["counters"]
+        assert counters["cache_hits"] == len(SWEEP_KEYS)
+        assert counters.get("jobs_executed", 0) == 0
         assert replayed == expected
 
 

@@ -1,4 +1,4 @@
-"""Observability wired through the engine, solver and facade."""
+"""Observability wired through the engine and the solver."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 import repro.obs as obs
 from repro.obs import trace
 from repro.runtime.jobs import JobSpec, content_key
-from repro.runtime.metrics import RunMetrics
 from repro.runtime.pool import RunPolicy, run_jobs
 
 
@@ -94,27 +93,18 @@ class TestEnginePropagation:
         assert lookups.value(outcome="hit") == 3
 
 
-class TestRunMetricsFacade:
-    def test_stage_and_count_mirror_into_registry(self):
-        obs.enable()
-        metrics = RunMetrics()
-        with metrics.stage("execute"):
-            pass
-        metrics.count("jobs_total", 5)
+class TestEngineAccounting:
+    def test_runtime_series_record_with_tracing_off(self):
+        """Engine accounting is the registry itself, so it records
+        whether or not tracing is enabled (DESIGN.md S36)."""
+        assert not obs.enabled()
+        run_jobs(_square, _specs(3))
         events = obs.REGISTRY.get("repro_runtime_events_total")
-        assert events.value(event="jobs_total") == 5
+        assert events.value(event="jobs_total") == 3
+        assert events.value(event="jobs_executed") == 3
         stages = obs.REGISTRY.get("repro_runtime_stage_seconds")
         assert stages.snapshot(stage="execute")["count"] == 1
-        # The legacy facade keeps working unchanged.
-        assert metrics.counters["jobs_total"] == 5
-        assert "execute" in metrics.stages
-
-    def test_facade_is_silent_when_disabled(self):
-        metrics = RunMetrics()
-        with metrics.stage("execute"):
-            pass
-        metrics.count("jobs_total")
-        assert obs.REGISTRY.get("repro_runtime_events_total") is None
+        assert trace.spans() == []
 
 
 class TestSolverInstrumentation:

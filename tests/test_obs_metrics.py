@@ -28,12 +28,31 @@ class TestCounter:
             c.inc(-1)
 
 
+    def test_totals_per_label_value(self):
+        c = Counter("events_total")
+        c.inc(2, event="a", job="x")
+        c.inc(3, event="a", job="y")
+        c.inc(event="b", job="x")
+        c.inc(7)  # no event label: skipped
+        assert c.totals("event") == {"a": 5, "b": 1}
+        assert c.totals("event", job="x") == {"a": 2, "b": 1}
+        assert c.totals("event", job="z") == {}
+
+
 class TestGauge:
     def test_set_and_add(self):
         g = Gauge("depth")
         g.set(5)
         g.add(-2)
         assert g.value() == 3
+
+    def test_set_max_keeps_the_peak(self):
+        g = Gauge("rss_bytes")
+        g.set_max(0)
+        assert g.exposition() == []  # nothing above the 0 floor yet
+        for value in (5, 9, 7):
+            g.set_max(value)
+        assert g.value() == 9.0
 
 
 class TestHistogram:
@@ -44,6 +63,12 @@ class TestHistogram:
         snap = h.snapshot()
         assert snap["count"] == 3
         assert snap["sum"] == pytest.approx(5.55)
+
+    def test_totals_sum_observations(self):
+        h = Histogram("stage_seconds", buckets=(0.1, 1.0))
+        h.observe(0.25, stage="a")
+        h.observe(0.5, stage="a")
+        assert h.totals("stage") == {"a": 0.75}
 
     def test_cumulative_buckets_in_exposition(self):
         h = Histogram("latency_seconds", buckets=(0.1, 1.0))

@@ -14,7 +14,6 @@ from repro.dse.explorer import explore
 from repro.dse.space import DesignSpace
 from repro.nn.networks import validation_mlp
 from repro.runtime.cache import ResultCache
-from repro.runtime.metrics import RunMetrics
 from repro.tech import get_memristor_model
 
 SMALL_BANK_SPACE = DesignSpace(
@@ -54,17 +53,17 @@ class TestExploreEquivalence:
         assert parallel == serial
 
     def test_cache_round_trip_is_exact(self, base_config, network,
-                                       serial_points, tmp_path):
+                                       serial_points, tmp_path, run_scope):
         """Summaries must survive the JSON cache byte-identically."""
         with ResultCache(tmp_path / "cache") as cache:
             cold = explore(base_config, network, SMALL_BANK_SPACE,
                            cache=cache)
-            warm_metrics = RunMetrics()
-            warm = explore(base_config, network, SMALL_BANK_SPACE,
-                           cache=cache, metrics=warm_metrics)
+            with run_scope:
+                warm = explore(base_config, network, SMALL_BANK_SPACE,
+                               cache=cache)
             assert cold == serial_points
             assert warm == serial_points
-            assert warm_metrics.counters["cache_hits"] == len(
+            assert run_scope.summary()["counters"]["cache_hits"] == len(
                 list(SMALL_BANK_SPACE.valid_points())
             )
 

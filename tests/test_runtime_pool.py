@@ -13,7 +13,6 @@ import pytest
 from repro.errors import ConfigError, JobExecutionError, MappingError
 from repro.runtime.cache import ResultCache
 from repro.runtime.jobs import JobSpec
-from repro.runtime.metrics import RunMetrics
 from repro.runtime.pool import RunPolicy, run_jobs
 
 
@@ -122,16 +121,16 @@ class TestSerial:
         assert "boom" in message
         assert "Traceback" not in message
 
-    def test_retry_counts_in_metrics(self, tmp_path):
+    def test_retry_counts_in_metrics(self, tmp_path, run_scope):
         marker = tmp_path / "marker"
-        metrics = RunMetrics()
-        out = run_jobs(
-            _flaky, _specs([str(marker)]),
-            policy=RunPolicy(retries=2), metrics=metrics,
-        )
+        with run_scope:
+            out = run_jobs(
+                _flaky, _specs([str(marker)]), policy=RunPolicy(retries=2),
+            )
         assert out == ["recovered"]
-        assert metrics.counters["worker_failures"] == 1
-        assert metrics.counters["retries"] == 1
+        counters = run_scope.summary()["counters"]
+        assert counters["worker_failures"] == 1
+        assert counters["retries"] == 1
 
 
 class TestParallel:
@@ -144,21 +143,22 @@ class TestParallel:
         )
         assert parallel == serial
 
-    def test_mode_recorded(self):
-        metrics = RunMetrics()
-        run_jobs(_square, _specs(list(range(8))),
-                 policy=RunPolicy(jobs=2), metrics=metrics)
-        assert metrics.mode == "process"
-        assert metrics.workers == 2
+    def test_mode_recorded(self, run_scope):
+        with run_scope:
+            run_jobs(_square, _specs(list(range(8))),
+                     policy=RunPolicy(jobs=2))
+        summary = run_scope.summary()
+        assert summary["mode"] == "process"
+        assert summary["workers"] == 2
 
-    def test_unpicklable_worker_falls_back_to_serial(self):
-        metrics = RunMetrics()
-        out = run_jobs(
-            lambda x: x + 1, _specs([1, 2, 3]),
-            policy=RunPolicy(jobs=2), metrics=metrics,
-        )
+    def test_unpicklable_worker_falls_back_to_serial(self, run_scope):
+        with run_scope:
+            out = run_jobs(
+                lambda x: x + 1, _specs([1, 2, 3]),
+                policy=RunPolicy(jobs=2),
+            )
         assert out == [2, 3, 4]
-        assert metrics.mode == "serial"
+        assert run_scope.summary()["mode"] == "serial"
 
     def test_domain_error_propagates_unwrapped(self):
         with pytest.raises(MappingError):
@@ -169,20 +169,19 @@ class TestParallel:
 class TestFaultInjection:
     """Acceptance: killed/failed workers retry, then fail structured."""
 
-    def test_killed_worker_retries_then_structured_error(self):
-        metrics = RunMetrics()
+    def test_killed_worker_retries_then_structured_error(self, run_scope):
         start = time.perf_counter()
-        with pytest.raises(JobExecutionError) as info:
+        with pytest.raises(JobExecutionError) as info, run_scope:
             run_jobs(
                 _die, _specs([1, 2]),
                 policy=RunPolicy(jobs=2, chunk_size=1, retries=1),
-                metrics=metrics,
             )
         elapsed = time.perf_counter() - start
         assert elapsed < 60  # never a hang
         assert "attempt(s)" in str(info.value)
-        assert metrics.counters["worker_failures"] >= 1
-        assert metrics.counters["retries"] >= 1
+        counters = run_scope.summary()["counters"]
+        assert counters["worker_failures"] >= 1
+        assert counters["retries"] >= 1
 
     def test_timeout_trips_and_surfaces(self):
         start = time.perf_counter()
@@ -206,7 +205,7 @@ class TestFaultInjection:
 
 
 class TestCacheIntegration:
-    def test_second_run_never_executes(self, tmp_path):
+    def test_second_run_never_executes(self, tmp_path, run_scope):
         counter = tmp_path / "calls"
         cache = ResultCache(tmp_path / "cache")
         specs = [
@@ -215,12 +214,13 @@ class TestCacheIntegration:
         ]
         first = run_jobs(_count_calls, specs, cache=cache)
         assert counter.read_text() == "x" * 4
-        metrics = RunMetrics()
-        second = run_jobs(_count_calls, specs, cache=cache, metrics=metrics)
+        with run_scope:
+            second = run_jobs(_count_calls, specs, cache=cache)
         assert second == first == ["ran"] * 4
         assert counter.read_text() == "x" * 4  # untouched
-        assert metrics.counters["cache_hits"] == 4
-        assert "execute" not in metrics.stages
+        summary = run_scope.summary()
+        assert summary["counters"]["cache_hits"] == 4
+        assert "execute" not in summary["stages"]
 
     def test_unkeyed_jobs_bypass_cache(self, tmp_path):
         counter = tmp_path / "calls"
@@ -253,11 +253,11 @@ class TestBatchWorker:
         )
         assert batched == serial
 
-    def test_batched_jobs_counted_in_metrics(self):
-        metrics = RunMetrics()
-        run_jobs(_square, _specs(list(range(6))),
-                 batch_worker=_square_batch, metrics=metrics)
-        assert metrics.counters["batched_jobs"] == 6
+    def test_batched_jobs_counted_in_metrics(self, run_scope):
+        with run_scope:
+            run_jobs(_square, _specs(list(range(6))),
+                     batch_worker=_square_batch)
+        assert run_scope.summary()["counters"]["batched_jobs"] == 6
 
     def test_length_contract_enforced(self):
         with pytest.raises(JobExecutionError) as info:
@@ -272,16 +272,15 @@ class TestBatchWorker:
                      policy=RunPolicy(retries=2),
                      batch_worker=_domain_error_batch)
 
-    def test_flaky_batch_group_retries_whole(self, tmp_path):
+    def test_flaky_batch_group_retries_whole(self, tmp_path, run_scope):
         marker = tmp_path / "marker"
-        metrics = RunMetrics()
-        out = run_jobs(
-            _flaky, _specs([str(marker)] * 3),
-            policy=RunPolicy(retries=2),
-            batch_worker=_flaky_batch, metrics=metrics,
-        )
+        with run_scope:
+            out = run_jobs(
+                _flaky, _specs([str(marker)] * 3),
+                policy=RunPolicy(retries=2), batch_worker=_flaky_batch,
+            )
         assert out == ["recovered"] * 3
-        assert metrics.counters["retries"] == 1
+        assert run_scope.summary()["counters"]["retries"] == 1
 
     def test_cache_hits_skip_batch_worker(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -294,13 +293,12 @@ class TestBatchWorker:
                           batch_worker=_poison_batch)
         assert second == first == [1, 4, 9]
 
-    def test_unpicklable_batch_worker_falls_back_to_serial(self):
-        metrics = RunMetrics()
-        out = run_jobs(
-            _square, _specs([1, 2, 3]),
-            policy=RunPolicy(jobs=2),
-            batch_worker=lambda ps: [p * p for p in ps],
-            metrics=metrics,
-        )
+    def test_unpicklable_batch_worker_falls_back_to_serial(self, run_scope):
+        with run_scope:
+            out = run_jobs(
+                _square, _specs([1, 2, 3]),
+                policy=RunPolicy(jobs=2),
+                batch_worker=lambda ps: [p * p for p in ps],
+            )
         assert out == [1, 4, 9]
-        assert metrics.mode == "serial"
+        assert run_scope.summary()["mode"] == "serial"

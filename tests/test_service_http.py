@@ -237,6 +237,61 @@ def test_per_job_metrics_endpoint(service):
             )
 
 
+def _event_samples(text):
+    """``{event: value}`` of a job's ``repro_runtime_events_total``."""
+    family = parse_prometheus(text)["repro_runtime_events_total"]
+    return {
+        dict(labels)["event"]: value
+        for (_, labels), value in family["samples"].items()
+    }
+
+
+def test_job_run_counts_are_its_registry_samples():
+    """With tracing off, the ``run`` counters of ``/jobs/{id}/metrics``
+    are the job's ``repro_runtime_events_total`` samples in
+    ``families``: one record of the engine's counts, read twice."""
+    manager = JobManager(observe=False)
+    server = serve("127.0.0.1", 0, manager)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    client = ServiceClient(
+        "http://127.0.0.1:%d" % server.server_address[1]
+    )
+    try:
+        job_id = client.submit(MC_PAYLOAD)["job_id"]
+        client.wait(job_id, timeout=60)
+        doc = client.job_metrics(job_id)
+        text = client.job_metrics_text(job_id)
+    finally:
+        server.shutdown()
+        server.server_close()
+        manager.shutdown()
+        thread.join(timeout=5)
+    run = doc["run"]
+    assert set(run) == {
+        "counters", "jobs_per_second", "mode", "resources", "stages",
+        "total_seconds", "workers",
+    }
+    assert run["counters"]["jobs_total"] == 3
+    assert run["counters"] == _event_samples(text)
+    assert set(doc["resources"]) == set(run["resources"]) | {
+        "jobs_executed",
+    }
+
+
+def test_traced_job_run_stages_are_the_engine_stages(service):
+    """The progress tracker's ``progress-chunk`` samples share the
+    stage histogram but stay out of the job's ``run`` stages."""
+    client, _ = service
+    job_id = client.submit(MC_PAYLOAD)["job_id"]
+    client.wait(job_id, timeout=60)
+    doc = client.job_metrics(job_id)
+    stages = doc["families"]["repro_runtime_stage_seconds"]["values"]
+    assert any('stage="progress-chunk"' in key for key in stages)
+    assert "progress-chunk" not in doc["run"]["stages"]
+    assert set(doc["run"]["stages"]) == {"execute"}
+
+
 def test_per_job_trace_endpoint_and_isolation():
     """Two jobs running concurrently must yield disjoint per-job
     traces with zero span leakage between them."""

@@ -39,8 +39,8 @@ class _CountingRunner:
         self.error = error
         self.poll_cancel = poll_cancel
 
-    def __call__(self, payload, *, cache=None, metrics=None,
-                 progress=None, should_cancel=None):
+    def __call__(self, payload, *, cache=None, progress=None,
+                 should_cancel=None):
         with self.lock:
             self.calls += 1
         deadline = time.monotonic() + self.delay
@@ -171,7 +171,7 @@ def test_total_seeded_from_payload_before_engine_runs(
     """The payload's work estimate reaches the stream up front, even
     when the engine never reports progress itself."""
 
-    def silent(payload, *, cache=None, metrics=None, progress=None,
+    def silent(payload, *, cache=None, progress=None,
                should_cancel=None):
         return {"schema": "test", "ok": True}
 
@@ -190,7 +190,7 @@ def test_final_progress_event_precedes_terminal_state(
     """Ordering contract of ``events_since``: a successful job always
     ends with ``progress(done == total)`` then the terminal state."""
 
-    def silent(payload, *, cache=None, metrics=None, progress=None,
+    def silent(payload, *, cache=None, progress=None,
                should_cancel=None):
         return {"schema": "test", "ok": True}
 
