@@ -42,23 +42,15 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.config import Declared, declare
 from repro.errors import ConfigError, ValidationError
 from repro.jsonio import loads_strict
 from repro.runtime.jobs import content_key
-from repro.service.schema import (
-    ExecutionSpec,
-    PayloadKind,
-    SimulationPayload,
-    _expect_int,
-    _expect_mapping,
-    _expect_number,
-    _reject_unknown_keys,
-    _reprefix,
-)
+from repro.service.schema import ExecutionSpec, PayloadKind, SimulationPayload
 
 __all__ = ["CampaignConfig", "CampaignUnit", "POST_HOOKS",
            "CAMPAIGN_FILE_VERSION", "CAMPAIGN_SCHEMA"]
@@ -72,16 +64,100 @@ CAMPAIGN_SCHEMA = "repro-campaign-v1"
 #: Built-in post-processing hooks (see :mod:`repro.campaign.runner`).
 POST_HOOKS = ("summary",)
 
-_TOP_LEVEL = ("version", "name", "execution", "settings", "post")
-_EXECUTION_FIELDS = ("numCPUs", "numRuns", "chunk_size", "timeout",
-                     "retries", "min_sweep_for_parallel")
-
 #: Where each payload kind keeps its per-run seed; kinds missing here
 #: are deterministic per run, so ``numRuns > 1`` is rejected for them.
 _SEED_PATHS = {
     PayloadKind.MONTECARLO: ("montecarlo", "seed"),
     PayloadKind.FAULTS: ("faults", "seed"),
 }
+
+
+# ----------------------------------------------------------------------
+# The file's blocks, declared (repro.config)
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class CampaignExecution(ExecutionSpec):
+    """The ``execution`` block: the payload's engine knobs under the
+    6tisch ``numCPUs`` spelling, plus ``numRuns``."""
+
+    jobs: int = declare(1, key="numCPUs", minimum=0)
+    num_runs: int = declare(1, key="numRuns", minimum=1)
+
+    def engine(self) -> ExecutionSpec:
+        """The engine knobs alone, as every unit payload carries them."""
+        return ExecutionSpec(**{
+            spec.name: getattr(self, spec.name)
+            for spec in fields(ExecutionSpec)
+        })
+
+
+@dataclass(frozen=True)
+class CampaignSettings(Declared):
+    """The ``settings`` block: the base payload and its sweeps."""
+
+    regular: Dict[str, Any]
+    combination: Dict[str, Any] = declare(factory=dict)
+
+    def _check(self) -> None:
+        if "execution" in self.regular:
+            raise ValidationError(
+                "campaign execution lives in the top-level 'execution' "
+                "block, not inside settings.regular",
+                path="regular.execution",
+            )
+        if self.regular.get("kind") == "campaign":
+            raise ValidationError(
+                "campaigns cannot nest campaigns",
+                path="regular.kind", value="campaign",
+            )
+        for key, values in self.combination.items():
+            where = f"combination.{key}"
+            if not isinstance(key, str) or not key or any(
+                not segment for segment in key.split(".")
+            ):
+                raise ValidationError(
+                    "combination keys are dotted payload paths "
+                    "(e.g. 'faults.size')", path=where, value=key,
+                )
+            if not isinstance(values, (list, tuple)) or not values:
+                raise ValidationError(
+                    "must be a non-empty list of candidate values",
+                    path=where, value=values,
+                )
+
+
+@dataclass(frozen=True)
+class CampaignFile(Declared):
+    """A whole campaign file, before its units are expanded."""
+
+    version: int
+    name: str
+    settings: CampaignSettings
+    execution: CampaignExecution = declare(factory=CampaignExecution)
+    post: Tuple[str, ...] = ()
+
+    def _check(self) -> None:
+        if self.version != CAMPAIGN_FILE_VERSION:
+            raise ValidationError(
+                "unsupported campaign file version", path="version",
+                value=self.version, allowed=[CAMPAIGN_FILE_VERSION],
+            )
+        if not self.name.strip():
+            raise ValidationError(
+                "campaigns need a non-empty name", path="name",
+                value=self.name,
+            )
+        for index, hook in enumerate(self.post):
+            if hook not in POST_HOOKS:
+                raise ValidationError(
+                    "unknown post hook", path=f"post[{index}]", value=hook,
+                    allowed=list(POST_HOOKS),
+                )
+            if hook in self.post[:index]:
+                raise ValidationError(
+                    "post hook listed twice", path=f"post[{index}]",
+                    value=hook,
+                )
 
 
 @dataclass(frozen=True)
@@ -139,97 +215,46 @@ class CampaignConfig:
         documents under its ``campaign`` payload section).
         """
         try:
-            return cls._from_dict(data)
+            spec = CampaignFile.from_dict(data)
+            execution = spec.execution.engine()
+            combination = tuple(
+                (key, tuple(values))
+                for key, values in spec.settings.combination.items()
+            )
+            units = _expand_units(
+                spec.settings.regular, combination,
+                spec.execution.num_runs, execution,
+            )
         except ValidationError as exc:
-            raise (_reprefix(exc, path) if path else exc) from None
-
-    @classmethod
-    def _from_dict(cls, data: Any) -> "CampaignConfig":
-        data = _expect_mapping(data, "")
-        _reject_unknown_keys(data, _TOP_LEVEL, "")
-        if "version" not in data:
-            raise ValidationError(
-                "missing required field", path="version",
-                allowed=[CAMPAIGN_FILE_VERSION],
-            )
-        version = _expect_int(data["version"], "version")
-        if version != CAMPAIGN_FILE_VERSION:
-            raise ValidationError(
-                "unsupported campaign file version", path="version",
-                value=version, allowed=[CAMPAIGN_FILE_VERSION],
-            )
-        name = data.get("name")
-        if not isinstance(name, str) or not name.strip():
-            raise ValidationError(
-                "campaigns need a non-empty name", path="name", value=name,
-            )
-        num_runs, execution = _parse_execution(data.get("execution", {}))
-
-        settings = _expect_mapping(data.get("settings"), "settings") \
-            if "settings" in data else None
-        if settings is None:
-            raise ValidationError(
-                "missing required field", path="settings",
-            )
-        _reject_unknown_keys(
-            settings, ("regular", "combination"), "settings"
-        )
-        if "regular" not in settings:
-            raise ValidationError(
-                "missing required field", path="settings.regular",
-            )
-        regular = _expect_mapping(settings["regular"], "settings.regular")
-        if "execution" in regular:
-            raise ValidationError(
-                "campaign execution lives in the top-level 'execution' "
-                "block, not inside settings.regular",
-                path="settings.regular.execution",
-            )
-        if regular.get("kind") == "campaign":
-            raise ValidationError(
-                "campaigns cannot nest campaigns",
-                path="settings.regular.kind", value="campaign",
-            )
-        combination = _parse_combination(settings.get("combination", {}))
-        post = _parse_post(data.get("post", []))
-
-        units = _expand_units(
-            dict(regular), combination, num_runs, execution
-        )
+            raise exc.within(path) from None
         return cls(
-            version=version,
-            name=name.strip(),
-            num_runs=num_runs,
+            version=spec.version,
+            name=spec.name.strip(),
+            num_runs=spec.execution.num_runs,
             execution=execution,
-            regular={k: regular[k] for k in regular},
+            regular=spec.settings.regular,
             combination=combination,
-            post=post,
+            post=spec.post,
             units=units,
         )
 
     # -- canonical forms -----------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """Canonical JSON-safe echo (embedded in report documents)."""
-        return {
-            "version": self.version,
-            "name": self.name,
-            "execution": {
-                "numCPUs": self.execution.jobs,
-                "numRuns": self.num_runs,
-                "chunk_size": self.execution.chunk_size,
-                "timeout": self.execution.timeout,
-                "retries": self.execution.retries,
-                "min_sweep_for_parallel":
-                    self.execution.min_sweep_for_parallel,
-            },
-            "settings": {
-                "regular": dict(self.regular),
-                "combination": {
+        return CampaignFile(
+            version=self.version,
+            name=self.name,
+            settings=CampaignSettings(
+                regular=dict(self.regular),
+                combination={
                     key: list(values) for key, values in self.combination
                 },
-            },
-            "post": list(self.post),
-        }
+            ),
+            execution=CampaignExecution(
+                num_runs=self.num_runs, **self.execution.to_dict()
+            ),
+            post=self.post,
+        ).to_dict()
 
     def identity(self) -> Dict[str, Any]:
         """Result-determining content only — engine knobs excluded.
@@ -291,87 +316,6 @@ def _parse_toml(text: str, path: str) -> Any:
         ) from None
 
 
-def _parse_execution(data: Any) -> Tuple[int, ExecutionSpec]:
-    data = _expect_mapping(data, "execution")
-    _reject_unknown_keys(data, _EXECUTION_FIELDS, "execution")
-    num_runs = _expect_int(
-        data.get("numRuns", 1), "execution.numRuns", minimum=1
-    )
-    num_cpus = _expect_int(
-        data.get("numCPUs", 1), "execution.numCPUs", minimum=0
-    )
-    chunk_size = data.get("chunk_size")
-    if chunk_size is not None:
-        chunk_size = _expect_int(
-            chunk_size, "execution.chunk_size", minimum=1
-        )
-    timeout = data.get("timeout")
-    if timeout is not None:
-        timeout = _expect_number(timeout, "execution.timeout")
-        if timeout <= 0:
-            raise ValidationError(
-                "must be positive when given",
-                path="execution.timeout", value=timeout,
-            )
-    retries = _expect_int(
-        data.get("retries", 1), "execution.retries", minimum=0
-    )
-    min_sweep = _expect_int(
-        data.get("min_sweep_for_parallel", 16),
-        "execution.min_sweep_for_parallel", minimum=2,
-    )
-    spec = ExecutionSpec(
-        jobs=num_cpus, chunk_size=chunk_size, timeout=timeout,
-        retries=retries, min_sweep_for_parallel=min_sweep,
-    )
-    return num_runs, spec
-
-
-def _parse_combination(
-    data: Any,
-) -> Tuple[Tuple[str, Tuple[Any, ...]], ...]:
-    data = _expect_mapping(data, "settings.combination")
-    out: List[Tuple[str, Tuple[Any, ...]]] = []
-    for key, values in data.items():
-        where = f"settings.combination.{key}"
-        if not isinstance(key, str) or not key or any(
-            not segment for segment in key.split(".")
-        ):
-            raise ValidationError(
-                "combination keys are dotted payload paths "
-                "(e.g. 'faults.size')", path=where, value=key,
-            )
-        if not isinstance(values, (list, tuple)) or not values:
-            raise ValidationError(
-                "must be a non-empty list of candidate values",
-                path=where, value=values,
-            )
-        out.append((key, tuple(values)))
-    return tuple(out)
-
-
-def _parse_post(data: Any) -> Tuple[str, ...]:
-    if not isinstance(data, (list, tuple)):
-        raise ValidationError(
-            "must be a list of post-hook names", path="post", value=data,
-            allowed=list(POST_HOOKS),
-        )
-    hooks: List[str] = []
-    for index, hook in enumerate(data):
-        if hook not in POST_HOOKS:
-            raise ValidationError(
-                "unknown post hook", path=f"post[{index}]", value=hook,
-                allowed=list(POST_HOOKS),
-            )
-        if hook in hooks:
-            raise ValidationError(
-                "post hook listed twice", path=f"post[{index}]",
-                value=hook,
-            )
-        hooks.append(hook)
-    return tuple(hooks)
-
-
 # ----------------------------------------------------------------------
 # Unit expansion
 # ----------------------------------------------------------------------
@@ -416,7 +360,7 @@ def _validate_unit(
     try:
         return SimulationPayload.from_dict(merged)
     except ValidationError as exc:
-        raise _reprefix(exc, "settings.regular") from None
+        raise exc.within("settings.regular") from None
 
 
 def _seed_of(payload: SimulationPayload) -> Optional[int]:

@@ -103,23 +103,13 @@ def _setup_logging(verbosity: int) -> None:
         logger.setLevel(logging.DEBUG)
 
 
-#: Built-in network specs -> factories in :mod:`repro.nn.networks`.
-_BUILTIN_NETWORKS = {
-    "validation-mlp": "validation_mlp",
-    "jpeg": "jpeg_autoencoder",
-    "large-bank": "large_bank_layer",
-    "caffenet": "caffenet",
-    "vgg16": "vgg16",
-}
-
-
 def parse_network(spec: str) -> Network:
     """Resolve a network spec string (built-in name or ``mlp:a,b,c``)."""
     from repro.nn import networks
 
     spec = spec.strip().lower()
-    if spec in _BUILTIN_NETWORKS:
-        return getattr(networks, _BUILTIN_NETWORKS[spec])()
+    if spec in networks.BUILTIN_NETWORKS:
+        return networks.BUILTIN_NETWORKS[spec]()
     if spec.startswith("mlp:"):
         try:
             sizes = [int(part) for part in spec[4:].split(",") if part]
@@ -132,7 +122,7 @@ def parse_network(spec: str) -> Network:
     raise ValidationError(
         "unknown network",
         path="network", value=spec,
-        allowed=sorted(_BUILTIN_NETWORKS) + ["mlp:a,b,c"],
+        allowed=sorted(networks.BUILTIN_NETWORKS) + ["mlp:a,b,c"],
     )
 
 
@@ -397,7 +387,7 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
         "sigma": args.sigma,
         "input_mode": args.input_mode,
         "inputs_per_trial": args.inputs_per_trial,
-    })
+    }, "montecarlo")
     size = config.crossbar_size if spec.size is None else spec.size
     cache = _open_run(args)
     _log.info(

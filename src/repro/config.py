@@ -9,15 +9,34 @@ that errors surface before any simulation starts.
 A minimal INI-style configuration file is also supported via
 :func:`SimConfig.from_file` (``key = value`` lines; ``#`` comments; values in
 the same spellings as Table I, e.g. ``Crossbar_Size = 128``).
+
+This module also holds the declarative field layer that every validated
+input shares (DESIGN.md S37): a class declares each field once, with its
+rules in the field's metadata (:func:`declare`), and :func:`parse` and
+:func:`dump` read and write its JSON form from that declaration.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
+import functools
 import math
-from dataclasses import dataclass, replace
+import typing
+from collections.abc import Mapping
+from dataclasses import MISSING, dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.errors import ConfigError, TechnologyError, ValidationError
 from repro.tech import (
@@ -32,11 +51,300 @@ from repro.tech.memristor import MemristorModel
 # for fully-connected deep networks and is normalised to "DNN".
 NETWORK_TYPES = ("DNN", "SNN", "CNN")
 
-_POWERS_OF_TWO = tuple(2**i for i in range(2, 11))  # 4 .. 1024
+#: The SimConfig fields resolved against the technology tables.
+_TECH_LOOKUPS = (
+    ("cmos_tech", get_cmos_node),
+    ("interconnect_tech", get_interconnect_node),
+    ("memristor_model", get_memristor_model),
+)
+
+
+# ----------------------------------------------------------------------
+# The declarative field layer
+# ----------------------------------------------------------------------
+def declare(
+    default: Any = MISSING,
+    *,
+    factory: Any = MISSING,
+    key: Optional[str] = None,
+    minimum: Optional[float] = None,
+    maximum: Optional[float] = None,
+    nonempty: bool = False,
+    omit_none: bool = False,
+) -> Any:
+    """A dataclass field whose ``metadata`` holds its input rules.
+
+    ``key`` is the document spelling where it differs from the field
+    name; ``minimum``/``maximum`` bound a number, or every entry of a
+    tuple; ``nonempty`` rejects an empty tuple; ``omit_none`` leaves a
+    ``None`` out of :func:`dump`.
+    """
+    return field(default=default, default_factory=factory, metadata={
+        "key": key, "minimum": minimum, "maximum": maximum,
+        "nonempty": nonempty, "omit_none": omit_none,
+    })
+
+
+class _Field(NamedTuple):
+    name: str
+    key: str
+    hint: Any
+    convert: Callable[[Any, str], Any]
+    required: bool
+    omit_none: bool
+
+
+class _Table(NamedTuple):
+    fields: Tuple[_Field, ...]
+    by_key: Dict[str, _Field]
+    required: Tuple[_Field, ...]
+    #: (name, key, minimum, maximum, per-entry, nonempty, message) per
+    #: field with a bound or a non-empty rule; an absent minimum is -inf.
+    rules: Tuple[tuple, ...]
+
+
+@functools.lru_cache(maxsize=None)
+def _table(cls: type) -> _Table:
+    """``cls``'s field table, built once from its declarations."""
+    hints = typing.get_type_hints(cls)
+    fields, rules = [], []
+    for spec in dataclasses.fields(cls):
+        meta = spec.metadata
+        key = meta.get("key") or spec.name
+        hint = hints[spec.name]
+        fields.append(_Field(
+            spec.name, key, hint, _converter(hint),
+            spec.default is MISSING and spec.default_factory is MISSING,
+            bool(meta.get("omit_none")),
+        ))
+        low, high = meta.get("minimum"), meta.get("maximum")
+        nonempty = bool(meta.get("nonempty"))
+        if low is None and high is None and not nonempty:
+            continue
+        rules.append((
+            spec.name, key, -math.inf if low is None else low, high,
+            typing.get_origin(_unwrap(hint)) is tuple,
+            nonempty, _bounds(low, high),
+        ))
+    return _Table(
+        tuple(fields), {f.key: f for f in fields},
+        tuple(f for f in fields if f.required), tuple(rules),
+    )
+
+
+def _bounds(low: Optional[float], high: Optional[float]) -> Optional[str]:
+    """The message for a value outside ``[low, high]``."""
+    if low is not None and high is not None:
+        return f"must lie in [{low:g}, {high:g}]"
+    if low is not None:
+        return f"must be >= {low:g}"
+    return None if high is None else f"must be <= {high:g}"
+
+
+def _unwrap(hint: Any) -> Any:
+    """``X`` for ``Optional[X]``, else ``hint`` itself."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is Union and type(None) in args:
+        return args[0]
+    return hint
+
+
+def _vocabulary(hint: Any) -> Optional[list]:
+    hint = _unwrap(hint)
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        return [member.value for member in hint]
+    return None
+
+
+def _converter(hint: Any) -> Callable[[Any, str], Any]:
+    """The type check of one declared type: ``convert(value, path)``."""
+    inner = _unwrap(hint)
+    if inner is not hint:
+        check = _converter(inner)
+        return lambda value, path: (
+            None if value is None else check(value, path)
+        )
+    if typing.get_origin(hint) is tuple:
+        args = typing.get_args(hint)
+        return functools.partial(
+            _entries, _converter(args[0]),
+            None if args[-1] is Ellipsis else len(args),
+        )
+    if typing.get_origin(hint) is dict:
+        return _mapping
+    if hint is Any:
+        return lambda value, path: value
+    if dataclasses.is_dataclass(hint):
+        return lambda value, path: hint.from_dict(value, path)
+    if issubclass(hint, enum.Enum):
+        return functools.partial(_member, hint)
+    return {int: _integer, float: _number, str: _string}[hint]
+
+
+def _integer(value: Any, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError("must be an integer", path=path, value=value)
+    return value
+
+
+def _number(value: Any, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError("must be a number", path=path, value=value)
+    try:
+        number = float(value)
+    except OverflowError:  # an int past the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValidationError("must be finite", path=path, value=value)
+    return number
+
+
+def _string(value: Any, path: str) -> str:
+    if not isinstance(value, str):
+        raise ValidationError("must be a string", path=path, value=value)
+    return value
+
+
+def _mapping(value: Any, path: str) -> dict:
+    if not isinstance(value, Mapping):
+        raise ValidationError("must be a JSON object", path=path, value=value)
+    return dict(value)
+
+
+def _member(cls: type, value: Any, path: str) -> enum.Enum:
+    try:
+        return cls(value)
+    except (ValueError, TypeError):
+        raise ValidationError(
+            f"not in the {cls.__name__} vocabulary",
+            path=path, value=value, allowed=_vocabulary(cls),
+        ) from None
+
+
+def _entries(
+    convert: Callable[[Any, str], Any], size: Optional[int],
+    value: Any, path: str,
+) -> tuple:
+    if not isinstance(value, (list, tuple)) or (
+        size is not None and len(value) != size
+    ):
+        raise ValidationError(
+            "must be a list" if size is None
+            else f"must be a list of {size} entries",
+            path=path, value=value,
+        )
+    return tuple(
+        convert(entry, f"{path}[{index}]")
+        for index, entry in enumerate(value)
+    )
+
+
+def read(cls: type, data: Any, path: str = "") -> dict:
+    """Check ``data`` against ``cls``'s declared fields.
+
+    Rejects unknown and missing keys, then values of the wrong type, each
+    with a :class:`~repro.errors.ValidationError` addressed under
+    ``path``.  Returns the converted values of the keys present, by
+    field name.
+    """
+    if not isinstance(data, Mapping):
+        raise ValidationError("must be a JSON object", path=path, value=data)
+    table = _table(cls)
+    prefix = f"{path}." if path else ""
+    unknown = data.keys() - table.by_key.keys()
+    if unknown:
+        first = min(unknown, key=str)
+        raise ValidationError(
+            "unknown field", path=f"{prefix}{first}", value=first,
+            allowed=sorted(table.by_key),
+        )
+    for spec in table.required:
+        if spec.key not in data:
+            raise ValidationError(
+                "missing required field", path=prefix + spec.key,
+                allowed=_vocabulary(spec.hint),
+            )
+    values = {}
+    for key, value in data.items():
+        spec = table.by_key[key]
+        values[spec.name] = spec.convert(value, prefix + key)
+    return values
+
+
+def parse(cls: type, data: Any, path: str = "") -> Any:
+    """Build ``cls`` from its JSON form, or raise a
+    :class:`~repro.errors.ValidationError` under ``path``."""
+    values = read(cls, data, path)
+    try:
+        return cls(**values)
+    except ValidationError as exc:
+        raise exc.within(path) from None
+    except ConfigError as exc:
+        raise ValidationError(str(exc), path=path) from None
+
+
+def dump(obj: Any) -> dict:
+    """``obj``'s JSON form: its fields in order, under their spellings."""
+    out = {}
+    for spec in _table(type(obj)).fields:
+        value = getattr(obj, spec.name)
+        if value is not None or not spec.omit_none:
+            out[spec.key] = _plain(value)
+    return out
+
+
+def _plain(value: Any) -> Any:
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    if dataclasses.is_dataclass(value):
+        return value.to_dict()
+    return value
+
+
+class Declared:
+    """Base of a declared input class (a frozen dataclass).
+
+    Construction applies each field's declared bounds and non-empty
+    rule, then the class's cross-field :meth:`_check`, so the Python API
+    and :func:`parse` reject the same values.  Type checks run only in
+    :func:`parse`, at the entrances for outside input.
+    """
+
+    def __post_init__(self) -> None:
+        # Runs on every construction (SimConfig.replace in a sweep), so
+        # the common case is one lookup and one comparison per rule.
+        fields = self.__dict__
+        for name, key, low, high, per_entry, nonempty, message in \
+                _table(type(self)).rules:
+            value = fields[name]
+            if value is None:
+                continue
+            if not per_entry:
+                if value < low or (high is not None and value > high):
+                    raise ValidationError(message, path=key, value=value)
+                continue
+            if nonempty and not value:
+                raise ValidationError(
+                    "must be a non-empty list", path=key, value=list(value)
+                )
+            for index, entry in enumerate(value if message else ()):
+                if entry < low or (high is not None and entry > high):
+                    raise ValidationError(
+                        message, path=f"{key}[{index}]", value=entry
+                    )
+        self._check()
+
+    def _check(self) -> None:
+        """Cross-field rules; errors are addressed within the class."""
+
+    from_dict = classmethod(parse)
+    to_dict = dump
 
 
 @dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Declared):
     """All user-visible design parameters (paper Table I + precision knobs).
 
     Attributes mirror Table I (level in parentheses):
@@ -66,27 +374,30 @@ class SimConfig:
     * ``device_sigma`` — optional device-variation override (0..0.3).
     """
 
-    network_depth: Optional[int] = None
-    interface_number: Tuple[int, int] = (128, 128)
+    network_depth: Optional[int] = declare(None, minimum=1)
+    interface_number: Tuple[int, int] = declare((128, 128), minimum=1)
     network_type: str = "DNN"
-    crossbar_size: int = 128
-    pooling_size: int = 2
-    spacial_size: int = 1
+    crossbar_size: int = declare(128, minimum=2)
+    pooling_size: int = declare(2, minimum=1)
+    spacial_size: int = declare(1, minimum=1)
     weight_polarity: int = 2
     cmos_tech: int = 90
     cell_type: CellType = CellType.ONE_T_ONE_R
     memristor_model: str = "RRAM"
     interconnect_tech: int = 28
-    parallelism_degree: int = 0
+    parallelism_degree: int = declare(0, minimum=0)
     resistance_range: Optional[Tuple[float, float]] = None
-    weight_bits: int = 8
-    signal_bits: int = 8
-    device_sigma: Optional[float] = None
+    weight_bits: int = declare(8, minimum=1)
+    signal_bits: int = declare(8, minimum=1)
+    device_sigma: Optional[float] = declare(None, minimum=0, maximum=0.3)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "network_type", _normalize_network_type(self.network_type)
-        )
+        # The Python API's spellings: "ANN", "0t1r", lists for pairs.
+        if self.network_type not in NETWORK_TYPES:
+            object.__setattr__(
+                self, "network_type",
+                _normalize_network_type(self.network_type),
+            )
         if isinstance(self.cell_type, str):
             object.__setattr__(
                 self, "cell_type", CellType.from_string(self.cell_type)
@@ -100,39 +411,16 @@ class SimConfig:
                 "resistance_range",
                 _as_pair(self.resistance_range, float),
             )
-        self._validate()
+        super().__post_init__()
 
     # ------------------------------------------------------------------
-    def _validate(self) -> None:
+    def _check(self) -> None:
         # Field-addressed errors: the CLI and the HTTP service both
         # surface the same structured ValidationError for bad fields.
-        if self.network_depth is not None and self.network_depth < 1:
-            raise ValidationError(
-                "must be >= 1 when given",
-                path="network_depth", value=self.network_depth,
-            )
-        if min(self.interface_number) < 1:
-            raise ValidationError(
-                "entries must be >= 1",
-                path="interface_number", value=list(self.interface_number),
-            )
-        if self.crossbar_size < 2:
-            raise ValidationError(
-                "must be >= 2",
-                path="crossbar_size", value=self.crossbar_size,
-            )
         if self.crossbar_size & (self.crossbar_size - 1):
             raise ValidationError(
                 "must be a power of two",
                 path="crossbar_size", value=self.crossbar_size,
-            )
-        if self.pooling_size < 1:
-            raise ValidationError(
-                "must be >= 1", path="pooling_size", value=self.pooling_size,
-            )
-        if self.spacial_size < 1:
-            raise ValidationError(
-                "must be >= 1", path="spacial_size", value=self.spacial_size,
             )
         if self.weight_polarity not in (1, 2):
             raise ValidationError(
@@ -140,23 +428,10 @@ class SimConfig:
                 path="weight_polarity", value=self.weight_polarity,
                 allowed=(1, 2),
             )
-        if self.parallelism_degree < 0:
-            raise ValidationError(
-                "must be >= 0 (0 = all parallel)",
-                path="parallelism_degree", value=self.parallelism_degree,
-            )
         if self.parallelism_degree > self.crossbar_size:
             raise ValidationError(
                 f"cannot exceed crossbar_size ({self.crossbar_size})",
                 path="parallelism_degree", value=self.parallelism_degree,
-            )
-        if self.weight_bits < 1:
-            raise ValidationError(
-                "must be >= 1", path="weight_bits", value=self.weight_bits,
-            )
-        if self.signal_bits < 1:
-            raise ValidationError(
-                "must be >= 1", path="signal_bits", value=self.signal_bits,
             )
         if self.resistance_range is not None:
             low, high = self.resistance_range
@@ -166,19 +441,9 @@ class SimConfig:
                     path="resistance_range",
                     value=list(self.resistance_range),
                 )
-        if self.device_sigma is not None and not 0 <= self.device_sigma <= 0.3:
-            raise ValidationError(
-                "must lie in [0, 0.3]",
-                path="device_sigma", value=self.device_sigma,
-            )
         # Eagerly resolve technology lookups so typos fail here, not later.
-        _TECH_FIELDS = (
-            ("cmos_tech", get_cmos_node, self.cmos_tech),
-            ("interconnect_tech", get_interconnect_node,
-             self.interconnect_tech),
-            ("memristor_model", get_memristor_model, self.memristor_model),
-        )
-        for field_name, lookup, value in _TECH_FIELDS:
+        for field_name, lookup in _TECH_LOOKUPS:
+            value = getattr(self, field_name)
             try:
                 lookup(value)
             except TechnologyError as exc:
@@ -257,7 +522,11 @@ class SimConfig:
     # ------------------------------------------------------------------
     def replace(self, **kwargs) -> "SimConfig":
         """Return a copy with the given fields overridden."""
-        return replace(self, **kwargs)
+        # dataclasses.replace without its per-field init/ClassVar checks:
+        # a sweep derives every point's config through here.
+        values = {name: getattr(self, name) for name in _FIELD_NAMES}
+        values.update(kwargs)
+        return type(self)(**values)
 
     # ------------------------------------------------------------------
     # Deterministic serialization (cache keys depend on this)
@@ -270,31 +539,19 @@ class SimConfig:
         so any change here invalidates every cached result (bump
         :data:`repro.runtime.jobs.SCHEMA_VERSION` when that happens).
         """
-        out = {}
-        for name in sorted(self.__dataclass_fields__):
-            value = getattr(self, name)
-            if isinstance(value, CellType):
-                value = value.value
-            elif isinstance(value, tuple):
-                value = list(value)
-            out[name] = value
-        return out
+        return dict(sorted(dump(self).items()))
 
+    # Spelled out on the class (not inherited) so that
+    # benchmarks/perf/layers.py can wrap it by name.
     @classmethod
-    def from_dict(cls, data: dict) -> "SimConfig":
-        """Rebuild a configuration from a :meth:`to_dict` mapping."""
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValidationError(
-                f"unknown configuration fields {sorted(unknown)}",
-                path=sorted(unknown)[0],
-                allowed=sorted(cls.__dataclass_fields__),
-            )
-        values = {
-            name: tuple(value) if isinstance(value, list) else value
-            for name, value in data.items()
-        }
-        return cls(**values)
+    def from_dict(cls, data: Any, path: str = "") -> "SimConfig":
+        """Rebuild a configuration from a :meth:`to_dict` mapping.
+
+        Every value is type-checked against its declared field, so a
+        mistyped entry fails as a :class:`ValidationError` addressed
+        under ``path`` rather than deep inside a simulation.
+        """
+        return parse(cls, data, path)
 
     # ------------------------------------------------------------------
     # File I/O
@@ -325,71 +582,51 @@ class SimConfig:
             if field_name is None:
                 raise ConfigError(f"line {lineno}: unknown configuration key {key!r}")
             values[field_name] = _parse_value(field_name, value)
-        return cls(**values)
+        return cls.from_dict(values)
 
 
-# Map normalised config-file keys (lowercase, underscores stripped) to
-# dataclass field names.
+_FIELD_NAMES = tuple(SimConfig.__dataclass_fields__)
+
+# Normalised config-file keys (lowercase, underscores stripped) -> fields,
+# plus the one other spelling of Table I's (sic) spacial_size.
 _KEY_ALIASES = {
-    "networkdepth": "network_depth",
-    "interfacenumber": "interface_number",
-    "networktype": "network_type",
-    "crossbarsize": "crossbar_size",
-    "poolingsize": "pooling_size",
-    "spacialsize": "spacial_size",
+    **{name.replace("_", ""): name for name in _FIELD_NAMES},
     "spatialsize": "spacial_size",
-    "weightpolarity": "weight_polarity",
-    "cmostech": "cmos_tech",
-    "celltype": "cell_type",
-    "memristormodel": "memristor_model",
-    "interconnecttech": "interconnect_tech",
-    "parallelismdegree": "parallelism_degree",
-    "resistancerange": "resistance_range",
-    "weightbits": "weight_bits",
-    "signalbits": "signal_bits",
-    "devicesigma": "device_sigma",
-}
-
-_INT_FIELDS = {
-    "network_depth",
-    "crossbar_size",
-    "pooling_size",
-    "spacial_size",
-    "weight_polarity",
-    "parallelism_degree",
-    "weight_bits",
-    "signal_bits",
 }
 
 
-def _parse_value(field_name: str, raw: str):
-    raw = raw.strip()
-    if field_name in ("interface_number", "resistance_range"):
+def _parse_value(field_name: str, raw: str) -> Any:
+    """One config-file value, read as its field's declared type."""
+    hint = next(
+        _unwrap(spec.hint) for spec in _table(SimConfig).fields
+        if spec.name == field_name
+    )
+    if typing.get_origin(hint) is tuple:
         return _parse_pair(raw)
-    if field_name in _INT_FIELDS:
-        return int(_parse_number(raw))
-    if field_name in ("cmos_tech", "interconnect_tech"):
-        return int(_parse_number(raw.lower().removesuffix("nm")))
-    if field_name == "device_sigma":
-        return float(raw)
+    if hint in (int, float):
+        return _parse_number(raw)
     return raw
 
 
-def _parse_number(raw: str) -> float:
-    """Parse a number allowing SI suffixes ``k``/``M`` (e.g. ``500k``)."""
+def _parse_number(raw: str) -> Union[int, float]:
+    """Parse a number allowing SI suffixes ``k``/``M`` (e.g. ``500k``)
+    and a trailing ``nm`` unit; integral values come back as ``int``."""
     raw = raw.strip()
+    if raw.lower().endswith("nm"):
+        raw = raw[:-2]
     scale = 1.0
     if raw and raw[-1] in "kK":
         scale, raw = 1e3, raw[:-1]
     elif raw and raw[-1] == "M":
         scale, raw = 1e6, raw[:-1]
     try:
-        return float(raw) * scale
+        number = float(raw) * scale
     except ValueError:
         raise ConfigError(f"cannot parse number {raw!r}") from None
+    return int(number) if number.is_integer() else number
 
 
-def _parse_pair(raw: str) -> Tuple[float, float]:
+def _parse_pair(raw: str) -> Tuple[Union[int, float], ...]:
     cleaned = raw.strip().strip("[]()")
     parts = [p for chunk in cleaned.split(",") for p in chunk.split()]
     parts = [p for p in parts if p]

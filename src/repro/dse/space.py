@@ -68,9 +68,10 @@ class DesignSpace:
         known = set(available_interconnect_nodes())
         unknown = set(self.interconnect_nodes) - known
         if unknown:
-            raise ConfigError(
-                f"unknown interconnect nodes {sorted(unknown)}; "
-                f"available: {sorted(known)}"
+            raise ValidationError(
+                f"unknown interconnect nodes {sorted(unknown)}",
+                path="interconnect_nodes",
+                value=list(self.interconnect_nodes), allowed=sorted(known),
             )
 
     # ------------------------------------------------------------------

@@ -55,6 +55,7 @@ class ValidationError(ConfigError):
         value: Any = _UNSET,
         allowed: Optional[Sequence[Any]] = None,
     ) -> None:
+        self.message = message
         self.path = path
         self.value = None if value is _UNSET else value
         self.has_value = value is not _UNSET
@@ -67,6 +68,16 @@ class ValidationError(ConfigError):
         if self.allowed is not None:
             parts.append(f"(allowed: {list(self.allowed)})")
         super().__init__(" ".join(parts))
+
+    def within(self, prefix: str) -> "ValidationError":
+        """The same error addressed under the section path ``prefix``."""
+        if not prefix:
+            return self
+        kwargs: Dict[str, Any] = {"allowed": self.allowed}
+        if self.has_value:
+            kwargs["value"] = self.value
+        path = f"{prefix}.{self.path}" if self.path else prefix
+        return ValidationError(self.message, path=path, **kwargs)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe form used by the service's error responses."""

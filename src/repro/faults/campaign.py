@@ -58,7 +58,7 @@ _CIRCUIT_ONLY_MODES = ("line_open", "line_short")
 CAMPAIGN_SCHEMA = "faults-campaign-v1"
 
 
-def _parse_network_spec(spec: str) -> Optional[Tuple[int, ...]]:
+def parse_network_spec(spec: str) -> Optional[Tuple[int, ...]]:
     """``"crossbar"`` -> None, ``"mlp:a,b,..."`` -> neuron sizes."""
     if spec == "crossbar":
         return None
@@ -144,7 +144,7 @@ class CampaignSpec:
         if self.segment_resistance < 0 or self.sense_resistance <= 0:
             raise ConfigError("bad interconnect resistances")
         for net in self.networks:
-            sizes = _parse_network_spec(net)  # validates the spelling
+            sizes = parse_network_spec(net)  # validates the spelling
             if sizes is not None:
                 for mode in self.fault_modes:
                     if mode in _CIRCUIT_ONLY_MODES:
@@ -357,7 +357,7 @@ def _run_trial(task: Tuple) -> Dict[str, Any]:
     rng = np.random.default_rng(
         np.random.SeedSequence(seed, spawn_key=tuple(spawn_key))
     )
-    sizes = _parse_network_spec(network_spec)
+    sizes = parse_network_spec(network_spec)
     with obs_trace.span(
         "faults.trial", network=network_spec, mode=mode, rate=fault_rate
     ):
@@ -403,7 +403,7 @@ def _run_trial_batch(tasks: List[Tuple]) -> List[Dict[str, Any]]:
         rng = np.random.default_rng(
             np.random.SeedSequence(seed, spawn_key=tuple(spawn_key))
         )
-        sizes = _parse_network_spec(network_spec)
+        sizes = parse_network_spec(network_spec)
         if sizes is not None:
             with obs_trace.span(
                 "faults.trial", network=network_spec, mode=mode,

@@ -219,3 +219,14 @@ def vgg16() -> Network:
         ]
     )
     return Network(name="vgg16", layers=tuple(layers), network_type="CNN")
+
+
+#: The built-in topologies by their CLI and service spelling; ``mlp:a,b``
+#: is the one parametric network besides them.
+BUILTIN_NETWORKS = {
+    "validation-mlp": validation_mlp,
+    "jpeg": jpeg_autoencoder,
+    "large-bank": large_bank_layer,
+    "caffenet": caffenet,
+    "vgg16": vgg16,
+}

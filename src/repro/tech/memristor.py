@@ -27,6 +27,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -41,16 +42,25 @@ class CellType(enum.Enum):
     CROSS_POINT = "0T1R"
 
     @classmethod
+    def _missing_(cls, value: object) -> Optional["CellType"]:
+        # Spellings are case-insensitive: CellType("1t1r") is 1T1R.
+        if isinstance(value, str):
+            normalized = value.strip().upper()
+            for member in cls:
+                if member.value == normalized:
+                    return member
+        return None
+
+    @classmethod
     def from_string(cls, text: str) -> "CellType":
         """Parse ``"1T1R"`` / ``"0T1R"`` (case-insensitive)."""
-        normalized = str(text).strip().upper()
-        for member in cls:
-            if member.value == normalized:
-                return member
-        raise TechnologyError(
-            f"unknown cell type {text!r}; expected one of "
-            f"{[m.value for m in cls]}"
-        )
+        try:
+            return cls(str(text))
+        except ValueError:
+            raise TechnologyError(
+                f"unknown cell type {text!r}; expected one of "
+                f"{[m.value for m in cls]}"
+            ) from None
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Command-line interface."""
 
+import json
 import re
 
 import pytest
@@ -267,6 +268,27 @@ class TestMonteCarlo:
         code = main(["montecarlo", "--crossbar-size", "8", "--trials", "1"])
         assert code == 0
         assert "monte-carlo: 8x8 crossbar" in capsys.readouterr().err
+
+
+class TestCampaignValidate:
+    def test_mistyped_unit_config_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps({
+            "version": 0,
+            "name": "study",
+            "settings": {"regular": {
+                "kind": "simulate",
+                "config": {"crossbar_size": "64"},
+                "network": {"topology": "validation-mlp"},
+            }},
+        }), encoding="utf-8")
+        code = main(["campaign", "validate", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(
+            "error: settings.regular.config.crossbar_size: "
+        )
+        assert "Traceback" not in err
 
 
 class TestObservabilityFlags:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import SimConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ValidationError
 from repro.tech.memristor import CellType
 
 
@@ -175,6 +175,20 @@ class TestConfigFile:
     def test_parse_si_suffixes(self):
         config = SimConfig.from_string("Resistance_Range = [1k, 1M]")
         assert config.resistance_range == (1e3, 1e6)
+
+    def test_integer_pairs_and_si_suffixes_keep_their_types(self):
+        config = SimConfig.from_string(
+            "Interface_Number = [128, 128]\nPooling_Size = 2k\n"
+        )
+        assert config.interface_number == (128, 128)
+        assert all(type(n) is int for n in config.interface_number)
+        assert config.pooling_size == 2000
+        assert type(config.pooling_size) is int
+
+    def test_fractional_integer_is_rejected_not_truncated(self):
+        with pytest.raises(ValidationError) as excinfo:
+            SimConfig.from_string("Interface_Number = [1.7, 2]")
+        assert excinfo.value.path == "interface_number[0]"
 
     def test_unknown_key_raises(self):
         with pytest.raises(ConfigError, match="unknown configuration key"):

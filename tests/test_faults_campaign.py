@@ -13,7 +13,7 @@ from repro.errors import ConfigError
 from repro.faults.campaign import (
     CampaignSpec,
     CurvePoint,
-    _parse_network_spec,
+    parse_network_spec,
     run_campaign,
 )
 from repro.runtime.cache import ResultCache
@@ -34,14 +34,14 @@ def _tiny_spec(**overrides):
 
 class TestSpecValidation:
     def test_network_spec_parsing(self):
-        assert _parse_network_spec("crossbar") is None
-        assert _parse_network_spec("mlp:16,8,4") == (16, 8, 4)
+        assert parse_network_spec("crossbar") is None
+        assert parse_network_spec("mlp:16,8,4") == (16, 8, 4)
         with pytest.raises(ConfigError):
-            _parse_network_spec("mlp:16")
+            parse_network_spec("mlp:16")
         with pytest.raises(ConfigError):
-            _parse_network_spec("mlp:a,b")
+            parse_network_spec("mlp:a,b")
         with pytest.raises(ConfigError):
-            _parse_network_spec("resnet50")
+            parse_network_spec("resnet50")
 
     def test_line_modes_rejected_for_mlp(self):
         with pytest.raises(ConfigError):

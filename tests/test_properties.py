@@ -4,9 +4,11 @@ import dataclasses
 import enum
 import json
 import math
+import typing
 
 import numpy as np
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from repro.accuracy.interconnect import analog_error_rate
@@ -17,11 +19,25 @@ from repro.accuracy.quantization import (
     max_digital_deviation,
     max_error_rate,
 )
-from repro.config import SimConfig
+from repro.campaign.config import (
+    CampaignExecution,
+    CampaignFile,
+    CampaignSettings,
+)
+from repro.config import Declared, SimConfig, dump, parse
 from repro.dse.tradeoff import inflection_point, pareto_frontier
+from repro.errors import ConfigError, ValidationError
 from repro.nn.quantize import bit_slice, dequantize, quantize, split_polarity
 from repro.report import Performance
 from repro.runtime.jobs import canonical, canonical_json
+from repro.service.schema import (
+    ExecutionSpec,
+    FaultsSpec,
+    MonteCarloSpec,
+    NetworkSpec,
+    NetworkTopology,
+    SweepSpec,
+)
 from repro.spice.solver import CrossbarNetwork, ideal_output_voltages
 from repro.tech import get_memristor_model
 
@@ -639,3 +655,115 @@ def test_cached_sweep_stores_the_simulation_spec_keys(base, space):
             explore(base, network, space, cache=cache)
             assert set(cache.get_many(sorted(expected))) == expected
             assert cache.stats().entries == len(expected)
+
+
+# ----------------------------------------------------------------------
+# The declarative field layer: repro.config.parse / dump
+# ----------------------------------------------------------------------
+#: A valid instance of every declared class: the base both properties vary.
+_SEEDS = {
+    SimConfig: SimConfig(),
+    NetworkSpec: NetworkSpec(NetworkTopology.MLP, (8, 4)),
+    SweepSpec: SweepSpec(),
+    MonteCarloSpec: MonteCarloSpec(),
+    FaultsSpec: FaultsSpec(),
+    ExecutionSpec: ExecutionSpec(),
+    CampaignExecution: CampaignExecution(),
+    CampaignSettings: CampaignSettings({"kind": "simulate"}),
+    CampaignFile: CampaignFile(
+        0, "study", CampaignSettings({"kind": "simulate"})
+    ),
+}
+_DECLARED = sorted(_SEEDS, key=lambda cls: cls.__name__)
+
+#: Any JSON document.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=5), children, max_size=3),
+    max_leaves=8,
+)
+
+#: A cross-field rule addresses one field of its pair: a topology that
+#: does not fit the seed's sizes is reported at ``sizes``.
+_PARTNERS = {(NetworkSpec, "topology"): ("sizes",)}
+
+
+def _subclasses(base):
+    for cls in base.__subclasses__():
+        yield cls
+        yield from _subclasses(cls)
+
+
+def _field_values(hint, rules):
+    """Python values of a declared type, inside its declared bounds."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is typing.Union:
+        return st.none() | _field_values(args[0], rules)
+    if typing.get_origin(hint) is tuple:
+        entry = _field_values(args[0], rules)
+        if args[-1] is Ellipsis:
+            return st.lists(entry, min_size=1, max_size=3).map(tuple)
+        return st.tuples(*[entry] * len(args))
+    if typing.get_origin(hint) is dict:
+        return st.dictionaries(st.text(max_size=3), st.integers(),
+                               max_size=2)
+    if dataclasses.is_dataclass(hint):
+        return _instances(hint)
+    if issubclass(hint, enum.Enum):
+        return st.sampled_from(list(hint))
+    low, high = rules.get("minimum"), rules.get("maximum")
+    if hint is int:
+        return st.integers(min_value=low, max_value=high)
+    if hint is float:
+        return st.floats(min_value=low, max_value=high, allow_nan=False,
+                         allow_infinity=False)
+    return st.text(max_size=6)
+
+
+@st.composite
+def _instances(draw, cls):
+    """Valid instances: the seed with about one field in eight redrawn."""
+    hints = typing.get_type_hints(cls)
+    changes = {
+        spec.name: draw(_field_values(hints[spec.name], spec.metadata))
+        for spec in dataclasses.fields(cls)
+        if draw(st.integers(0, 7)) == 0
+    }
+    try:
+        return dataclasses.replace(_SEEDS[cls], **changes)
+    except ConfigError:
+        reject()
+
+
+def test_every_declared_class_is_covered():
+    assert set(_subclasses(Declared)) == set(_SEEDS)
+
+
+@pytest.mark.parametrize("cls", _DECLARED, ids=lambda cls: cls.__name__)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_parse_of_dump_is_the_identity(cls, data):
+    value = data.draw(_instances(cls))
+    document = json.loads(json.dumps(dump(value)))
+    assert parse(cls, document) == value
+
+
+@pytest.mark.parametrize("cls", _DECLARED, ids=lambda cls: cls.__name__)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_any_json_value_parses_or_is_named_at_its_field(cls, data):
+    """A value placed at one field either parses or fails with a
+    ValidationError addressed at that field, never anything else."""
+    document = dump(_SEEDS[cls])
+    key = data.draw(st.sampled_from([
+        spec.metadata.get("key") or spec.name
+        for spec in dataclasses.fields(cls)
+    ]))
+    document[key] = data.draw(_JSON)
+    try:
+        parse(cls, document)
+    except ValidationError as exc:
+        named = exc.path.split(".")[0].split("[")[0]
+        assert named in (key,) + _PARTNERS.get((cls, key), ()), exc

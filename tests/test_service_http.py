@@ -134,6 +134,30 @@ def test_non_power_of_two_sweep_size_is_a_400_with_path(service):
     assert manager.snapshot() == [], "rejected payloads must not enqueue"
 
 
+def test_mistyped_config_value_is_a_400_with_path(service):
+    import urllib.error
+    import urllib.request
+
+    client, manager = service
+    body = json.dumps({
+        "kind": "simulate",
+        "config": {"crossbar_size": "64"},
+        "network": {"topology": "mlp", "sizes": [32, 16]},
+    }).encode("utf-8")
+    request = urllib.request.Request(
+        client.base_url + "/jobs", data=body,
+        headers={"Content-Type": "application/json"}, method="POST",
+    )
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        urllib.request.urlopen(request, timeout=30)
+    response = excinfo.value
+    assert response.code == 400
+    error = json.loads(response.read().decode("utf-8"))["error"]
+    assert error["path"] == "config.crossbar_size"
+    assert error["value"] == "64"
+    assert manager.snapshot() == [], "rejected payloads must not enqueue"
+
+
 def test_unknown_routes_and_jobs(service):
     client, _ = service
     with pytest.raises(ServiceError) as excinfo:

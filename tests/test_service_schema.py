@@ -191,3 +191,30 @@ class TestCanonicalisation:
         monkeypatch.setattr(workloads, "run_payload", boom)
         reject({"kind": "montecarlo", "montecarlo": {"trials": 0}})
         SimulationPayload.from_dict(MC_PAYLOAD)  # valid: still no engine
+
+
+class TestMistypedValues:
+    """Values of the wrong JSON type fail at their field, never later."""
+
+    @pytest.mark.parametrize("config, path, value", [
+        ({"crossbar_size": "64"}, "config.crossbar_size", "64"),
+        ({"cell_type": 7}, "config.cell_type", 7),
+        ({"weight_bits": True}, "config.weight_bits", True),
+        ({"interface_number": [1.7, 2]}, "config.interface_number[0]", 1.7),
+        ({"resistance_range": ["a", "b"]}, "config.resistance_range[0]",
+         "a"),
+    ])
+    def test_config_field_types(self, config, path, value):
+        err = reject(dict(MC_PAYLOAD, config=config))
+        assert err.path == path
+        assert err.value == value
+
+    def test_enum_field_names_its_vocabulary(self):
+        err = reject(dict(MC_PAYLOAD, config={"cell_type": 7}))
+        assert err.allowed == ("1T1R", "0T1R")
+
+    def test_cell_type_spelling_is_case_insensitive(self):
+        payload = SimulationPayload.from_dict(
+            dict(MC_PAYLOAD, config={"cell_type": "0t1r"})
+        )
+        assert payload.config.to_dict()["cell_type"] == "0T1R"
