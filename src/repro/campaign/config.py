@@ -239,23 +239,6 @@ class CampaignConfig:
         )
 
     # -- canonical forms -----------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Canonical JSON-safe echo (embedded in report documents)."""
-        return CampaignFile(
-            version=self.version,
-            name=self.name,
-            settings=CampaignSettings(
-                regular=dict(self.regular),
-                combination={
-                    key: list(values) for key, values in self.combination
-                },
-            ),
-            execution=CampaignExecution(
-                num_runs=self.num_runs, **self.execution.to_dict()
-            ),
-            post=self.post,
-        ).to_dict()
-
     def identity(self) -> Dict[str, Any]:
         """Result-determining content only — engine knobs excluded.
 

@@ -340,6 +340,12 @@ class SimulationPayload:
                 raise ValidationError(
                     f"required for kind={kind.value!r}", path=name,
                 )
+        for name, value in values.items():
+            # A section is optional by being absent, never by null.
+            if value is None:
+                raise ValidationError(
+                    "must be a JSON object", path=name, value=None,
+                )
         if kind is PayloadKind.CAMPAIGN:
             # Deferred import: repro.campaign.config imports this module.
             from repro.campaign.config import CampaignConfig
@@ -356,12 +362,11 @@ class SimulationPayload:
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        """Canonical JSON-safe form (fingerprints derive from this)."""
-        if self.kind is PayloadKind.CAMPAIGN:
-            return {
-                "kind": self.kind.value,
-                "campaign": self.campaign.to_dict(),
-            }
+        """Canonical JSON-safe form (fingerprints derive from this).
+
+        Campaign payloads have none: their canonical form is
+        :meth:`result_identity`.
+        """
         return dump(self)
 
     def result_identity(self) -> Dict[str, Any]:

@@ -36,6 +36,7 @@ from repro.service.schema import (
     MonteCarloSpec,
     NetworkSpec,
     NetworkTopology,
+    SimulationPayload,
     SweepSpec,
 )
 from repro.spice.solver import CrossbarNetwork, ideal_output_voltages
@@ -767,3 +768,39 @@ def test_any_json_value_parses_or_is_named_at_its_field(cls, data):
     except ValidationError as exc:
         named = exc.path.split(".")[0].split("[")[0]
         assert named in (key,) + _PARTNERS.get((cls, key), ()), exc
+
+
+#: A valid document of every payload kind: the base the property varies.
+_PAYLOAD_SEEDS = {
+    "simulate": {"kind": "simulate",
+                 "network": {"topology": "validation-mlp"}},
+    "explore": {"kind": "explore", "network": {"topology": "validation-mlp"},
+                "sweep": {"crossbar_sizes": [32]}},
+    "montecarlo": {"kind": "montecarlo", "montecarlo": {"trials": 2}},
+    "faults": {"kind": "faults", "faults": {"trials": 1}},
+    "campaign": {"kind": "campaign", "campaign": {
+        "version": 0, "name": "study",
+        "settings": {"regular": {"kind": "montecarlo"}},
+    }},
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_any_json_section_parses_or_is_named_at_its_section(data):
+    """Any JSON value at any payload section either validates into a
+    payload the job runner can size, or fails at that section."""
+    kind = data.draw(st.sampled_from(sorted(_PAYLOAD_SEEDS)))
+    section = data.draw(st.sampled_from([
+        spec.name for spec in dataclasses.fields(SimulationPayload)
+        if spec.name != "kind"
+    ]))
+    document = dict(_PAYLOAD_SEEDS[kind])
+    document[section] = data.draw(_JSON)
+    try:
+        payload = SimulationPayload.from_dict(document)
+    except ValidationError as exc:
+        assert exc.path.split(".")[0].split("[")[0] == section, exc
+    else:
+        assert payload.total_work() >= 1
+        assert payload.fingerprint()

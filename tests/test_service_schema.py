@@ -89,6 +89,32 @@ class TestStructure:
         })
         assert err.path == "faults"
 
+    @pytest.mark.parametrize("kind, section", [
+        ("simulate", "network"),
+        ("explore", "network"),
+        ("explore", "sweep"),
+        ("montecarlo", "montecarlo"),
+        ("faults", "faults"),
+        ("campaign", "campaign"),
+        ("simulate", "config"),
+        ("montecarlo", "execution"),
+    ])
+    def test_null_section_is_not_an_absent_one(self, kind, section):
+        data = {"kind": kind, section: None}
+        if kind in ("simulate", "explore") and section != "network":
+            data["network"] = {"topology": "validation-mlp"}
+        err = reject(data)
+        assert err.path == section
+        assert "must be a JSON object" in str(err)
+
+    def test_null_foreign_section_is_still_foreign(self):
+        err = reject({
+            "kind": "simulate", "network": {"topology": "validation-mlp"},
+            "sweep": None,
+        })
+        assert err.path == "sweep"
+        assert "does not apply" in str(err)
+
     def test_mlp_needs_sizes(self):
         err = reject({"kind": "simulate", "network": {"topology": "mlp"}})
         assert err.path == "network.sizes"
