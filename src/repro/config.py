@@ -392,7 +392,8 @@ class SimConfig(Declared):
     device_sigma: Optional[float] = declare(None, minimum=0, maximum=0.3)
 
     def __post_init__(self) -> None:
-        # The Python API's spellings: "ANN", "0t1r", lists for pairs.
+        # The Python API's spellings: "ANN", "0t1r", "rram", lists for
+        # pairs.
         if self.network_type not in NETWORK_TYPES:
             object.__setattr__(
                 self, "network_type",
@@ -401,6 +402,12 @@ class SimConfig(Declared):
         if isinstance(self.cell_type, str):
             object.__setattr__(
                 self, "cell_type", CellType.from_string(self.cell_type)
+            )
+        # One spelling per device, so one key: get_memristor_model's.
+        if isinstance(self.memristor_model, str):
+            object.__setattr__(
+                self, "memristor_model",
+                self.memristor_model.strip().upper(),
             )
         object.__setattr__(
             self, "interface_number", _as_pair(self.interface_number, int)

@@ -35,7 +35,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.accuracy.interconnect import DEFAULT_SENSE_RESISTANCE
-from repro.errors import ConfigError, SolverError
+from repro.errors import ConfigError
 from repro.faults.models import (
     FAULT_MODES,
     sample_fault_mask,
@@ -48,7 +48,7 @@ from repro.obs import trace as obs_trace
 from repro.runtime.cache import ResultCache
 from repro.runtime.jobs import JobSpec, content_key
 from repro.runtime.pool import RunPolicy, run_jobs
-from repro.tech.memristor import MemristorModel, get_memristor_model
+from repro.tech.memristor import get_memristor_model
 
 #: Fault modes that only make sense at the circuit level: a line open /
 #: short has no single-weight-matrix meaning, so MLP networks reject it.
@@ -232,84 +232,6 @@ class CampaignResult:
 # ----------------------------------------------------------------------
 # Trial workers (top-level: must be picklable for the process pool).
 
-def _draw_crossbar_trial(
-    mode: str,
-    fault_rate: float,
-    device: MemristorModel,
-    size: int,
-    rng: np.random.Generator,
-) -> Tuple[np.ndarray, np.ndarray, Any]:
-    """One circuit trial's draws, in the fixed (contractual) order.
-
-    Levels, inputs, mask — shared verbatim by the point-wise and
-    batched workers, so each trial stays a pure function of its
-    spawn-keyed stream no matter how trials are grouped.
-    """
-    levels = rng.integers(0, device.levels, size=(size, size))
-    programmed = device.resistance_of_level(levels)
-    inputs = rng.uniform(0, device.read_voltage, size=size)
-    mask = sample_fault_mask(size, size, fault_rate, rng, mode=mode)
-    return programmed, inputs, mask
-
-
-def _crossbar_error(
-    programmed: np.ndarray,
-    inputs: np.ndarray,
-    sense_resistance: float,
-    output_voltages: np.ndarray,
-    fault_count: int,
-) -> Dict[str, Any]:
-    """The trial dict of a solved (non-singular) circuit trial."""
-    from repro.spice.solver import ideal_output_voltages
-
-    ideal = ideal_output_voltages(programmed, inputs, sense_resistance)
-    scale = float(np.max(np.abs(ideal)))
-    error = (
-        float(np.mean(np.abs(ideal - output_voltages)) / scale)
-        if scale > 0 else 0.0
-    )
-    return {
-        "failed": False, "error": error, "fault_count": fault_count,
-    }
-
-
-def _failed_trial(fault_count: int) -> Dict[str, Any]:
-    """The trial dict of a singular (unsolvable) faulted system."""
-    return {
-        "failed": True, "error": None, "fault_count": fault_count,
-    }
-
-
-def _crossbar_trial(
-    mode: str,
-    fault_rate: float,
-    device: MemristorModel,
-    size: int,
-    segment_resistance: float,
-    sense_resistance: float,
-    rng: np.random.Generator,
-) -> Dict[str, Any]:
-    """Solve one programmed crossbar with and without a sampled mask."""
-    from repro.spice.solver import CrossbarNetwork
-
-    programmed, inputs, mask = _draw_crossbar_trial(
-        mode, fault_rate, device, size, rng
-    )
-    try:
-        network = CrossbarNetwork(
-            programmed, segment_resistance, sense_resistance,
-            device=device, fault_mask=mask,
-        )
-        solution = network.solve(inputs)
-    except SolverError:
-        # Singular faulted system (floating nodes): a *failed* trial.
-        return _failed_trial(mask.fault_count)
-    return _crossbar_error(
-        programmed, inputs, sense_resistance,
-        solution.output_voltages, mask.fault_count,
-    )
-
-
 def _mlp_trial(
     sizes: Tuple[int, ...],
     mode: str,
@@ -335,68 +257,47 @@ def _mlp_trial(
     # (same apply_mask_to_weights arithmetic, so bit-identical) instead
     # of re-corrupting inside every forward pass.
     faulty = model.with_fault_masks(masks).forward(inputs)[-1]
-    scale = float(np.max(np.abs(ideal)))
-    error = (
-        float(np.mean(np.abs(ideal - faulty)) / scale)
-        if scale > 0 else 0.0
-    )
     return {
-        "failed": False, "error": error,
+        "failed": False, "error": _relative_error(ideal, faulty),
         "fault_count": sum(mask.fault_count for mask in masks),
     }
 
 
-def _run_trial(task: Tuple) -> Dict[str, Any]:
-    """Worker: one seeded fault-injection trial (pool process safe).
-
-    The spawn key — not worker state, not schedule — is the only RNG
-    source, so results are identical for any ``jobs``/``chunk_size``.
-    """
-    (network_spec, mode, fault_rate, seed, spawn_key, device, size,
-     segment_resistance, sense_resistance) = task
-    rng = np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=tuple(spawn_key))
+def _relative_error(ideal: np.ndarray, actual: np.ndarray) -> float:
+    """Mean absolute deviation from ``ideal``, over its peak magnitude."""
+    scale = float(np.max(np.abs(ideal)))
+    return (
+        float(np.mean(np.abs(ideal - actual)) / scale)
+        if scale > 0 else 0.0
     )
-    sizes = parse_network_spec(network_spec)
-    with obs_trace.span(
-        "faults.trial", network=network_spec, mode=mode, rate=fault_rate
-    ):
-        if sizes is None:
-            result = _crossbar_trial(
-                mode, fault_rate, device, size, segment_resistance,
-                sense_resistance, rng,
-            )
-        else:
-            result = _mlp_trial(sizes, mode, fault_rate, rng)
-    if obs_trace.enabled():
-        obs_metrics.counter(
-            "repro_fault_trials_total",
-            "Fault-injection trials by outcome",
-        ).inc(outcome="failed" if result["failed"] else "solved")
-    return result
+
+
+def _run_trial(task: Tuple) -> Dict[str, Any]:
+    """Worker: one seeded fault-injection trial, as a batch of one."""
+    return _run_trial_batch([task])[0]
 
 
 def _run_trial_batch(tasks: List[Tuple]) -> List[Dict[str, Any]]:
-    """Batched worker: one group of seeded trials, one stacked solve.
+    """Worker: a group of seeded trials (pool process safe).
 
-    Every crossbar trial in the group shares the campaign's shape, so
-    their structural assembly happens in one
-    :meth:`~repro.spice.solver._CrossbarStructure.matrix_batch` sweep
-    inside :func:`~repro.spice.solver.solve_batch`.  Masks that make
-    the MNA system singular are *marked* (``on_singular="mark"``)
-    instead of raising, which reproduces the point-wise worker's
-    failed-trial dicts exactly; solvable members are bit-identical to
-    :meth:`~repro.spice.solver.CrossbarNetwork.solve`, so campaign
-    JSON is byte-identical to the point-wise path for any grouping.
-    MLP trials (no shared matrix structure) run point-wise in place.
+    The spawn key — not worker state, not schedule, not grouping — is
+    the only RNG source, so results are identical for any
+    ``jobs``/``chunk_size``.  A crossbar trial draws its levels, inputs
+    and mask in that fixed order, then the group's crossbars run
+    through one :func:`~repro.spice.solver.solve_batch`, whose members
+    are bit-identical to :meth:`~repro.spice.solver.CrossbarNetwork.
+    solve`.  A mask that makes the MNA system singular is *marked*
+    (``on_singular="mark"``) and becomes a failed trial.  MLP trials
+    run in place.
     """
-    from repro.spice.solver import CrossbarNetwork, solve_batch
+    from repro.spice.solver import (
+        CrossbarNetwork,
+        ideal_output_voltages,
+        solve_batch,
+    )
 
     results: List[Optional[Dict[str, Any]]] = [None] * len(tasks)
-    member_slots: List[int] = []
-    networks: List[CrossbarNetwork] = []
-    input_vectors: List[np.ndarray] = []
-    contexts: List[Tuple[np.ndarray, np.ndarray, float, int]] = []
+    crossbars: List[Tuple[int, CrossbarNetwork, np.ndarray, int]] = []
     for slot, task in enumerate(tasks):
         (network_spec, mode, fault_rate, seed, spawn_key, device, size,
          segment_resistance, sense_resistance) = task
@@ -411,39 +312,41 @@ def _run_trial_batch(tasks: List[Tuple]) -> List[Dict[str, Any]]:
             ):
                 results[slot] = _mlp_trial(sizes, mode, fault_rate, rng)
             continue
-        programmed, inputs, mask = _draw_crossbar_trial(
-            mode, fault_rate, device, size, rng
+        levels = rng.integers(0, device.levels, size=(size, size))
+        inputs = rng.uniform(0, device.read_voltage, size=size)
+        mask = sample_fault_mask(size, size, fault_rate, rng, mode=mode)
+        network = CrossbarNetwork(
+            device.resistance_of_level(levels), segment_resistance,
+            sense_resistance, device=device, fault_mask=mask,
         )
-        try:
-            network = CrossbarNetwork(
-                programmed, segment_resistance, sense_resistance,
-                device=device, fault_mask=mask,
-            )
-        except SolverError:
-            results[slot] = _failed_trial(mask.fault_count)
-            continue
-        member_slots.append(slot)
-        networks.append(network)
-        input_vectors.append(inputs)
-        contexts.append(
-            (programmed, inputs, sense_resistance, mask.fault_count)
-        )
-    if networks:
-        with obs_trace.span("faults.batch", trials=len(networks)):
+        crossbars.append((slot, network, inputs, mask.fault_count))
+    if crossbars:
+        with obs_trace.span("faults.batch", trials=len(crossbars)):
             batch = solve_batch(
-                networks, np.stack(input_vectors), on_singular="mark"
+                [network for _, network, _, _ in crossbars],
+                np.stack([inputs for _, _, inputs, _ in crossbars]),
+                on_singular="mark",
             )
-        for member, slot in enumerate(member_slots):
-            programmed, inputs, sense_resistance, fault_count = (
-                contexts[member]
-            )
+        for member, (slot, network, inputs, fault_count) in enumerate(
+            crossbars
+        ):
             if batch.failed[member]:
-                results[slot] = _failed_trial(fault_count)
-            else:
-                results[slot] = _crossbar_error(
-                    programmed, inputs, sense_resistance,
-                    batch.output_voltages[member], fault_count,
-                )
+                results[slot] = {
+                    "failed": True, "error": None,
+                    "fault_count": fault_count,
+                }
+                continue
+            ideal = ideal_output_voltages(
+                network.programmed_resistances, inputs,
+                network.sense_resistance,
+            )
+            results[slot] = {
+                "failed": False,
+                "error": _relative_error(
+                    ideal, batch.output_voltages[member]
+                ),
+                "fault_count": fault_count,
+            }
     if obs_trace.enabled():
         counter = obs_metrics.counter(
             "repro_fault_trials_total",

@@ -28,6 +28,14 @@ from typing import Any, Optional
 #: be replayed against the new keys.
 SCHEMA_VERSION = "runtime-v2"
 
+#: SHA-256 of ``benchmarks/perf/expected/digests.json``, the pinned
+#: output digests of every benchmark op.  Goldens that change mean
+#: results changed, so a cached row may be stale: bump
+#: :data:`SCHEMA_VERSION` and record the new hash here together.
+GOLDENS_SHA256 = (
+    "faa4ef42607352dc7da857d5081e0a5b464f7671ba76dc207f54ff37555554b2"
+)
+
 #: Leaf types :func:`canonical` returns unchanged (matched exactly).
 _PLAIN_TYPES = (str, int, bool, type(None))
 

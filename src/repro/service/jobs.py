@@ -459,9 +459,6 @@ class JobManager:
     def _execute(self, record: JobRecord,
                  cache: Optional[ResultCache]) -> None:
         payload = record.payload
-        tracker = ProgressTracker(total=payload.total_work())
-        with self._lock:
-            record.total = tracker.total
 
         def progress(done: int, total: int) -> None:
             tracker.update(done, total)
@@ -485,10 +482,15 @@ class JobManager:
         def should_cancel() -> bool:
             return record.cancel_requested
 
+        # Any exception below ends the job FAILED, never a dead
+        # executor thread with the job stuck running.
         outcome = JobState.FAILED
         error: Optional[Dict[str, Any]] = None
         text: Optional[str] = None
         try:
+            tracker = ProgressTracker(total=payload.total_work())
+            with self._lock:
+                record.total = tracker.total
             # Everything the engine emits below — spans, metric
             # samples, resource accounting, in this thread and in the
             # worker processes — is tagged with this job id.
@@ -519,14 +521,23 @@ class JobManager:
         # sets *before* the terminal event: the moment a client sees
         # the stream end, /jobs/{id}/trace and /jobs/{id}/metrics are
         # servable and global cardinality is already back to baseline.
-        self._persist_observability(record)
+        resources = None
+        try:
+            self._persist_observability(record)
+            if outcome == JobState.DONE:
+                summary = record.run_summary
+                resources = _resource_snapshot(
+                    summary["resources"], summary["counters"]
+                )
+        except Exception as exc:
+            _log.exception("job %s: persisting observability failed",
+                           record.job_id[:12])
+            outcome = JobState.FAILED
+            error = {"type": type(exc).__name__, "message": str(exc)}
         with self._wake:
             if outcome == JobState.DONE:
                 record.result_text = text
-                summary = record.run_summary
-                record.resources = _resource_snapshot(
-                    summary["resources"], summary["counters"]
-                )
+                record.resources = resources
             self._finish(record, outcome, error=error)
 
     def _persist_observability(self, record: JobRecord) -> None:

@@ -29,14 +29,20 @@ Performance architecture (see DESIGN.md S3):
   right-hand sides need it: :meth:`CrossbarNetwork.solve_many` solves a
   whole batch of input vectors against a single factorization in the
   linear regime.
+* **One solve path.**  Every member of :func:`solve_batch` (and of a
+  nonlinear :meth:`CrossbarNetwork.solve_many`) runs the point-wise
+  solve's own assembly and fixed point, one member after another, so
+  a batched result is bit-identical to :meth:`CrossbarNetwork.solve`
+  by construction (DESIGN.md S22).
 
 ``benchmarks/test_spice_solver_perf.py`` tracks the measured speedups in
 ``BENCH_spice.json`` at the repo root.
 
 Observability (DESIGN.md S18): with :func:`repro.obs.enable` on, every
-solve opens ``solver.solve`` / ``solver.solve_many`` spans with nested
-``solver.assemble`` / ``solver.factorize`` / ``solver.refine`` child
-spans, and structural-assembly cache hits, factorizations, refinement
+solve opens ``solver.solve`` / ``solver.solve_many`` /
+``solver.solve_batch`` spans (a batch member's ``solver.solve`` nests
+in its batch span) with nested ``solver.assemble`` /
+``solver.factorize`` / ``solver.refine`` child spans, and structural-assembly cache hits, factorizations, refinement
 accepts and refactorize-on-stall events are counted on
 ``repro_solver_events_total``.  Per-iteration residual deltas are
 attached to the solve span only under ``repro.obs.enable(debug=True)``.
@@ -59,7 +65,6 @@ from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Dict,
-    List,
     Optional,
     Sequence,
     Tuple,
@@ -160,13 +165,6 @@ class _CrossbarStructure:
         self.rows = m
         self.cols = n
         self.num_nodes = num_nodes
-        self.num_cell_entries = 4 * m * n
-        self.num_segment_entries = 4 * (seg_a.size)
-        # Segment layout: the wordline segments (row-major over the
-        # (m, n-1) grid) precede the bitline segments ((m-1, n)); the
-        # per-line fault path indexes into these blocks.
-        self.num_wl_segments = m * (n - 1)
-        self.num_bl_segments = (m - 1) * n
         self.input_nodes = input_nodes
         self.output_nodes = output_nodes
         # Signs of the 4 segment blocks (+g, +g, -g, -g per segment).
@@ -241,26 +239,6 @@ class _CrossbarStructure:
             (data, self.csc_indices, self.csc_indptr),
             shape=(self.num_nodes, self.num_nodes),
         )
-
-    def matrix_batch(
-        self,
-        cell_conductances: np.ndarray,  # (B, M, N)
-        constant_tails: np.ndarray,  # (B, T)
-    ) -> np.ndarray:
-        """CSC ``data`` rows for a whole stack of same-shape crossbars.
-
-        Stacks every member's COO values into one ``(B, 4MN + T)``
-        array and rewrites all CSC value arrays in a single
-        ``np.add.reduceat`` sweep along the entry axis.  Each row is
-        bit-identical to what :meth:`matrix` computes for that member —
-        ``reduceat`` sums the same entries in the same order — so
-        batched assembly never perturbs results.  Pair a row with the
-        shared ``csc_indices`` / ``csc_indptr`` to materialise the
-        member's matrix.
-        """
-        g = cell_conductances.reshape(cell_conductances.shape[0], -1)
-        values = np.concatenate((g, g, -g, -g, constant_tails), axis=1)
-        return np.add.reduceat(values[:, self.order], self.starts, axis=1)
 
 
 _STRUCTURE_CACHE: Dict[Tuple[int, int], _CrossbarStructure] = {}
@@ -512,12 +490,6 @@ class CrossbarNetwork:
         tail = self._wire_tail()
         with _obs_trace.span("solver.assemble"):
             return structure.matrix(cell_conductances, tail)
-
-    def _assemble(
-        self, cell_conductances: np.ndarray, inputs: np.ndarray
-    ):
-        """Assemble the sparse conductance matrix and RHS vector."""
-        return self._matrix(cell_conductances), self._rhs(inputs)
 
     def _rhs(self, inputs: np.ndarray) -> np.ndarray:
         """RHS vector(s): source currents into the first WL segments.
@@ -795,7 +767,7 @@ class CrossbarNetwork:
 
 
 # ----------------------------------------------------------------------
-# Matrix-batched solving (DESIGN.md S22)
+# Batched solving (DESIGN.md S22)
 # ----------------------------------------------------------------------
 #: Histogram buckets for ``repro_solver_batch_size`` (members per call).
 _BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
@@ -834,26 +806,21 @@ def solve_batch(
 ) -> CrossbarSolutionBatch:
     """Solve ``B`` same-shape crossbars, one input vector each.
 
-    Linear members (no device, or an ideal ohmic one) share one cached
-    :class:`_CrossbarStructure`: every member's stamp values are
-    stacked into one array and all CSC value arrays are rewritten in a
-    single ``np.add.reduceat`` sweep
-    (:meth:`_CrossbarStructure.matrix_batch`).  Nonlinear members run
-    their own fixed point, one after another — stacking their rounds
-    measured slower than this loop (DESIGN.md S22).  Numeric
-    factorization and triangular solves stay per-member either way, so
-    every member is bit-identical to :meth:`CrossbarNetwork.solve`,
-    which is the contract the fault layer relies on for
-    schedule-independent reproducibility (and the reason batching never
-    changes cache keys).
+    One member loop for every device: each member runs the same
+    assembly, factorization and (for nonlinear devices) fixed point as
+    :meth:`CrossbarNetwork.solve`, so every member is bit-identical to
+    its point-wise solve.  The fault layer relies on that for
+    schedule-independent reproducibility, and it is why batching never
+    changes a cache key.  Stacking the members' assembly into one
+    sweep, or their nonlinear rounds into one loop, measured at parity
+    or slower than this loop and was deleted (DESIGN.md S22).
 
     Parameters
     ----------
     networks:
         The batch members.  All must share one shape and one device
-        model (mixing linear and nonlinear members would split the
-        fixed-point loop); wire/sense parameters and fault masks may
-        differ freely per member.
+        model; wire/sense parameters and fault masks may differ freely
+        per member.
     inputs:
         Input voltage vectors, shape ``(B, M)`` — row ``b`` drives
         ``networks[b]``.
@@ -891,143 +858,46 @@ def solve_batch(
             f"batched inputs must have shape ({len(networks)}, "
             f"{first.rows}), got {inputs.shape}"
         )
-    nonlinear = first._is_nonlinear()
+    batch, m, n = len(networks), first.rows, first.cols
+    result = CrossbarSolutionBatch(
+        output_voltages=np.full((batch, n), np.nan),
+        cell_voltages=np.full((batch, m, n), np.nan),
+        cell_currents=np.full((batch, m, n), np.nan),
+        input_currents=np.full((batch, m), np.nan),
+        total_power=np.full(batch, np.nan),
+        iterations=np.zeros(batch, dtype=np.int64),
+        converged=np.zeros(batch, dtype=bool),
+        failed=np.zeros(batch, dtype=bool) if on_singular == "mark"
+        else None,
+    )
     with _obs_trace.span(
-        "solver.solve_batch", rows=first.rows, cols=first.cols,
-        batch=len(networks), nonlinear=nonlinear,
+        "solver.solve_batch", rows=m, cols=n, batch=batch,
+        nonlinear=first._is_nonlinear(),
     ):
-        if nonlinear:
-            result = _solve_batch_pointwise(
-                networks, inputs, tolerance, max_iterations, on_singular,
-            )
-        else:
-            result = _solve_batch_linear(networks, inputs, on_singular)
-        _count_batched_solve(result.iterations)
-        return result
-
-
-def _solve_batch_linear(
-    networks: List[CrossbarNetwork],
-    inputs: np.ndarray,
-    on_singular: str,
-) -> CrossbarSolutionBatch:
-    """One assembly sweep, then a per-member factorize/solve pass."""
-    first = networks[0]
-    structure = first.structure
-    num_nodes = structure.num_nodes
-    batch = len(networks)
-    conductances = np.stack(
-        [net._base_conductances() for net in networks]
-    )
-    tails = np.stack([net._wire_tail() for net in networks])
-    with _obs_trace.span("solver.assemble", batch=batch):
-        data = structure.matrix_batch(conductances, tails)
-    voltages = np.zeros((batch, num_nodes))
-    failed = np.zeros(batch, dtype=bool)
-    for index, net in enumerate(networks):
-        matrix = sp.csc_matrix(
-            (data[index], structure.csc_indices, structure.csc_indptr),
-            shape=(num_nodes, num_nodes),
-        )
-        rhs = net._rhs(inputs[index])
-        try:
-            solved = net._factorize(matrix).solve(rhs)
-            if np.any(~np.isfinite(solved)):
-                raise SolverError(
-                    "solver produced non-finite node voltages"
+        for index, net in enumerate(networks):
+            try:
+                voltages, conductances, iterations, converged = (
+                    net._solve_nodes(inputs[index], tolerance,
+                                     max_iterations)
                 )
-        except SolverError:
-            if on_singular == "raise":
-                raise
-            failed[index] = True
-            continue
-        voltages[index] = solved
-    iterations = np.where(failed, 0, 1).astype(np.int64)
-    return _stack_member_solutions(
-        networks, voltages, conductances, inputs, iterations,
-        converged=~failed, failed=failed,
-        mark=(on_singular == "mark"),
-    )
-
-
-def _solve_batch_pointwise(
-    networks: List[CrossbarNetwork],
-    inputs: np.ndarray,
-    tolerance: float,
-    max_iterations: int,
-    on_singular: str,
-) -> CrossbarSolutionBatch:
-    """Each member's own fixed point — :meth:`CrossbarNetwork.solve`."""
-    first = networks[0]
-    batch = len(networks)
-    voltages = np.zeros((batch, first.num_nodes))
-    conductances = np.zeros((batch, first.rows, first.cols))
-    iterations = np.zeros(batch, dtype=np.int64)
-    converged = np.zeros(batch, dtype=bool)
-    failed = np.zeros(batch, dtype=bool)
-    for index, net in enumerate(networks):
-        try:
-            (voltages[index], conductances[index], iterations[index],
-             converged[index]) = net._solve_nodes(
-                inputs[index], tolerance, max_iterations
+            except SolverError:
+                if result.failed is None:
+                    raise
+                result.failed[index] = True
+                continue
+            solution = net._package(
+                voltages, conductances, inputs[index], iterations,
+                converged,
             )
-        except SolverError:
-            if on_singular == "raise":
-                raise
-            failed[index] = True
-    return _stack_member_solutions(
-        networks, voltages, conductances, inputs, iterations,
-        converged=converged, failed=failed,
-        mark=(on_singular == "mark"),
-    )
-
-
-def _stack_member_solutions(
-    networks: List[CrossbarNetwork],
-    voltages: np.ndarray,  # (B, 2MN)
-    conductances: np.ndarray,  # (B, M, N)
-    inputs: np.ndarray,  # (B, M)
-    iterations: np.ndarray,
-    converged: np.ndarray,
-    failed: np.ndarray,
-    mark: bool,
-) -> CrossbarSolutionBatch:
-    """Package per-member results; failed members become NaN rows.
-
-    ``failed`` drives the NaN fill either way, but only surfaces as
-    the result's ``failed`` field under ``mark`` (``on_singular=
-    "mark"``) — raise-mode results keep the field ``None``, like the
-    point-wise path and ``solve_many``.
-    """
-    batch = len(networks)
-    m, n = networks[0].rows, networks[0].cols
-    output_voltages = np.full((batch, n), np.nan)
-    cell_voltages = np.full((batch, m, n), np.nan)
-    cell_currents = np.full((batch, m, n), np.nan)
-    input_currents = np.full((batch, m), np.nan)
-    total_power = np.full(batch, np.nan)
-    for index, net in enumerate(networks):
-        if failed[index]:
-            continue
-        solution = net._package(
-            voltages[index], conductances[index], inputs[index],
-            int(iterations[index]), bool(converged[index]),
-        )
-        output_voltages[index] = solution.output_voltages
-        cell_voltages[index] = solution.cell_voltages
-        cell_currents[index] = solution.cell_currents
-        input_currents[index] = solution.input_currents
-        total_power[index] = solution.total_power
-    return CrossbarSolutionBatch(
-        output_voltages=output_voltages,
-        cell_voltages=cell_voltages,
-        cell_currents=cell_currents,
-        input_currents=input_currents,
-        total_power=total_power,
-        iterations=np.asarray(iterations, dtype=np.int64),
-        converged=np.asarray(converged, dtype=bool),
-        failed=np.asarray(failed, dtype=bool) if mark else None,
-    )
+            result.output_voltages[index] = solution.output_voltages
+            result.cell_voltages[index] = solution.cell_voltages
+            result.cell_currents[index] = solution.cell_currents
+            result.input_currents[index] = solution.input_currents
+            result.total_power[index] = solution.total_power
+            result.iterations[index] = iterations
+            result.converged[index] = converged
+        _count_batched_solve(result.iterations)
+    return result
 
 
 def _refined_solve(

@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import SimConfig
 from repro.errors import ConfigError, ValidationError
+from repro.runtime.jobs import content_key
 from repro.tech.memristor import CellType
 
 
@@ -26,6 +27,13 @@ class TestDefaults:
 
     def test_cell_type_accepts_strings(self):
         assert SimConfig(cell_type="0T1R").cell_type is CellType.CROSS_POINT
+
+    @pytest.mark.parametrize("spelling", ["rram", " Rram ", "RRAM"])
+    def test_memristor_model_has_one_spelling(self, spelling):
+        config = SimConfig(memristor_model=spelling)
+        assert config.memristor_model == "RRAM"
+        assert config.to_dict() == SimConfig().to_dict()
+        assert content_key(config) == content_key(SimConfig())
 
 
 class TestValidation:

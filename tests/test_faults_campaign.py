@@ -210,16 +210,61 @@ def _trial_tasks(spec):
     return [job.payload for job in specs]
 
 
+def _pointwise_trial(task):
+    """One trial solved on its own by ``CrossbarNetwork.solve``.
+
+    An independent oracle for the batch worker: the same spawn-keyed
+    stream and draw order (levels, inputs, mask), but no batching and a
+    singular system caught as the ``SolverError`` that ``solve`` raises.
+    MLP trials share no solver, so they run the campaign's own
+    ``_mlp_trial`` on the same stream.
+    """
+    from repro.errors import SolverError
+    from repro.faults.campaign import _mlp_trial
+    from repro.faults.models import sample_fault_mask
+    from repro.spice.solver import CrossbarNetwork, ideal_output_voltages
+
+    (network_spec, mode, fault_rate, seed, spawn_key, device, size,
+     segment_resistance, sense_resistance) = task
+    rng = np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=tuple(spawn_key))
+    )
+    sizes = parse_network_spec(network_spec)
+    if sizes is not None:
+        return _mlp_trial(sizes, mode, fault_rate, rng)
+    levels = rng.integers(0, device.levels, size=(size, size))
+    programmed = device.resistance_of_level(levels)
+    inputs = rng.uniform(0, device.read_voltage, size=size)
+    mask = sample_fault_mask(size, size, fault_rate, rng, mode=mode)
+    network = CrossbarNetwork(programmed, segment_resistance,
+                              sense_resistance, device=device,
+                              fault_mask=mask)
+    try:
+        solved = network.solve(inputs).output_voltages
+    except SolverError:
+        return {"failed": True, "error": None,
+                "fault_count": mask.fault_count}
+    ideal = ideal_output_voltages(programmed, inputs, sense_resistance)
+    scale = float(np.max(np.abs(ideal)))
+    error = (float(np.mean(np.abs(ideal - solved)) / scale)
+             if scale > 0 else 0.0)
+    return {"failed": False, "error": error,
+            "fault_count": mask.fault_count}
+
+
 class TestBatchedParity:
-    """The batch worker returns exactly the per-job worker's trial
-    dicts, including singular (failed) trials."""
+    """The batch worker returns exactly the trial dicts of a point-wise
+    oracle, including singular (failed) trials, for any grouping."""
 
     @staticmethod
     def _assert_worker_parity(tasks):
-        from repro.faults.campaign import _run_trial, _run_trial_batch
+        from repro.faults.campaign import _run_trial_batch
 
         batched = _run_trial_batch(tasks)
-        assert batched == [_run_trial(task) for task in tasks]
+        assert batched == [_pointwise_trial(task) for task in tasks]
+        regrouped = [result for task in tasks
+                     for result in _run_trial_batch([task])]
+        assert batched == regrouped
         return batched
 
     def test_batched_matches_pointwise_serial(self):

@@ -6,6 +6,7 @@ change here must be deliberate (bump ``SCHEMA_VERSION``), never an
 accident of refactoring the code that derives them.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -19,13 +20,21 @@ from repro.config import SimConfig
 from repro.dse.space import DesignSpace
 from repro.nn.networks import mlp, validation_mlp, vgg16
 from repro.runtime.cache import ResultCache
-from repro.runtime.jobs import content_key, network_fingerprint
+from repro.runtime.jobs import (
+    GOLDENS_SHA256,
+    content_key,
+    network_fingerprint,
+)
 from repro.service.schema import SimulationPayload
 from repro.tech import get_memristor_model
 
 EXAMPLE_CAMPAIGN = (
     Path(__file__).resolve().parents[1]
     / "examples" / "campaigns" / "fault-sweep.json"
+)
+GOLDENS = (
+    Path(__file__).resolve().parents[1]
+    / "benchmarks" / "perf" / "expected" / "digests.json"
 )
 
 #: simulation_spec(SIM_CONFIG, validation_mlp()).key
@@ -122,6 +131,19 @@ def _count(monkeypatch, module, name="content_key"):
 def _cached_keys(cache, keys):
     """The subset of ``keys`` present in ``cache``."""
     return set(cache.get_many(keys))
+
+
+def test_changed_goldens_bump_the_schema_version():
+    """The cache outlives commits; only SCHEMA_VERSION invalidates it.
+
+    Re-pinned output digests mean some result changed, so the version
+    that keys every cached row must change with them.
+    """
+    digest = hashlib.sha256(GOLDENS.read_bytes()).hexdigest()
+    assert digest == GOLDENS_SHA256, (
+        f"{GOLDENS.name} changed (sha256 {digest}): bump SCHEMA_VERSION "
+        "and record the new hash as GOLDENS_SHA256 in repro.runtime.jobs"
+    )
 
 
 class TestGoldenKeys:

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+import repro.service.jobs as jobs_mod
 from repro.errors import JobCancelled, MnsimError
 from repro.service.jobs import JobManager, JobState
 from repro.service.schema import SimulationPayload
@@ -147,6 +148,71 @@ def test_failed_job_reports_structured_error_and_retries(
     assert runner.calls == 2
 
 
+def _fail_once(original):
+    """``original``, except that its first call raises."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        if not calls:
+            calls.append(None)
+            raise RuntimeError("injected failure")
+        return original(*args, **kwargs)
+
+    return wrapper
+
+
+def _silent_runner(payload, *, cache=None, progress=None,
+                   should_cancel=None):
+    return {"schema": "test", "ok": True}
+
+
+@pytest.mark.parametrize("target, name", [
+    (SimulationPayload, "total_work"),
+    (jobs_mod, "ProgressTracker"),
+    (jobs_mod, "run_payload"),
+    (jobs_mod, "render_document"),
+    (JobManager, "_persist_observability"),
+    (jobs_mod, "_resource_snapshot"),
+])
+def test_any_failing_step_ends_the_job_failed(manager, monkeypatch,
+                                              target, name):
+    """A failure anywhere in a job's execution ends it in a terminal
+    FAILED event, and the executor goes on to run the next job."""
+    monkeypatch.setattr(jobs_mod, "run_payload", _silent_runner)
+    monkeypatch.setattr(target, name, _fail_once(getattr(target, name)))
+
+    failing, _ = manager.submit(payload(seed=110))
+    assert manager.wait(failing.job_id, timeout=30) == JobState.FAILED
+    events = manager.events_since(failing.job_id, after=0, timeout=0)
+    assert (events[-1].event, events[-1].state) == (
+        "state", JobState.FAILED,
+    )
+    assert failing.error == {
+        "type": "RuntimeError", "message": "injected failure",
+    }
+
+    following, _ = manager.submit(payload(seed=111))
+    assert manager.wait(following.job_id, timeout=30) == JobState.DONE
+
+
+def test_device_spelling_dedupes_onto_one_job(manager, monkeypatch):
+    monkeypatch.setattr(jobs_mod, "run_payload", _silent_runner)
+
+    def simulate(model):
+        return SimulationPayload.from_dict({
+            "kind": "simulate",
+            "network": {"topology": "mlp", "sizes": [16, 8]},
+            "config": {"memristor_model": model},
+        })
+
+    record, created = manager.submit(simulate("RRAM"))
+    assert created
+    assert manager.wait(record.job_id, timeout=30) == JobState.DONE
+    again, created = manager.submit(simulate("rram"))
+    assert not created
+    assert again.job_id == record.job_id
+
+
 def test_events_stream_progress_and_terminal_state(manager, monkeypatch):
     monkeypatch.setattr(
         "repro.service.jobs.run_payload", _CountingRunner()
@@ -170,12 +236,7 @@ def test_total_seeded_from_payload_before_engine_runs(
 ):
     """The payload's work estimate reaches the stream up front, even
     when the engine never reports progress itself."""
-
-    def silent(payload, *, cache=None, progress=None,
-               should_cancel=None):
-        return {"schema": "test", "ok": True}
-
-    monkeypatch.setattr("repro.service.jobs.run_payload", silent)
+    monkeypatch.setattr(jobs_mod, "run_payload", _silent_runner)
     record, _ = manager.submit(payload(seed=105))
     manager.wait(record.job_id, timeout=30)
     events = manager.events_since(record.job_id, after=0, timeout=0)
@@ -189,12 +250,7 @@ def test_final_progress_event_precedes_terminal_state(
 ):
     """Ordering contract of ``events_since``: a successful job always
     ends with ``progress(done == total)`` then the terminal state."""
-
-    def silent(payload, *, cache=None, progress=None,
-               should_cancel=None):
-        return {"schema": "test", "ok": True}
-
-    monkeypatch.setattr("repro.service.jobs.run_payload", silent)
+    monkeypatch.setattr(jobs_mod, "run_payload", _silent_runner)
     record, _ = manager.submit(payload(seed=106))
     manager.wait(record.job_id, timeout=30)
     events = manager.events_since(record.job_id, after=0, timeout=0)
@@ -307,8 +363,6 @@ class TestLongPollIsolation:
 
 def test_each_executor_owns_one_cache_closed_on_shutdown(tmp_path,
                                                         monkeypatch):
-    import repro.service.jobs as jobs_mod
-
     opened = []
 
     class RecordingCache(jobs_mod.ResultCache):

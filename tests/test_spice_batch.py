@@ -12,10 +12,17 @@ both documents which one is the load-bearing guarantee.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.errors import SolverError
-from repro.faults.models import sample_fault_mask
-from repro.spice.solver import CrossbarNetwork, solve_batch
+from repro.faults.models import FAULT_MODES, sample_fault_mask
+from repro.spice.solver import (
+    _MIN_WIRE_RESISTANCE,
+    CrossbarNetwork,
+    solve_batch,
+)
 from repro.tech import get_memristor_model
 
 SEG = 0.25
@@ -219,3 +226,138 @@ class TestValidation:
         networks, inputs = _random_batch(device, 2, 8, seed=56)
         with pytest.raises(SolverError):
             solve_batch(networks, inputs, on_singular="ignore")
+
+
+# ----------------------------------------------------------------------
+# The contract as a property: any shape, device, mask and grouping.
+@st.composite
+def crossbar_batches(draw):
+    """Same-shape members (up to 8x8) of one device, with their inputs.
+
+    Each member draws its own resistances, wire/sense resistances,
+    inputs and a ``sample_fault_mask`` mask of any mode and rate.
+    """
+    rows = draw(st.integers(min_value=1, max_value=8))
+    cols = draw(st.integers(min_value=1, max_value=8))
+    name = draw(st.sampled_from([None, "IDEAL", "RRAM", "PCM"]))
+    device = None if name is None else get_memristor_model(name)
+    networks, inputs = [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        resistances = draw(arrays(
+            float, (rows, cols), elements=st.floats(1e2, 1e7),
+        ))
+        mask = sample_fault_mask(
+            rows, cols, draw(st.floats(0.0, 1.0)),
+            np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+            mode=draw(st.sampled_from(FAULT_MODES)),
+        )
+        networks.append(CrossbarNetwork(
+            resistances, draw(st.floats(0.0, 10.0)),
+            draw(st.floats(10.0, 1e5)), device=device, fault_mask=mask,
+        ))
+        inputs.append(draw(arrays(
+            float, (rows,), elements=st.floats(-1.0, 1.0),
+        )))
+    return networks, np.stack(inputs)
+
+
+def _branches(network):
+    """Every element of a solved linear member, from its definition.
+
+    Yields ``(node_a, node_b, g)`` per two-terminal branch (node
+    ``None`` is ground, ``"src<i>"`` the ideal input source of row
+    ``i``), built from the cell grid, the mask's line faults and the
+    wire/sense resistances — never from the assembled MNA matrix.
+    """
+    mask = network.fault_mask
+    m, n = network.rows, network.cols
+    g_cell = np.where(mask.open_cells, 0.0, 1.0 / network.resistances)
+    g_wire = 1.0 / network.wire_resistance
+    g_short = 1.0 / _MIN_WIRE_RESISTANCE
+
+    def line(index, opened, shorted):
+        if index in opened:
+            return 0.0
+        return g_short if index in shorted else g_wire
+
+    for i in range(m):
+        yield f"src{i}", ("wl", i, 0), (
+            0.0 if i in mask.open_wordlines else g_wire
+        )
+        for j in range(n):
+            yield ("wl", i, j), ("bl", i, j), g_cell[i, j]
+            if j + 1 < n:
+                yield ("wl", i, j), ("wl", i, j + 1), line(
+                    i, mask.open_wordlines, mask.short_wordlines
+                )
+            if i + 1 < m:
+                yield ("bl", i, j), ("bl", i + 1, j), line(
+                    j, mask.open_bitlines, mask.short_bitlines
+                )
+    for j in range(n):
+        yield ("bl", m - 1, j), None, 1.0 / network.sense_resistance
+
+
+def _assert_kcl(network, inputs, batch, index):
+    """Currents into every internal node sum to zero.
+
+    The node voltages come from the member's own solve; the batch row
+    must report the same cell voltages and outputs.  Each branch adds
+    its rounding scale ``g * (|V_a| + |V_b|)`` to its nodes' tolerance.
+    """
+    # A linear member solves in one round; the knobs are not read.
+    voltages = network._solve_nodes(inputs, 1e-10, 1)[0]
+    m, n = network.rows, network.cols
+    wl = voltages[: m * n].reshape(m, n)
+    bl = voltages[m * n:].reshape(m, n)
+    assert np.array_equal(batch.cell_voltages[index], wl - bl)
+    assert np.array_equal(batch.output_voltages[index], bl[-1])
+
+    def volt(node):
+        if node is None:
+            return 0.0
+        if isinstance(node, str):
+            return inputs[int(node[3:])]
+        kind, i, j = node
+        return (wl if kind == "wl" else bl)[i, j]
+
+    net_current, scale = {}, {}
+    for a, b, g in _branches(network):
+        current = g * (volt(a) - volt(b))  # a -> b
+        size = g * (abs(volt(a)) + abs(volt(b)))
+        for node, sign in ((a, -1.0), (b, 1.0)):
+            if isinstance(node, tuple):
+                net_current[node] = net_current.get(node, 0.0) + sign * current
+                scale[node] = scale.get(node, 0.0) + size
+    for node, total in net_current.items():
+        assert abs(total) <= 1e-9 * scale[node], (node, total)
+
+
+class TestBatchContractProperty:
+    @settings(max_examples=80, deadline=None)
+    @given(crossbar_batches())
+    def test_members_are_their_pointwise_solves(self, case):
+        networks, inputs = case
+        batch = solve_batch(networks, inputs, on_singular="mark")
+        for index, network in enumerate(networks):
+            try:
+                single = network.solve(inputs[index])
+            except SolverError:
+                assert batch.failed[index]
+                assert not batch.converged[index]
+                assert np.isnan(batch.output_voltages[index]).all()
+                continue
+            assert not batch.failed[index]
+            assert np.array_equal(batch.output_voltages[index],
+                                  single.output_voltages)
+            assert np.array_equal(batch.cell_voltages[index],
+                                  single.cell_voltages)
+            assert np.array_equal(batch.cell_currents[index],
+                                  single.cell_currents)
+            assert np.array_equal(batch.input_currents[index],
+                                  single.input_currents)
+            assert batch.total_power[index] == single.total_power
+            assert batch.iterations[index] == single.iterations
+            assert bool(batch.converged[index]) == single.converged
+            if not network._is_nonlinear():
+                _assert_kcl(network, inputs[index], batch, index)
