@@ -24,6 +24,13 @@ Performance architecture (see DESIGN.md S3):
 * **Vectorized nonlinear update.**  Each fixed-point iteration evaluates
   :meth:`~repro.tech.memristor.MemristorModel.actual_resistance` on the
   whole ``(M, N)`` cell-voltage grid at once.
+* **One matrix per solve.**  A solve builds its ``csc_matrix`` once;
+  later fixed-point iterations refill its values in place with the same
+  gather and sums, skipping scipy's constructor and ``check_format``.
+* **Resident work memory.**  When this module loads, glibc's malloc
+  mmap/trim thresholds are raised once (``mallopt``), so SuperLU's
+  freed work arrays are reused instead of being faulted back in by
+  every ``splu`` (DESIGN.md S38).
 * **Factorization reuse.**  Each assembled matrix is LU-factorized once
   (``scipy.sparse.linalg.splu``) and back-substituted for however many
   right-hand sides need it: :meth:`CrossbarNetwork.solve_many` solves a
@@ -42,10 +49,12 @@ Observability (DESIGN.md S18): with :func:`repro.obs.enable` on, every
 solve opens ``solver.solve`` / ``solver.solve_many`` /
 ``solver.solve_batch`` spans (a batch member's ``solver.solve`` nests
 in its batch span) with nested ``solver.assemble`` /
-``solver.factorize`` / ``solver.refine`` child spans, and structural-assembly cache hits, factorizations, refinement
-accepts and refactorize-on-stall events are counted on
-``repro_solver_events_total``.  Per-iteration residual deltas are
-attached to the solve span only under ``repro.obs.enable(debug=True)``.
+``solver.factorize`` / ``solver.refine`` child spans (a factorize span
+records its ``minor_faults``), and structural-assembly cache hits,
+factorizations, refinement accepts and refactorize-on-stall events are
+counted on ``repro_solver_events_total``.  Per-iteration residual
+deltas are attached to the solve span only under
+``repro.obs.enable(debug=True)``.
 All hooks are no-ops by default — the disabled span is a cached
 singleton costing ~0.1 us, held under 2% of even the smallest
 benchmarked assembly.
@@ -61,6 +70,7 @@ once per shape on first use.)
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -73,6 +83,11 @@ from typing import (
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+try:
+    import resource as _resource
+except ImportError:  # pragma: no cover - non-POSIX platforms
+    _resource = None
 
 from repro.errors import SolverError
 from repro.obs import metrics as _obs_metrics
@@ -114,6 +129,44 @@ _DAMPING = 0.7
 _REFINE_TOLERANCE = 1e-12
 _REFINE_ACCEPT = 2e-12
 _MAX_REFINE_STEPS = 30
+
+# glibc malloc thresholds for every process that loads the solver
+# (DESIGN.md S38).  SuperLU allocates and frees its work arrays on every
+# ``splu``; at glibc's defaults the freed heap top is handed back to the
+# kernel and faulted in again by the next factorization (~1 100-1 500
+# minor faults per 64x64 ``splu``).  Arrays below the mmap threshold
+# come from the heap, and the heap top is trimmed only above the trim
+# threshold, so the work memory stays resident and is reused.  16/32 MB
+# is the smallest pair that leaves no fault on 16x16-64x64 crossbars.
+_M_TRIM_THRESHOLD = -1  # mallopt parameter numbers, glibc malloc.h
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 16 << 20
+_TRIM_THRESHOLD_BYTES = 32 << 20
+
+
+def _keep_work_memory_resident() -> None:
+    """Set the malloc thresholds (a silent no-op without ``mallopt``).
+
+    Called once, when this module loads, so before the first
+    factorization of any process: fork-started workers inherit the
+    setting and spawned ones import this module.  ``GLIBC_TUNABLES``
+    cannot do this, because glibc reads it only at process start.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # no mallopt here
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
+_keep_work_memory_resident()
+
+
+def _minor_faults() -> int:
+    """This process's minor page faults so far (``ru_minflt``)."""
+    return _resource.getrusage(_resource.RUSAGE_SELF).ru_minflt
 
 
 class _CrossbarStructure:
@@ -229,11 +282,22 @@ class _CrossbarStructure:
         ))
 
     def matrix(
-        self, cell_conductances: np.ndarray, constant_tail: np.ndarray
+        self,
+        cell_conductances: np.ndarray,
+        constant_tail: np.ndarray,
+        out: Optional[sp.csc_matrix] = None,
     ) -> sp.csc_matrix:
-        """Assemble the fixed-sparsity CSC conductance matrix."""
+        """Assemble the fixed-sparsity CSC conductance matrix.
+
+        With ``out`` (a matrix this method built for the same shape) the
+        new values are written into ``out.data`` in place and ``out`` is
+        returned: same gather, same sums, no new matrix.
+        """
         g = cell_conductances.ravel()
         values = np.concatenate((g, g, -g, -g, constant_tail))
+        if out is not None:
+            np.add.reduceat(values[self.order], self.starts, out=out.data)
+            return out
         data = np.add.reduceat(values[self.order], self.starts)
         return sp.csc_matrix(
             (data, self.csc_indices, self.csc_indptr),
@@ -484,12 +548,19 @@ class CrossbarNetwork:
                 g_wire[i] = 0.0
         return g_wire
 
-    def _matrix(self, cell_conductances: np.ndarray) -> sp.csc_matrix:
-        """The CSC conductance matrix at the given cell conductances."""
+    def _matrix(
+        self,
+        cell_conductances: np.ndarray,
+        out: Optional[sp.csc_matrix] = None,
+    ) -> sp.csc_matrix:
+        """The CSC conductance matrix at the given cell conductances.
+
+        ``out`` is refilled in place (:meth:`_CrossbarStructure.matrix`).
+        """
         structure = self.structure
         tail = self._wire_tail()
         with _obs_trace.span("solver.assemble"):
-            return structure.matrix(cell_conductances, tail)
+            return structure.matrix(cell_conductances, tail, out)
 
     def _rhs(self, inputs: np.ndarray) -> np.ndarray:
         """RHS vector(s): source currents into the first WL segments.
@@ -517,12 +588,22 @@ class CrossbarNetwork:
         """
         _count_solver_event("factorize")
         try:
-            with _obs_trace.span("solver.factorize", nodes=self.num_nodes):
-                return spla.splu(
+            with _obs_trace.span(
+                "solver.factorize", nodes=self.num_nodes
+            ) as factorize_span:
+                faults = (
+                    _minor_faults()
+                    if _resource is not None and _obs_trace.enabled()
+                    else None
+                )
+                lu = spla.splu(
                     matrix,
                     permc_spec="MMD_AT_PLUS_A",
                     options={"SymmetricMode": True},
                 )
+                if faults is not None:
+                    factorize_span.set(minor_faults=_minor_faults() - faults)
+                return lu
         except RuntimeError as exc:
             raise SolverError(
                 f"singular MNA system ({self.rows}x{self.cols} crossbar, "
@@ -578,13 +659,16 @@ class CrossbarNetwork:
     ) -> Tuple[np.ndarray, np.ndarray, int, bool]:
         """Fixed-point node solve; returns (V, G, iterations, converged).
 
-        The RHS depends only on ``inputs``, so it is built once.  The
-        system is LU-factorized on the first iteration only; later
-        iterations perturb the matrix slightly (damped conductance
-        updates), so their solves run as iterative refinement against
-        the frozen factorization — a couple of matvec/back-substitution
-        steps instead of a fresh ``splu``.  If refinement ever stalls,
-        the solver transparently refactorizes at the current matrix.
+        The RHS depends only on ``inputs``, so it is built once.  So is
+        the CSC matrix: later iterations refill its values in place,
+        which is safe because ``splu`` copies the matrix into its own
+        L/U storage.  The system is LU-factorized on the first iteration
+        only; later iterations perturb the matrix slightly (damped
+        conductance updates), so their solves run as iterative
+        refinement against the frozen factorization — a couple of
+        matvec/back-substitution steps instead of a fresh ``splu``.  If
+        refinement ever stalls, the solver transparently refactorizes at
+        the current matrix.
         """
         conductances = self._base_conductances()
         rhs = self._rhs(inputs)
@@ -595,6 +679,7 @@ class CrossbarNetwork:
 
         max_rounds = max_iterations if nonlinear else 1
         previous = None
+        matrix = None
         lu = None
         debug = _obs_trace.debug_enabled()
         residuals = [] if debug else None
@@ -605,7 +690,7 @@ class CrossbarNetwork:
             # Read after the loop (returned iteration count) — a B007
             # blind spot.
             for iterations in range(1, max_rounds + 1):  # noqa: B007
-                matrix = self._matrix(conductances)
+                matrix = self._matrix(conductances, matrix)
                 if lu is None:
                     lu = self._factorize(matrix)
                     voltages = lu.solve(rhs)
@@ -665,7 +750,10 @@ class CrossbarNetwork:
         is assembled and LU-factorized **once** and all ``K`` right-hand
         sides are back-substituted against the same factorization —
         the dominant cost of a solve is paid once per batch instead of
-        once per vector.
+        once per vector.  SuperLU solves the K columns with other BLAS
+        calls than K single solves, so these results equal
+        :meth:`solve` to ~1e-16 relative, bit for bit only on some BLAS
+        kernels (AVX-512 yes, OpenBLAS's Haswell and Zen no).
 
         Nonlinear devices shift every cell's operating point with the
         inputs, so each vector keeps its own (exact) fixed-point

@@ -122,6 +122,37 @@ class TestSolverInstrumentation:
         events = obs.REGISTRY.get("repro_solver_events_total")
         assert events.value(event="factorize") >= 1
 
+    def test_factorize_span_records_minor_faults(self):
+        pytest.importorskip("resource")
+        from repro.spice.solver import CrossbarNetwork
+
+        obs.enable()
+        network = CrossbarNetwork(np.full((8, 8), 1e5), 2.0, 100.0)
+        network.solve(np.full(8, 0.3))
+        factorize = [
+            s for s in trace.spans() if s["name"] == "solver.factorize"
+        ]
+        assert len(factorize) == 1
+        faults = factorize[0]["attrs"]["minor_faults"]
+        assert isinstance(faults, int) and faults >= 0
+
+    def test_one_assemble_span_per_iteration(self):
+        """Refilling the matrix in place keeps the per-iteration span."""
+        from repro.spice.solver import CrossbarNetwork
+        from repro.tech import get_memristor_model
+
+        obs.enable()
+        device = get_memristor_model("RRAM")
+        rng = np.random.default_rng(7)
+        levels = rng.integers(0, device.levels, size=(8, 8))
+        network = CrossbarNetwork(
+            device.resistance_of_level(levels), 2.0, 100.0, device=device,
+        )
+        solution = network.solve(np.full(8, device.read_voltage))
+        names = [s["name"] for s in trace.spans()]
+        assert solution.iterations > 1
+        assert names.count("solver.assemble") == solution.iterations
+
     def test_debug_mode_records_residuals(self):
         from repro.config import SimConfig
         from repro.spice.solver import CrossbarNetwork

@@ -12,10 +12,20 @@ within solver rounding noise of the 1e-10 tolerance), so there the
 iteration count may differ by one.
 """
 
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.errors import SolverError
+from repro.faults.models import FAULT_MODES, sample_fault_mask
 from repro.spice.reference import reference_solve
 from repro.spice.solver import (
     _STRUCTURE_CACHE,
@@ -25,6 +35,7 @@ from repro.spice.solver import (
 )
 from repro.tech import get_memristor_model
 
+REPO_ROOT = Path(__file__).resolve().parent.parent
 SIZES = (4, 32, 64)
 DEVICES = ("RRAM", "PCM")
 
@@ -219,3 +230,87 @@ class TestMonteCarloRegression:
             widened.samples.reshape(3, 4, 8)[:, 0, :].ravel(),
             base.samples, rtol=1e-12, atol=1e-15,
         )
+
+
+# ----------------------------------------------------------------------
+# Allocation-quiet solving (DESIGN.md S38)
+@st.composite
+def refills(draw):
+    """One shape; a matrix assembled at one network's values, and the
+    cell conductances and fault-mask wire tail to refill it with."""
+    rows = draw(st.integers(min_value=1, max_value=8))
+    cols = draw(st.integers(min_value=1, max_value=8))
+
+    def network():
+        mask = sample_fault_mask(
+            rows, cols, draw(st.floats(0.0, 1.0)),
+            np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+            mode=draw(st.sampled_from(FAULT_MODES)),
+        )
+        return CrossbarNetwork(
+            np.full((rows, cols), 1e5), draw(st.floats(0.0, 10.0)),
+            draw(st.floats(10.0, 1e5)), fault_mask=mask,
+        )
+
+    def conductances():
+        return draw(arrays(
+            float, (rows, cols), elements=st.floats(0.0, 1e-2),
+        ))
+
+    return (network(), conductances()), (network(), conductances())
+
+
+class TestInPlaceRefill:
+    @settings(max_examples=60, deadline=None)
+    @given(refills())
+    def test_refill_equals_fresh_assembly(self, case):
+        """A refilled matrix is the freshly assembled one, bit for bit,
+        whatever values it held before."""
+        (old_net, old_g), (net, g) = case
+        structure = net.structure
+        matrix = structure.matrix(old_g, old_net._wire_tail())
+        data = matrix.data
+        refilled = structure.matrix(g, net._wire_tail(), out=matrix)
+        fresh = structure.matrix(g, net._wire_tail())
+        assert refilled is matrix and refilled.data is data
+        assert refilled.data.tobytes() == fresh.data.tobytes()
+        assert np.array_equal(refilled.indices, fresh.indices)
+        assert np.array_equal(refilled.indptr, fresh.indptr)
+
+
+_FAULT_PROBE = """
+import resource
+import numpy as np
+from repro.spice.solver import CrossbarNetwork
+
+rng = np.random.default_rng(0)
+network = CrossbarNetwork(rng.uniform(1e5, 1e6, (64, 64)), 0.25, 1e3)
+inputs = rng.uniform(0.1, 1.0, 64)
+network.solve(inputs)  # warm-up: the first factorization sizes the heap
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    network.solve(inputs)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+print((after - before) / 10)
+"""
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc",
+    reason="the malloc thresholds the solver sets are glibc's",
+)
+def test_factorization_work_memory_stays_resident():
+    """Repeated 64x64 solves fault no page back in after a warm-up.
+
+    At glibc's default thresholds every ``splu`` re-faulted SuperLU's
+    freed work arrays, ~1 100-1 500 minor faults per 64x64 solve.  A
+    fresh interpreter keeps other tests' heap state from hiding that.
+    """
+    result = subprocess.run(
+        [sys.executable, "-c", _FAULT_PROBE],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    faults_per_solve = float(result.stdout.split()[-1])
+    assert faults_per_solve < 10
