@@ -1,18 +1,23 @@
-"""Run declarative campaigns on the stage DAG.
+"""Run declarative campaigns: one loop over the expanded units.
 
-A :class:`~repro.campaign.config.CampaignConfig` compiles into one
-graph shape:
+A :class:`~repro.campaign.config.CampaignConfig` expands into a flat
+list of units, ``combination`` x ``numRuns`` (the 6tisch shape,
+SNIPPETS.md #3).  :class:`CampaignLoop` runs them in order, then the
+``post`` hooks, then assembles the report:
 
-* one ``campaign.unit`` stage per expanded unit (weight = the unit
-  payload's :meth:`~repro.service.schema.SimulationPayload.total_work`,
-  stage-level ``cache_key`` derived from the unit's
-  ``result_identity`` so resume replays completed units wholesale),
-* one ``campaign.post.*`` stage per ``post`` hook, depending on every
-  unit, and
-* a weight-0 ``campaign.report`` stage depending on everything, which
-  assembles the final deterministic document.
+* each unit runs its payload through
+  :func:`repro.service.workloads.run_payload` and, with a cache,
+  stores the result as a ``campaign-stage`` row keyed on the payload's
+  ``result_identity`` (:func:`stage_key`), never on engine knobs, so
+  serial and ``--jobs`` runs share rows.  A resumed campaign replays
+  completed units from those rows wholesale; a unit killed mid-way
+  replays its finished jobs through the engine's own per-job cache;
+* ``should_cancel`` is checked before every unit (the engine checks
+  it at chunk boundaries inside one);
+* progress is one monotone ``(done, total)`` stream over the whole
+  campaign, each unit weighted by its payload's ``total_work()``.
 
-Every stage result is JSON-safe by construction, which is what lets
+Every unit result is JSON-safe by construction, which is what lets
 the stage cache persist them and lets resumed and uninterrupted runs
 produce byte-identical reports.
 """
@@ -20,20 +25,31 @@ produce byte-identical reports.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, List, Optional
+import time
+from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.campaign.config import CAMPAIGN_SCHEMA, CampaignConfig
-from repro.campaign.dag import DagRunner, Stage, StageContext, register_executor
+from repro.campaign.config import (
+    CAMPAIGN_SCHEMA,
+    CampaignConfig,
+    CampaignUnit,
+)
+from repro.errors import JobCancelled
 from repro.jsonio import render_document
+from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.runtime.cache import ResultCache
 from repro.runtime.jobs import content_key
-from repro.service.schema import PayloadKind
+from repro.runtime.pool import RUNTIME_EVENTS
+from repro.service.schema import PayloadKind, SimulationPayload
 from repro.service.workloads import run_payload
 
-__all__ = ["run_campaign_config", "CampaignRun", "REPORT_STAGE"]
+__all__ = ["run_campaign_config", "CampaignRun", "CampaignLoop",
+           "stage_key", "REPORT_STAGE", "STAGE_CACHE_KIND"]
 
-#: Name of the final assembly stage (its result is the report document).
+#: ``ResultCache`` row kind of a completed unit's result.
+STAGE_CACHE_KIND = "campaign-stage"
+
+#: Name of the final assembly step (its result is the report document).
 REPORT_STAGE = "report"
 
 
@@ -57,20 +73,17 @@ class CampaignRun:
         return render_document(self.document)
 
 
-# ----------------------------------------------------------------------
-# Executors
-# ----------------------------------------------------------------------
-@register_executor("campaign.unit")
-def _run_unit(stage: Stage, context: StageContext) -> Dict[str, Any]:
-    unit = stage.params["unit"]
-    return run_payload(
-        unit.payload,
-        cache=context.cache,
-        progress=context.progress,
-        should_cancel=context.should_cancel,
-    )
+def stage_key(payload: SimulationPayload) -> str:
+    """Cache key of a unit's ``campaign-stage`` row.
+
+    Persisted rows are only found again while this stays byte-stable.
+    """
+    return content_key(CAMPAIGN_SCHEMA, "unit", payload.result_identity())
 
 
+# ----------------------------------------------------------------------
+# Post hooks and the report
+# ----------------------------------------------------------------------
 #: Result-document field each kind's one-number headline comes from.
 def _headline(kind: PayloadKind, doc: Dict[str, Any]) -> Dict[str, Any]:
     if kind is PayloadKind.MONTECARLO:
@@ -90,26 +103,37 @@ def _headline(kind: PayloadKind, doc: Dict[str, Any]) -> Dict[str, Any]:
     return {"metric": None, "value": None}
 
 
-@register_executor("campaign.post.summary")
-def _run_summary(stage: Stage, context: StageContext) -> Dict[str, Any]:
-    config: CampaignConfig = stage.params["config"]
-    rows: List[Dict[str, Any]] = []
-    for unit in config.units:
-        doc = context.upstream[unit.stage]
-        rows.append({
-            "stage": unit.stage,
-            "combination": dict(unit.combination),
-            "run": unit.run,
-            "seed": unit.seed,
-            "kind": unit.payload.kind.value,
-            **_headline(unit.payload.kind, doc),
-        })
+def _unit_fields(unit: CampaignUnit) -> Dict[str, Any]:
+    """What names a unit in the summary rows and the report."""
+    return {
+        "stage": unit.stage,
+        "combination": dict(unit.combination),
+        "run": unit.run,
+        "seed": unit.seed,
+        "kind": unit.payload.kind.value,
+    }
+
+
+def _summary(
+    config: CampaignConfig, results: Dict[str, Any]
+) -> Dict[str, Any]:
+    rows = [
+        {**_unit_fields(unit),
+         **_headline(unit.payload.kind, results[unit.stage])}
+        for unit in config.units
+    ]
     return {"hook": "summary", "rows": rows}
 
 
-@register_executor("campaign.report")
-def _run_report(stage: Stage, context: StageContext) -> Dict[str, Any]:
-    config: CampaignConfig = stage.params["config"]
+#: The ``post`` hooks by name (``config.POST_HOOKS`` validates them).
+_POST_HOOKS = {"summary": _summary}
+
+
+def _report(
+    config: CampaignConfig,
+    results: Dict[str, Any],
+    post: Dict[str, Any],
+) -> Dict[str, Any]:
     return {
         "schema": CAMPAIGN_SCHEMA,
         "name": config.name,
@@ -120,71 +144,154 @@ def _run_report(stage: Stage, context: StageContext) -> Dict[str, Any]:
             key: list(values) for key, values in config.combination
         },
         "units": [
-            {
-                "stage": unit.stage,
-                "combination": dict(unit.combination),
-                "run": unit.run,
-                "seed": unit.seed,
-                "kind": unit.payload.kind.value,
-                "result": context.upstream[unit.stage],
-            }
+            {**_unit_fields(unit), "result": results[unit.stage]}
             for unit in config.units
         ],
-        "post": {
-            hook: context.upstream[f"post:{hook}"] for hook in config.post
-        },
+        "post": post,
     }
 
 
 # ----------------------------------------------------------------------
-# Graph assembly
+# The loop
 # ----------------------------------------------------------------------
-def build_stages(
-    config: CampaignConfig, *, jobs: Optional[int] = None
-) -> List[Stage]:
-    """Compile a campaign into its stage graph.
+def _engine_counts() -> Tuple[int, int]:
+    """Engine job and cache-hit counts so far: the current job's
+    series inside a JobContext (a campaign running concurrently in
+    another job never counts here), else the base series."""
+    events = obs_metrics.counter(RUNTIME_EVENTS)
+    job = obs_trace.current_job()
+    scope = {} if job is None else {"job": job}
+    return (
+        int(events.value(event="jobs_total", **scope)),
+        int(events.value(event="cache_hits", **scope)),
+    )
+
+
+class CampaignLoop:
+    """One campaign execution: the units in order, the post hooks, the
+    report.
 
     ``jobs`` overrides the file's ``numCPUs`` (the CLI ``--jobs`` flag)
-    by swapping the engine knobs on every unit payload — identity and
-    cache keys are execution-independent, so serial and overridden runs
-    share every cache row.
+    on every unit payload; stage keys exclude engine knobs, so serial
+    and overridden runs share every cache row.  ``stages`` names each
+    step in run order (``unit-…``, ``post:<hook>``, ``report``) and
+    :meth:`run` fills :attr:`stage_stats` under the same names.
     """
-    stages: List[Stage] = []
-    unit_names: List[str] = []
-    for unit in config.units:
-        payload = unit.payload
-        if jobs is not None:
-            payload = dataclasses.replace(
-                payload,
-                execution=dataclasses.replace(payload.execution, jobs=jobs),
+
+    def __init__(
+        self,
+        config: CampaignConfig,
+        *,
+        jobs: Optional[int] = None,
+        cache: Optional[ResultCache] = None,
+        progress: Optional[Callable[[int, int], None]] = None,
+        should_cancel: Optional[Callable[[], bool]] = None,
+    ) -> None:
+        self.config = config
+        self.cache = cache
+        self.progress = progress
+        self.should_cancel = should_cancel
+        self.payloads = tuple(
+            unit.payload if jobs is None else dataclasses.replace(
+                unit.payload,
+                execution=dataclasses.replace(
+                    unit.payload.execution, jobs=jobs
+                ),
             )
-        stages.append(Stage(
-            name=unit.stage,
-            executor="campaign.unit",
-            params={"unit": dataclasses.replace(unit, payload=payload)},
-            weight=payload.total_work(),
-            cache_key=content_key(
-                CAMPAIGN_SCHEMA, "unit", payload.result_identity()
-            ),
-        ))
-        unit_names.append(unit.stage)
-    post_names: List[str] = []
-    for hook in config.post:
-        name = f"post:{hook}"
-        stages.append(Stage(
-            name=name,
-            executor=f"campaign.post.{hook}",
-            params={"config": config},
-            depends_on=tuple(unit_names),
-        ))
-        post_names.append(name)
-    stages.append(Stage(
-        name=REPORT_STAGE,
-        executor="campaign.report",
-        params={"config": config},
-        depends_on=tuple(unit_names + post_names),
-    ))
-    return stages
+            for unit in config.units
+        )
+        self.stages = (
+            tuple(unit.stage for unit in config.units)
+            + tuple(f"post:{hook}" for hook in config.post)
+            + (REPORT_STAGE,)
+        )
+        #: ``{"resumed": bool, "jobs": int, "cache_hits": int,
+        #:    "elapsed_seconds": float}`` per stage name.
+        self.stage_stats: Dict[str, Dict[str, Any]] = {}
+
+    def _report_progress(self, done: int, total: int) -> None:
+        if self.progress is not None:
+            self.progress(done, total)
+
+    def _run_unit(
+        self, stage: str, payload: SimulationPayload, offset: int,
+        total: int,
+    ) -> Tuple[Any, bool]:
+        """The unit's result, and whether it came from the stage cache."""
+        key = None if self.cache is None else stage_key(payload)
+        if key is not None:
+            cached = self.cache.get(key)
+            if cached is not None:
+                return cached, True
+        with obs_trace.span(
+            "campaign.stage", stage=stage, weight=payload.total_work()
+        ):
+            result = run_payload(
+                payload,
+                cache=self.cache,
+                progress=lambda done, _total: self._report_progress(
+                    min(offset + done, total), total
+                ),
+                should_cancel=self.should_cancel,
+            )
+        if key is not None:
+            self.cache.put(key, STAGE_CACHE_KIND, result)
+        return result, False
+
+    def _record_plain(self, name: str, started: float) -> None:
+        """Stats of a post hook or the report: pure functions that run
+        no engine jobs."""
+        self.stage_stats[name] = {
+            "resumed": False,
+            "jobs": 0,
+            "cache_hits": 0,
+            "elapsed_seconds": time.monotonic() - started,
+        }
+
+    def run(self) -> Dict[str, Any]:
+        """Run every unit, then the post hooks; return the report.
+
+        Raises :class:`~repro.errors.JobCancelled` when
+        ``should_cancel`` fires before a unit (the engine raises it at
+        chunk boundaries inside one); every unit already stored stays
+        stored, which is what makes resume work.
+        """
+        self.stage_stats = {}
+        total = sum(payload.total_work() for payload in self.payloads)
+        results: Dict[str, Any] = {}
+        offset = 0
+        self._report_progress(0, total)
+        for unit, payload in zip(self.config.units, self.payloads):
+            if self.should_cancel is not None and self.should_cancel():
+                raise JobCancelled("campaign cancelled at a stage boundary")
+            weight = payload.total_work()
+            jobs_before, hits_before = _engine_counts()
+            started = time.monotonic()
+            result, resumed = self._run_unit(
+                unit.stage, payload, offset, total
+            )
+            elapsed = 0.0 if resumed else time.monotonic() - started
+            results[unit.stage] = result
+            offset += weight
+            # A unit's end pins the campaign axis even when it reported
+            # nothing itself (a resumed unit).
+            self._report_progress(offset, total)
+            jobs_after, hits_after = _engine_counts()
+            self.stage_stats[unit.stage] = {
+                "resumed": resumed,
+                "jobs": jobs_after - jobs_before,
+                "cache_hits": hits_after - hits_before,
+                "elapsed_seconds": elapsed,
+            }
+        post = {}
+        for hook in self.config.post:
+            started = time.monotonic()
+            post[hook] = _POST_HOOKS[hook](self.config, results)
+            self._record_plain(f"post:{hook}", started)
+        started = time.monotonic()
+        report = _report(self.config, results, post)
+        self._record_plain(REPORT_STAGE, started)
+        return report
 
 
 def run_campaign_config(
@@ -197,15 +304,15 @@ def run_campaign_config(
 ) -> CampaignRun:
     """Execute a validated campaign and return its report.
 
-    Stage-level resume needs ``cache``: with one configured, completed
-    unit stages of an interrupted run replay wholesale on the next
-    invocation (their ``resumed`` flag flips in ``stage_stats``) and
-    partially-complete stages replay finished jobs through the engine's
-    per-job cache — the report comes out byte-identical either way.
+    Resume needs ``cache``: with one configured, completed units of an
+    interrupted run replay wholesale on the next invocation (their
+    ``resumed`` flag flips in ``stage_stats``) and a unit killed
+    mid-way replays its finished jobs through the engine's per-job
+    cache — the report comes out byte-identical either way.
     """
-    stages = build_stages(config, jobs=jobs)
-    runner = DagRunner(
-        stages,
+    loop = CampaignLoop(
+        config,
+        jobs=jobs,
         cache=cache,
         progress=progress,
         should_cancel=should_cancel,
@@ -216,9 +323,9 @@ def run_campaign_config(
         units=len(config.units),
         total_work=config.total_work(),
     ):
-        results = runner.run()
+        document = loop.run()
     return CampaignRun(
-        document=results[REPORT_STAGE],
-        stage_stats=dict(runner.stage_stats),
+        document=document,
+        stage_stats=dict(loop.stage_stats),
         fingerprint=config.fingerprint(),
     )

@@ -16,7 +16,7 @@ The commands cover the software flow of the paper's Fig. 3:
   intervals (see :mod:`repro.faults`);
 * ``campaign`` — declarative campaign files (JSON, or TOML on Python
   3.11+): ``validate`` checks a file and summarizes its expansion,
-  ``run`` executes it through the stage-DAG runner, ``resume`` re-runs
+  ``run`` executes its units, post hooks and report, ``resume`` re-runs
   an interrupted campaign against its cache (:mod:`repro.campaign`);
 * ``netlist`` — export a SPICE netlist for a random-programmed crossbar
   of the configured size (the hand-off path to external simulators);

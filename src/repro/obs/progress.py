@@ -46,6 +46,8 @@ class ProgressTracker:
     ``done`` is clamped monotone (the engine's cache stage may report
     before the dispatch stage re-reports the same count); ``total``
     tracks the latest report so an up-front estimate can be refined.
+    A tracker follows one run: the clamp would swallow a restarted
+    run's reports, so a restart builds a new tracker.
     """
 
     def __init__(
@@ -55,19 +57,6 @@ class ProgressTracker:
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self._clock = clock
-        self.reset(total)
-
-    def reset(self, total: int = 0) -> None:
-        """Discard all accumulated state for a fresh attempt.
-
-        ``update`` clamps ``done`` monotone on purpose (the engine's
-        cache stage may re-report a count), which means a *restarted*
-        stage reusing a tracker would silently drop every report until
-        it overtook the previous attempt — a frozen ETA built from
-        stale throughput.  Restarts must call ``reset`` (or build a new
-        tracker) so the count, the EWMA and the latency histogram all
-        start from zero.
-        """
         self.done = 0
         self.total = int(total)
         self._started = self._clock()

@@ -98,13 +98,12 @@ def _cli(*argv):
 #: What a cold command without ``--cache-dir`` or ``--jobs`` never needs:
 #: the solver stack, the cache's database, the process pool, and lint.
 _LEAN = ("scipy", "sqlite3", "multiprocessing", "repro.analysis")
-#: What a cold solver sweep (Monte Carlo, faults) never needs: the
-#: calibration fit, the cache, the pool, lint, and the campaign DAG (a
-#: sweep calls ``run_jobs`` directly).
-_SOLVER_SWEEP = (
-    "scipy.optimize", "sqlite3", "multiprocessing", "repro.analysis",
-    "repro.campaign",
-)
+#: What a cold solver run never needs: the calibration fit, the cache,
+#: the pool and lint.
+_SOLVER = ("scipy.optimize", "sqlite3", "multiprocessing", "repro.analysis")
+#: A cold sweep (Monte Carlo, faults) calls ``run_jobs`` directly and
+#: never loads the campaign package either.
+_SOLVER_SWEEP = _SOLVER + ("repro.campaign",)
 
 
 @pytest.mark.parametrize(
@@ -138,6 +137,13 @@ _SOLVER_SWEEP = (
             (), _LEAN, 38, id="campaign-validate",
         ),
         pytest.param(
+            _cli("campaign", "run",
+                 str(REPO_ROOT / "examples/campaigns/fault-sweep.json"),
+                 "--no-cache", "-o", "report.json"),
+            ("scipy.sparse",), _SOLVER + ("repro.campaign.dag",), 41,
+            id="campaign-run",
+        ),
+        pytest.param(
             _cli("montecarlo", "--size", "8", "--trials", "2"),
             ("scipy.sparse",), _SOLVER_SWEEP, 37, id="montecarlo",
         ),
@@ -148,7 +154,7 @@ _SOLVER_SWEEP = (
     ],
 )
 def test_scipy_loaded_only_where_called(
-    statement, required, forbidden, max_repro
+    statement, required, forbidden, max_repro, tmp_path
 ):
     """Entry points load only the modules their work needs.
 
@@ -167,7 +173,7 @@ def test_scipy_loaded_only_where_called(
     )
     result = subprocess.run(
         [sys.executable, "-c", probe],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
     )
     assert result.returncode == 0, result.stderr[-2000:]

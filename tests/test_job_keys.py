@@ -16,6 +16,12 @@ import repro.accuracy.montecarlo as montecarlo
 import repro.dse.explorer as explorer
 import repro.faults.campaign as faults_campaign
 from repro.campaign.config import CampaignConfig
+from repro.campaign.runner import (
+    STAGE_CACHE_KIND,
+    CampaignLoop,
+    run_campaign_config,
+    stage_key,
+)
 from repro.config import SimConfig
 from repro.dse.space import DesignSpace
 from repro.nn.networks import mlp, validation_mlp, vgg16
@@ -65,6 +71,18 @@ PAYLOAD_FINGERPRINT = (
 CAMPAIGN_FINGERPRINT = (
     "068941b974ed08a91edd2ce2a868676a798f312d65a51631b4a7efe9550af02e"
 )
+#: Stage keys of the example campaign's units: the ``campaign-stage``
+#: rows an interrupted run left behind resume only under these.
+CAMPAIGN_STAGE_KEYS = {
+    "unit-000-run-0":
+        "c418c5d97c162f5ede25046928f37a7c03138760f8759990aa4ec20abce27d29",
+    "unit-000-run-1":
+        "1f031fc35e30c99a7837ee7208abb02b82146bbf00f61ee46ea51640365ff6eb",
+    "unit-001-run-0":
+        "c5947a9c123d027a58d620fefc6c6f37d30df53deff64eeea4ad70b76ee2bf67",
+    "unit-001-run-1":
+        "dc5c730db04660529216b02de7e5b8046c6e4910060633074c7750c0ee46e87d",
+}
 VGG16_FINGERPRINT = "a069a4bdf6d7edc7"
 #: SWEEP_SPACE points on SWEEP_BASE for SWEEP_NETWORK, in sweep order.
 SWEEP_KEYS = [
@@ -180,6 +198,43 @@ class TestGoldenKeys:
             json.loads(EXAMPLE_CAMPAIGN.read_text())
         )
         assert config.fingerprint() == CAMPAIGN_FINGERPRINT
+
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_campaign_stage_keys(self, jobs):
+        config = CampaignConfig.from_dict(
+            json.loads(EXAMPLE_CAMPAIGN.read_text())
+        )
+        loop = CampaignLoop(config, jobs=jobs)
+        keys = {
+            unit.stage: stage_key(payload)
+            for unit, payload in zip(config.units, loop.payloads)
+        }
+        assert keys == CAMPAIGN_STAGE_KEYS
+
+    def test_campaign_resumes_from_rows_under_the_pinned_keys(
+        self, tmp_path, run_scope
+    ):
+        # Stage rows stored under the pinned keys (as an older build
+        # wrote them) replay every unit: no engine job runs.
+        config = CampaignConfig.from_dict(
+            json.loads(EXAMPLE_CAMPAIGN.read_text())
+        )
+        expected = run_campaign_config(config)
+        with ResultCache(tmp_path) as cache:
+            cache.put_many(
+                (CAMPAIGN_STAGE_KEYS[unit["stage"]], STAGE_CACHE_KIND,
+                 unit["result"])
+                for unit in expected.document["units"]
+            )
+            with run_scope:
+                resumed = run_campaign_config(config, cache=cache)
+        assert all(
+            resumed.stage_stats[name]["resumed"]
+            for name in CAMPAIGN_STAGE_KEYS
+        )
+        counters = run_scope.summary()["counters"]
+        assert counters.get("jobs_executed", 0) == 0
+        assert resumed.to_json() == expected.to_json()
 
     def test_network_fingerprint(self):
         assert network_fingerprint(vgg16()) == VGG16_FINGERPRINT

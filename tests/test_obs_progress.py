@@ -36,6 +36,17 @@ class TestProgressTracker:
         assert tracker.throughput is None
         assert tracker.eta_seconds() is None
 
+    def test_fresh_tracker_starts_from_zero(self):
+        clock = _FakeClock()
+        used = ProgressTracker(total=7, clock=clock)
+        clock.advance(1.0)
+        used.update(3, 7)
+        fresh = ProgressTracker(total=7, clock=clock)
+        assert fresh.snapshot() == {
+            "done": 0, "total": 7, "elapsed_seconds": 0.0,
+            "throughput": None, "eta_seconds": None,
+        }
+
     def test_eta_finite_after_first_chunk(self):
         clock = _FakeClock()
         tracker = ProgressTracker(total=10, clock=clock)
@@ -158,55 +169,3 @@ class TestBatchSizeBuckets:
         fetched = registry.histogram("h")
         assert fetched is created
         assert fetched.bounds == [1.0, 2.0, 4.0]
-
-
-class TestTrackerReset:
-    """reset() is what lets one tracker serve many stage attempts."""
-
-    def test_reset_clears_count_total_and_estimators(self):
-        clock = _FakeClock()
-        tracker = ProgressTracker(total=10, clock=clock)
-        clock.advance(1.0)
-        tracker.update(5, 10)
-        assert tracker.throughput is not None
-        tracker.reset(4)
-        assert tracker.done == 0
-        assert tracker.total == 4
-        assert tracker.throughput is None
-        assert tracker.eta_seconds() is None
-        assert tracker.elapsed_seconds() == 0.0
-
-    def test_restarted_attempt_is_not_clamped(self):
-        # Without reset, a restarted stage re-reporting from done=1
-        # would be swallowed by the monotone clamp (done <= self.done)
-        # until it overtook the first attempt — the frozen-ETA bug.
-        clock = _FakeClock()
-        tracker = ProgressTracker(total=10, clock=clock)
-        clock.advance(1.0)
-        tracker.update(8, 10)
-        tracker.reset(10)
-        clock.advance(2.0)
-        tracker.update(1, 10)
-        assert tracker.done == 1
-        assert tracker.throughput == pytest.approx(0.5)
-
-    def test_reset_discards_stale_latency_history(self):
-        clock = _FakeClock()
-        tracker = ProgressTracker(total=2, clock=clock)
-        clock.advance(100.0)
-        tracker.update(1, 2)  # pathological 100 s/job sample
-        tracker.reset(2)
-        clock.advance(1.0)
-        tracker.update(1, 2)
-        # ETA reflects only the fresh ~1 s/job attempt (modulo bucket
-        # interpolation), not the stale 100 s/job median kept before
-        # the reset.
-        assert tracker.eta_seconds() < 5.0
-
-    def test_constructor_and_reset_agree(self):
-        clock = _FakeClock()
-        fresh = ProgressTracker(total=7, clock=clock)
-        recycled = ProgressTracker(total=99, clock=clock)
-        recycled.update(3, 99)
-        recycled.reset(7)
-        assert recycled.snapshot() == fresh.snapshot()

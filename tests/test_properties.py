@@ -5,6 +5,7 @@ import enum
 import json
 import math
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,10 +21,12 @@ from repro.accuracy.quantization import (
     max_error_rate,
 )
 from repro.campaign.config import (
+    CampaignConfig,
     CampaignExecution,
     CampaignFile,
     CampaignSettings,
 )
+from repro.campaign.runner import CampaignLoop, stage_key
 from repro.config import Declared, SimConfig, dump, parse
 from repro.dse.tradeoff import inflection_point, pareto_frontier
 from repro.errors import ConfigError, ValidationError
@@ -804,3 +807,62 @@ def test_any_json_section_parses_or_is_named_at_its_section(data):
     else:
         assert payload.total_work() >= 1
         assert payload.fingerprint()
+
+
+# ----------------------------------------------------------------------
+# Campaign keys: execution-only fields never move one
+# ----------------------------------------------------------------------
+#: Campaign documents the property varies: the checked-in example and
+#: a Monte-Carlo sweep.
+_CAMPAIGN_DOCS = (
+    json.loads(
+        (Path(__file__).resolve().parents[1] / "examples" / "campaigns"
+         / "fault-sweep.json").read_text()
+    ),
+    {
+        "version": 0, "name": "mc-study",
+        "execution": {"numRuns": 2},
+        "settings": {
+            "regular": {"kind": "montecarlo",
+                        "montecarlo": {"trials": 2, "seed": 3, "size": 8}},
+            "combination": {"montecarlo.sigma": [0.05, 0.1]},
+        },
+    },
+)
+
+
+def _campaign_keys(config, jobs=None):
+    """The campaign fingerprint and every unit's stage key."""
+    loop = CampaignLoop(config, jobs=jobs)
+    return config.fingerprint(), [stage_key(p) for p in loop.payloads]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_execution_only_fields_never_move_a_campaign_key(data):
+    """``numCPUs``, ``chunk_size``, ``timeout``, ``retries``,
+    ``min_sweep_for_parallel`` and a ``--jobs`` override, each drawn
+    inside its declared bounds, leave the fingerprint and every stage
+    key as they are (``numRuns`` expands units, so it is not drawn)."""
+    document = json.loads(json.dumps(data.draw(
+        st.sampled_from(_CAMPAIGN_DOCS)
+    )))
+    base = CampaignConfig.from_dict(document)
+    hints = typing.get_type_hints(CampaignExecution)
+    knobs = {
+        spec.name: data.draw(_field_values(hints[spec.name], spec.metadata))
+        for spec in dataclasses.fields(CampaignExecution)
+        if spec.name != "num_runs"
+    }
+    try:
+        execution = CampaignExecution(num_runs=base.num_runs, **knobs)
+    except ConfigError:
+        reject()
+    document["execution"] = dump(execution)
+    jobs_field = {
+        spec.name: spec for spec in dataclasses.fields(ExecutionSpec)
+    }["jobs"]
+    jobs = data.draw(st.none() | _field_values(int, jobs_field.metadata))
+    assert _campaign_keys(CampaignConfig.from_dict(document), jobs) == (
+        _campaign_keys(base)
+    )
