@@ -38,13 +38,30 @@ class TestProgressTracker:
 
     def test_fresh_tracker_starts_from_zero(self):
         clock = _FakeClock()
-        used = ProgressTracker(total=7, clock=clock)
+        used = ProgressTracker(total=10, clock=clock)
         clock.advance(1.0)
-        used.update(3, 7)
-        fresh = ProgressTracker(total=7, clock=clock)
-        assert fresh.snapshot() == {
+        used.update(5, 10)
+        assert used.throughput is not None
+        fresh = ProgressTracker(total=4, clock=clock)
+        assert fresh.done == 0
+        assert fresh.total == 4
+        assert fresh.throughput is None
+        assert fresh.eta_seconds() is None
+        assert fresh.elapsed_seconds() == 0.0
+
+    def test_trackers_on_a_shared_clock_start_alike(self):
+        clock = _FakeClock()
+        first = ProgressTracker(total=7, clock=clock)
+        used = ProgressTracker(total=99, clock=clock)
+        clock.advance(1.0)
+        used.update(3, 99)
+        later = ProgressTracker(total=7, clock=clock)
+        assert later.snapshot() == {
             "done": 0, "total": 7, "elapsed_seconds": 0.0,
             "throughput": None, "eta_seconds": None,
+        }
+        assert later.snapshot() == {
+            **first.snapshot(), "elapsed_seconds": 0.0,
         }
 
     def test_eta_finite_after_first_chunk(self):
