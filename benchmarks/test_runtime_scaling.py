@@ -15,12 +15,12 @@ Finding (single-core box, ~150 jobs at ~0.5 ms each): the original
 was dominated by two fixed costs, not by compute: (1) spawning four
 worker processes on every ``explore`` call, and (2) dispatching ~16
 tiny chunks whose per-chunk pickle/IPC round-trip outweighed any load
-balancing.  :func:`repro.runtime.warm_pool` now keeps one healthy pool
-alive between runs (the benchmark warms it before timing, as a real
-sweep driver would) and the auto-chunker uses two chunks per worker
-for short sweeps.  With no second core there is still nothing to win —
-the remaining gap is pure serialization overhead — so the number stays
-recorded, unasserted.
+balancing.  :func:`repro.runtime.run_jobs` now keeps one healthy pool
+alive between calls (the benchmark warms it with an untimed run before
+timing, as a real sweep driver's earlier sweeps would), and the process
+path cuts a sweep into at most four chunks per worker.  With no second
+core there is still nothing to win — the remaining gap is pure
+serialization overhead — so the number stays recorded, unasserted.
 """
 
 import json
@@ -33,11 +33,12 @@ from repro.nn.networks import large_bank_layer
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import JobContext
 from repro.runtime.cache import ResultCache
+from repro.runtime.jobs import JobSpec
 from repro.runtime.pool import (
     RunPolicy,
+    run_jobs,
     run_summary,
     shutdown_warm_pool,
-    warm_pool,
 )
 
 BASE = SimConfig(cmos_tech=45, weight_bits=4, signal_bits=8)
@@ -45,6 +46,15 @@ SPACE = DesignSpace()
 JOBS = 4
 BEST_OF = 3
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _warm_pool():
+    """Start the shared ``JOBS``-worker pool with one untimed run of
+    ``JOBS`` trivial jobs; a healthy run leaves its pool warm."""
+    run_jobs(
+        abs, [JobSpec(kind="warm-up", payload=i) for i in range(JOBS)],
+        policy=RunPolicy(jobs=JOBS),
+    )
 
 
 def _best_of(runs, fn):
@@ -64,7 +74,7 @@ def test_runtime_scaling(tmp_path, write_result):
     serial_s, serial_points = _best_of(
         BEST_OF, lambda: explore(BASE, network, SPACE)
     )
-    warm_pool(JOBS)
+    _warm_pool()
     try:
         parallel_s, parallel_points = _best_of(
             BEST_OF, lambda: explore(BASE, network, SPACE, jobs=JOBS)
@@ -140,7 +150,7 @@ def test_min_sweep_serial_fallback(write_result):
         f"serially, got mode={mode!r}"
     )
 
-    warm_pool(JOBS)
+    _warm_pool()
     try:
         with JobContext("tiny-permissive"):
             process_s, process_points = _best_of(

@@ -271,7 +271,7 @@ def explore(
     ):
         points = list(space.valid_points())
         summaries = run_jobs(
-            _evaluate_point,
+            _evaluate_points_batch,
             # Keys only matter to a cache; without one, skip hashing.
             _sweep_specs(
                 base_config, network, points, keyed=cache is not None
@@ -282,7 +282,7 @@ def explore(
             decode=_decode_summary,
             progress=progress,
             should_cancel=should_cancel,
-            batch_worker=_evaluate_points_batch,
+            batch=True,
         )
     return [
         DesignPoint(

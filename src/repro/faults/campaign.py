@@ -272,11 +272,6 @@ def _relative_error(ideal: np.ndarray, actual: np.ndarray) -> float:
     )
 
 
-def _run_trial(task: Tuple) -> Dict[str, Any]:
-    """Worker: one seeded fault-injection trial, as a batch of one."""
-    return _run_trial_batch([task])[0]
-
-
 def _run_trial_batch(tasks: List[Tuple]) -> List[Dict[str, Any]]:
     """Worker: a group of seeded trials (pool process safe).
 
@@ -424,13 +419,13 @@ def run_campaign(
         points=len(combos), trials_per_point=spec.trials,
     ):
         results = run_jobs(
-            _run_trial,
+            _run_trial_batch,
             specs,
             policy=policy if policy is not None else RunPolicy(jobs=jobs),
             cache=cache,
             progress=progress,
             should_cancel=should_cancel,
-            batch_worker=_run_trial_batch,
+            batch=True,
         )
     points = []
     for index, (network, mode, rate) in enumerate(combos):

@@ -9,9 +9,11 @@ one shared engine:
   deterministic content-hash keys derived from a canonical
   serialization of the inputs (config + network fingerprint + schema
   version);
-* :mod:`repro.runtime.pool` — :func:`run_jobs`, a chunked
-  ``ProcessPoolExecutor`` fan-out with per-job timeout, bounded retry,
-  and automatic graceful fallback to in-process serial execution;
+* :mod:`repro.runtime.pool` — :func:`run_jobs`, which runs pending
+  jobs in groups, in process or over a warm ``ProcessPoolExecutor``
+  (:func:`shutdown_warm_pool` releases it), with per-chunk timeout,
+  bounded retry, and automatic graceful fallback to in-process serial
+  execution;
 * :mod:`repro.runtime.cache` — an opt-in on-disk (sqlite) result cache
   keyed by job hash with versioned invalidation and hit/miss stats.
 
@@ -43,6 +45,5 @@ __all__ = lazy_exports(globals(), {
         "run_jobs",
         "run_summary",
         "shutdown_warm_pool",
-        "warm_pool",
     ],
 })

@@ -3,27 +3,33 @@
 :func:`run_jobs` is the single entry point every sweep in the repo uses.
 It takes a picklable top-level ``worker`` function and a list of
 :class:`~repro.runtime.jobs.JobSpec` and returns the worker results in
-input order.  Between the caller and the worker it layers:
+input order.  Pending jobs run in *groups*, each one
+:func:`_run_group` call, in this process or in a pool worker.  Between
+the caller and the worker it layers:
 
 1. **Cache short-circuit** — specs whose key is already in the supplied
    :class:`~repro.runtime.cache.ResultCache` are never executed.
-2. **Chunked process fan-out** — misses are grouped into chunks and
-   dispatched over a ``ProcessPoolExecutor`` with ``policy.jobs``
-   workers.  Chunking amortises pickling overhead for millisecond jobs.
-3. **Bounded retry** — a chunk that crashes (worker exception, killed
-   process) or exceeds its timeout is resubmitted up to
-   ``policy.retries`` times, then surfaces as a structured
+2. **Grouped process fan-out** — with ``policy.jobs`` workers the
+   misses are cut into groups (``policy.chunk_size`` jobs, else at
+   most four groups per worker) and dispatched over a ``ProcessPoolExecutor``.
+   Grouping amortises pickling overhead for millisecond jobs.  The
+   serial path runs the same groups in a loop: one job each, or
+   ``chunk_size``/``_SERIAL_BATCH_SIZE`` jobs for a batch worker.
+3. **Bounded retry** — a group that crashes (worker exception, killed
+   process) or exceeds its timeout is re-run up to ``policy.retries``
+   times, then surfaces as a structured
    :class:`~repro.errors.JobExecutionError` (summarised, no child
    traceback) — never a hang or a silent partial result.
 4. **Serial fallback** — pool start-up failures and unpicklable
-   workers (e.g. test lambdas) automatically fall back to an
-   in-process serial loop with identical results and error semantics.
+   workers (e.g. test lambdas) automatically fall back to the serial
+   loop with identical results and error semantics.
 5. **Warm pool reuse** — a healthy ``ProcessPoolExecutor`` is kept
    alive between :func:`run_jobs` calls (keyed by worker count), so
-   short sweeps don't pay process start-up on every invocation.  Pools
-   that broke or may hold stuck workers are killed and never reused;
-   :func:`warm_pool` pre-starts the pool for latency-sensitive callers
-   and :func:`shutdown_warm_pool` releases it explicitly.
+   short sweeps don't pay process start-up on every invocation
+   (DESIGN.md S40 has the A/B).  The slot is taken and returned under
+   a lock, because the service runs sweeps from several threads.
+   Pools that broke, timed out or were cancelled are killed and never
+   reused; :func:`shutdown_warm_pool` releases the slot explicitly.
 
 Domain errors (any :class:`~repro.errors.MnsimError`) are deterministic
 properties of the job, so they are *not* retried: they propagate to the
@@ -38,6 +44,7 @@ import math
 import os
 import pickle
 import sys
+import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, wait
 from contextlib import contextmanager
@@ -97,11 +104,10 @@ _ENGINE_STAGES = ("cache-lookup", "execute", "cache-store")
 #: Seconds between deadline sweeps while waiting on in-flight chunks.
 _WAIT_SLICE = 0.05
 
-#: Below this many jobs per worker the auto-chunker switches from four
-#: chunks per worker (fine-grained load balancing for long sweeps) to
-#: two (fewer dispatch round-trips for short ones, where per-chunk IPC
-#: overhead dominates over imbalance).
-_SMALL_SWEEP_PER_WORKER = 64
+#: Groups per worker on the process path (when the policy's
+#: ``chunk_size`` doesn't pin a size): enough to balance load across
+#: workers, few enough that dispatch round-trips stay cheap.
+_CHUNKS_PER_WORKER = 4
 
 #: Jobs per batch-worker group on the serial path (when the policy's
 #: ``chunk_size`` doesn't pin one).  Large enough to amortise batched
@@ -120,8 +126,8 @@ class RunPolicy:
         Worker process count; ``1`` (the default) runs in-process
         serially, ``0`` means "all available cores".
     chunk_size:
-        Jobs per dispatch unit; ``None`` auto-sizes to roughly four
-        chunks per worker.
+        Jobs per dispatch unit; ``None`` always aims at four chunks per
+        worker: ``ceil(pending / (4 * workers))`` jobs each.
     timeout:
         Per-job wall-clock budget in seconds (a chunk's budget is
         ``timeout * len(chunk)``); ``None`` disables timeouts.  Only
@@ -176,14 +182,15 @@ def run_jobs(
     decode: Optional[Callable[[Any], Any]] = None,
     progress: Optional[Callable[[int, int], None]] = None,
     should_cancel: Optional[Callable[[], bool]] = None,
-    batch_worker: Optional[Callable[[List[Any]], List[Any]]] = None,
+    batch: bool = False,
 ) -> List[Any]:
-    """Execute ``worker(spec.payload)`` for every spec, in input order.
+    """Execute ``worker`` on every spec's payload, in input order.
 
     Parameters
     ----------
     worker:
-        Top-level picklable function of one argument (the payload).
+        Top-level picklable function of one argument (the payload), or
+        of a list of payloads when ``batch`` is true.
     specs:
         The job list; specs with a ``key`` participate in caching.
     policy:
@@ -196,23 +203,22 @@ def run_jobs(
         stores (identity when omitted).
     progress:
         Optional ``progress(done, total)`` callback, invoked from the
-        dispatching thread after the cache stage and as jobs/chunks
+        dispatching thread after the cache stage and as groups
         complete — the service layer's progress stream rides on it.
         It must be cheap and must not raise.
     should_cancel:
-        Optional predicate polled between jobs (serial) / between chunk
-        completions (parallel).  When it turns true the run raises
-        :class:`~repro.errors.JobCancelled`; in-flight chunk results
-        are discarded and pending jobs never execute.
-    batch_worker:
-        Optional vectorized sibling of ``worker``: a top-level
-        picklable function mapping a *list* of payloads to the list of
-        their results, in order, **bit-identical** to calling
-        ``worker`` on each.  When given, each chunk / serial group
-        executes as one ``batch_worker`` call, so same-shape jobs can
-        share assembly and amortise per-call overhead.  Caching,
-        retries and cancellation semantics are unchanged — a cache hit
-        still skips the job, and results are cached per spec key.
+        Optional predicate polled between groups (serial) / between
+        chunk completions (parallel).  When it turns true the run
+        raises :class:`~repro.errors.JobCancelled`; in-flight chunk
+        results are discarded and pending jobs never execute.
+    batch:
+        ``worker`` maps a *list* of payloads to the list of their
+        results, in order, each **bit-identical** to running that
+        payload alone.  Each chunk / serial group is then one call, so
+        same-shape jobs can share assembly and amortise per-call
+        overhead.  Caching, retries and cancellation are unchanged — a
+        cache hit still skips the job, and results are cached per spec
+        key.
 
     Stage times, event counts, resources and the execution mode are
     recorded into the obs registry's runtime series, job-labelled
@@ -225,10 +231,95 @@ def run_jobs(
         "runtime.run_jobs", jobs=len(specs), workers=policy.worker_count,
         kind=specs[0].kind if specs else "",
     ):
-        return _run_jobs_traced(
-            worker, specs, policy, cache, encode, decode,
-            progress, should_cancel, batch_worker,
-        )
+        _set_pool("workers", policy.worker_count)
+        _count("jobs_total", len(specs))
+        _check_cancel(should_cancel)
+
+        results: List[Any] = [None] * len(specs)
+        done = [False] * len(specs)
+
+        # Stage 1: cache short-circuit --------------------------------
+        if cache is not None:
+            with _stage("cache-lookup"):
+                keyed = [s.key for s in specs if s.key is not None]
+                found = cache.get_many(keyed) if keyed else {}
+                for i, spec in enumerate(specs):
+                    if spec.key is not None and spec.key in found:
+                        value = found[spec.key]
+                        results[i] = decode(value) if decode else value
+                        done[i] = True
+            _count("cache_hits", sum(done))
+            _count("cache_misses", len(specs) - sum(done))
+        completed = sum(done)
+        if progress is not None:
+            progress(completed, len(specs))
+
+        pending = [(i, spec) for i, spec in enumerate(specs) if not done[i]]
+
+        # Stage 2: execute ---------------------------------------------
+        def complete(group: _Group, values: List[Any],
+                     usage: Dict[str, float]) -> None:
+            nonlocal completed
+            for (index, _spec), value in zip(group.members, values):
+                results[index] = value
+                done[index] = True
+            if batch:
+                _count("batched_jobs", len(values))
+            _account_usage(usage)
+            completed += len(values)
+            if progress is not None:
+                progress(completed, len(specs))
+
+        if pending:
+            with _stage("execute"):
+                # Processes are used whenever more than one worker is
+                # requested — even on a single core they buy crash and
+                # timeout isolation; genuine pool failures fall back
+                # below.  An unpicklable worker (test lambda, closure)
+                # can never cross the process boundary, so it runs
+                # serially without ever creating a pool.  Sweeps below
+                # the policy's parallelism threshold stay serial too:
+                # for a handful of jobs the round-trips dominate.
+                process = 0
+                if (
+                    policy.worker_count > 1
+                    and len(pending) >= policy.min_sweep_for_parallel
+                    and _picklable(worker)
+                ):
+                    size = policy.chunk_size or math.ceil(
+                        len(pending)
+                        / (policy.worker_count * _CHUNKS_PER_WORKER)
+                    )
+                    try:
+                        _run_parallel(worker, _groups(pending, size), batch,
+                                      policy, complete, should_cancel)
+                        process = 1
+                    except _SerialFallback:
+                        pass
+                if not process:
+                    size = (
+                        (policy.chunk_size or _SERIAL_BATCH_SIZE)
+                        if batch else 1
+                    )
+                    left = [(i, spec) for i, spec in pending if not done[i]]
+                    _run_serial(worker, _groups(left, size), batch,
+                                policy, complete, should_cancel)
+            _set_pool("process", process)
+            _count("jobs_executed", len(pending))
+
+        # Stage 3: cache store -----------------------------------------
+        if cache is not None and pending:
+            with _stage("cache-store"):
+                cache.put_many(
+                    (
+                        spec.key,
+                        spec.kind,
+                        encode(results[i]) if encode else results[i],
+                    )
+                    for i, spec in pending
+                    if spec.key is not None
+                )
+        return results
 
 
 def _check_cancel(should_cancel: Optional[Callable[[], bool]]) -> None:
@@ -303,306 +394,120 @@ def run_summary(registry: MetricsRegistry) -> Dict[str, Any]:
     }
 
 
-def _run_jobs_traced(
-    worker: Callable[[Any], Any],
-    specs: List[JobSpec],
-    policy: RunPolicy,
-    cache: Optional[ResultCache],
-    encode: Optional[Callable[[Any], Any]],
-    decode: Optional[Callable[[Any], Any]],
-    progress: Optional[Callable[[int, int], None]],
-    should_cancel: Optional[Callable[[], bool]],
-    batch_worker: Optional[Callable[[List[Any]], List[Any]]] = None,
-) -> List[Any]:
-    _set_pool("workers", policy.worker_count)
-    _count("jobs_total", len(specs))
-    _check_cancel(should_cancel)
-
-    results: List[Any] = [None] * len(specs)
-    done = [False] * len(specs)
-
-    # Stage 1: cache short-circuit ------------------------------------
-    if cache is not None:
-        with _stage("cache-lookup"):
-            keyed = [s.key for s in specs if s.key is not None]
-            found = cache.get_many(keyed) if keyed else {}
-            for i, spec in enumerate(specs):
-                if spec.key is not None and spec.key in found:
-                    value = found[spec.key]
-                    results[i] = decode(value) if decode else value
-                    done[i] = True
-        _count("cache_hits", sum(done))
-        _count("cache_misses", len(specs) - sum(done))
-    if progress is not None:
-        progress(sum(done), len(specs))
-
-    pending = [(i, spec) for i, spec in enumerate(specs) if not done[i]]
-
-    # Stage 2: execute -------------------------------------------------
-    if pending:
-        completed = len(specs) - len(pending)
-
-        def advance(newly_done: int) -> None:
-            nonlocal completed
-            completed += newly_done
-            if progress is not None:
-                progress(completed, len(specs))
-
-        with _stage("execute"):
-            # Processes are used whenever more than one worker is
-            # requested — even on a single core they buy crash/timeout
-            # isolation; genuine pool failures fall back below.  An
-            # unpicklable worker (test lambda, closure) can never cross
-            # the process boundary, so it is routed straight to the
-            # serial path without ever creating a pool.  Sweeps below
-            # the policy's parallelism threshold stay serial too: for a
-            # handful of jobs the dispatch round-trips dominate.
-            use_processes = (
-                policy.worker_count > 1
-                and len(pending) > 1
-                and len(pending) >= policy.min_sweep_for_parallel
-                and _picklable(worker)
-                and (batch_worker is None or _picklable(batch_worker))
-            )
-            process = 0
-            if use_processes:
-                try:
-                    _run_parallel(worker, pending, policy, results,
-                                  done, advance, should_cancel, batch_worker)
-                    process = 1
-                except _SerialFallback:
-                    pending = [
-                        (i, spec) for i, spec in pending if not done[i]
-                    ]
-                    _run_serial(worker, pending, policy, results,
-                                advance, should_cancel, batch_worker)
-            else:
-                _run_serial(worker, pending, policy, results,
-                            advance, should_cancel, batch_worker)
-        _set_pool("process", process)
-        _count("jobs_executed", len(pending))
-
-    # Stage 3: cache store ---------------------------------------------
-    if cache is not None and pending:
-        with _stage("cache-store"):
-            cache.put_many(
-                (
-                    spec.key,
-                    spec.kind,
-                    encode(results[i]) if encode else results[i],
-                )
-                for i, spec in pending
-                if spec.key is not None
-            )
-    return results
-
-
 # ----------------------------------------------------------------------
-# Serial path
+# Groups: the unit both paths run, retry and account
 # ----------------------------------------------------------------------
-def _run_batch(
-    batch_worker: Callable[[List[Any]], List[Any]],
-    payloads: List[Any],
-) -> List[Any]:
-    """Invoke a batch worker, enforcing its one-result-per-job contract."""
-    values = list(batch_worker(payloads))
-    if len(values) != len(payloads):
-        raise JobExecutionError(
-            f"batch worker returned {len(values)} result(s) for "
-            f"{len(payloads)} job(s)"
+class _Group:
+    """Pending jobs run by one :func:`_run_group` call, and how many
+    times that call has failed."""
+
+    __slots__ = ("members", "attempts")
+
+    def __init__(self, members: List[Tuple[int, JobSpec]]) -> None:
+        self.members = members
+        self.attempts = 0
+
+    def payloads(self) -> List[Any]:
+        return [spec.payload for _, spec in self.members]
+
+    def fail(self, cause: BaseException,
+             retries: int) -> Optional[JobExecutionError]:
+        """Charge one failed attempt: ``None`` while a retry remains,
+        else the summarized (traceback-free) terminal failure."""
+        self.attempts += 1
+        _count("worker_failures")
+        if self.attempts <= retries:
+            _count("retries")
+            return None
+        kind = self.members[0][1].kind
+        scope = (
+            f"a chunk of {len(self.members)} {kind!r} jobs"
+            if len(self.members) > 1
+            else f"{kind!r} job"
         )
-    return values
+        reason = f"{type(cause).__name__}: {cause}".strip().rstrip(":")
+        return JobExecutionError(
+            f"{scope} failed after {self.attempts} attempt(s): {reason}"
+        )
+
+
+def _groups(pending: Sequence[Tuple[int, JobSpec]],
+            size: int) -> List[_Group]:
+    """``pending`` cut into groups of ``size``, in input order."""
+    return [
+        _Group(list(pending[start:start + size]))
+        for start in range(0, len(pending), size)
+    ]
+
+
+def _run_group(
+    worker: Callable[[Any], Any],
+    payloads: List[Any],
+    batch: bool,
+) -> Tuple[List[Any], Dict[str, float]]:
+    """Run one group in this process: its results and usage delta.
+
+    A batch worker is one call under a ``runtime.batch`` span and must
+    return one result per payload; a per-job worker runs once per
+    payload, each under its own ``runtime.job`` span.
+    """
+    before = _usage_snapshot()
+    if batch:
+        with obs_trace.span("runtime.batch", jobs=len(payloads)):
+            values = list(worker(payloads))
+        if len(values) != len(payloads):
+            raise JobExecutionError(
+                f"batch worker returned {len(values)} result(s) for "
+                f"{len(payloads)} job(s)"
+            )
+    else:
+        values = []
+        for payload in payloads:
+            with obs_trace.span("runtime.job"):
+                values.append(worker(payload))
+    return values, _usage_since(before)
 
 
 def _run_serial(
     worker: Callable[[Any], Any],
-    pending: Sequence[Tuple[int, JobSpec]],
+    groups: List[_Group],
+    batch: bool,
     policy: RunPolicy,
-    results: List[Any],
-    advance: Optional[Callable[[int], None]] = None,
-    should_cancel: Optional[Callable[[], bool]] = None,
-    batch_worker: Optional[Callable[[List[Any]], List[Any]]] = None,
+    complete: Callable[[_Group, List[Any], Dict[str, float]], None],
+    should_cancel: Optional[Callable[[], bool]],
 ) -> None:
-    if batch_worker is not None:
-        _run_serial_batched(batch_worker, pending, policy,
-                            results, advance, should_cancel)
-        return
-    for index, spec in pending:
+    """Run ``groups`` one after another in this process; cancellation
+    is polled between groups and a failed group is retried whole."""
+    for group in groups:
         _check_cancel(should_cancel)
-        attempts = 0
-        before = _usage_snapshot()
         while True:
             try:
-                with obs_trace.span("runtime.job", kind=spec.kind):
-                    results[index] = worker(spec.payload)
+                values, usage = _run_group(worker, group.payloads(), batch)
                 break
             except MnsimError:
                 # Deterministic domain error: retrying cannot help and
                 # callers expect the original exception type.
                 raise
             except Exception as exc:
-                attempts += 1
-                _count("worker_failures")
-                if attempts > policy.retries:
-                    raise _job_error(spec, attempts, exc) from None
-                _count("retries")
-        _account_usage(_usage_since(before))
-        if advance is not None:
-            advance(1)
-
-
-def _run_serial_batched(
-    batch_worker: Callable[[List[Any]], List[Any]],
-    pending: Sequence[Tuple[int, JobSpec]],
-    policy: RunPolicy,
-    results: List[Any],
-    advance: Optional[Callable[[int], None]] = None,
-    should_cancel: Optional[Callable[[], bool]] = None,
-) -> None:
-    """Serial path with vectorized groups instead of a per-job loop.
-
-    Groups are deterministic (input order, fixed size), so batch
-    workers whose results are bit-identical to the per-job worker make
-    this path indistinguishable from :func:`_run_serial` except in
-    wall-clock.  Cancellation is polled between groups; a group that
-    fails with a non-domain error is retried whole.
-    """
-    group_size = policy.chunk_size or _SERIAL_BATCH_SIZE
-    for start in range(0, len(pending), group_size):
-        group = list(pending[start:start + group_size])
-        _check_cancel(should_cancel)
-        attempts = 0
-        before = _usage_snapshot()
-        while True:
-            try:
-                with obs_trace.span(
-                    "runtime.batch", kind=group[0][1].kind,
-                    jobs=len(group),
-                ):
-                    values = _run_batch(
-                        batch_worker, [spec.payload for _, spec in group]
-                    )
-                break
-            except MnsimError:
-                raise
-            except Exception as exc:
-                attempts += 1
-                _count("worker_failures")
-                if attempts > policy.retries:
-                    raise _job_error(
-                        group[0][1], attempts, exc,
-                        jobs_in_chunk=len(group),
-                    ) from None
-                _count("retries")
-        for (index, _spec), value in zip(group, values):
-            results[index] = value
-        _count("batched_jobs", len(group))
-        _account_usage(_usage_since(before))
-        if advance is not None:
-            advance(len(group))
+                error = group.fail(exc, policy.retries)
+                if error is not None:
+                    raise error from None
+        complete(group, values, usage)
 
 
 # ----------------------------------------------------------------------
-# Process-pool path
-# ----------------------------------------------------------------------
-class _SerialFallback(Exception):
-    """Internal signal: the pool is unusable; redo the work serially."""
-
-
-# ----------------------------------------------------------------------
-# Warm-pool management
-# ----------------------------------------------------------------------
-_WARM_POOL: Optional[ProcessPoolExecutor] = None
-_WARM_POOL_WORKERS = 0
-
-
-def _acquire_pool(workers: int) -> ProcessPoolExecutor:
-    """A ``ProcessPoolExecutor`` with ``workers`` processes, reusing the
-    cached warm pool when its size matches.
-
-    Raises the executor constructor's errors unchanged; callers map
-    them to the serial fallback.
-    """
-    global _WARM_POOL, _WARM_POOL_WORKERS
-    if _WARM_POOL is not None and _WARM_POOL_WORKERS == workers:
-        pool, _WARM_POOL = _WARM_POOL, None
-        return pool
-    shutdown_warm_pool()
-    from concurrent.futures import process
-
-    return process.ProcessPoolExecutor(max_workers=workers)
-
-
-def _release_pool(
-    executor: ProcessPoolExecutor, workers: int, *, kill: bool
-) -> None:
-    """Return a pool after a run: cache it warm, or kill it for good.
-
-    ``kill=True`` (a chunk blew its timeout, or the pool broke) means a
-    worker may be wedged in user code forever — terminate the processes
-    and never reuse them.
-    """
-    global _WARM_POOL, _WARM_POOL_WORKERS
-    if kill:
-        _shutdown_pool(executor, kill=True)
-        return
-    shutdown_warm_pool()
-    _WARM_POOL = executor
-    _WARM_POOL_WORKERS = workers
-
-
-def warm_pool(jobs: int = 0) -> int:
-    """Pre-start the shared worker pool for latency-sensitive sweeps.
-
-    Spawns the worker processes immediately (instead of lazily on the
-    first dispatch) so a subsequent :func:`run_jobs` call with the same
-    worker count pays no start-up cost.  Returns the resolved worker
-    count.  A no-op if a matching pool is already warm.
-    """
-    workers = RunPolicy(jobs=jobs).worker_count
-    try:
-        pool = _acquire_pool(workers)
-        # Touch every worker once so the processes actually exist.
-        list(pool.map(_noop, range(workers)))
-    except (OSError, NotImplementedError, ValueError) as exc:
-        _log.warning("warm pool start-up failed (%s); sweeps will fall "
-                     "back to serial execution", exc)
-        return workers
-    _release_pool(pool, workers, kill=False)
-    return workers
-
-
-def shutdown_warm_pool() -> None:
-    """Dispose of the cached warm pool (if any)."""
-    global _WARM_POOL, _WARM_POOL_WORKERS
-    if _WARM_POOL is not None:
-        _WARM_POOL.shutdown(wait=False, cancel_futures=True)
-        _WARM_POOL = None
-        _WARM_POOL_WORKERS = 0
-
-
-atexit.register(shutdown_warm_pool)
-
-
-def _noop(_: Any) -> None:
-    """Worker warm-up probe (must be a picklable top-level function)."""
-    return None
-
-
-# ----------------------------------------------------------------------
-# Resource accounting (chunk boundaries)
+# Resource accounting (group boundaries)
 # ----------------------------------------------------------------------
 def _usage_snapshot() -> Dict[str, float]:
     """Point-in-time usage of *this* process, for delta accounting.
 
     Wall/CPU seconds and peak RSS come from ``resource.getrusage``
     (``os.times`` fallback where unavailable, RSS 0 there); the solver
-    counters piggy-back so a chunk's fixed-point-iteration and
+    counters piggy-back so a group's fixed-point-iteration and
     batched-vs-pointwise solve deltas ride the same snapshot.  The
     counters only move while observability is enabled — the deltas are
     simply zero in a disabled run.
     """
-    wall = time.perf_counter()
     if _resource is not None:
         usage = _resource.getrusage(_resource.RUSAGE_SELF)
         cpu = usage.ru_utime + usage.ru_stime
@@ -616,9 +521,9 @@ def _usage_snapshot() -> Dict[str, float]:
         rss = 0.0
     events = obs_metrics.counter("repro_solver_events_total")
     return {
-        "wall": wall,
-        "cpu": cpu,
-        "rss": rss,
+        "wall_seconds": time.perf_counter(),
+        "cpu_seconds": cpu,
+        "peak_rss_bytes": rss,
         "fixed_point_iterations": events.total(
             event="fixed_point_iterations"
         ),
@@ -630,30 +535,17 @@ def _usage_snapshot() -> Dict[str, float]:
 
 
 def _usage_since(before: Dict[str, float]) -> Dict[str, float]:
-    """The usage delta accumulated since ``before`` (same process)."""
+    """The usage delta accumulated since ``before`` (same process);
+    peak RSS is the current peak, not a difference."""
     after = _usage_snapshot()
-    return {
-        "wall_seconds": after["wall"] - before["wall"],
-        "cpu_seconds": after["cpu"] - before["cpu"],
-        "peak_rss_bytes": after["rss"],
-        "fixed_point_iterations": (
-            after["fixed_point_iterations"]
-            - before["fixed_point_iterations"]
-        ),
-        "pointwise_solves": (
-            after["pointwise_solves"] - before["pointwise_solves"]
-        ),
-        "batched_solves": (
-            after["batched_solves"] - before["batched_solves"]
-        ),
-    }
+    delta = {name: after[name] - before[name] for name in after}
+    delta["peak_rss_bytes"] = after["peak_rss_bytes"]
+    return delta
 
 
-def _account_usage(usage: Optional[Dict[str, float]]) -> None:
-    """Fold one chunk's usage delta into the run's resource totals
+def _account_usage(usage: Dict[str, float]) -> None:
+    """Fold one group's usage delta into the run's resource totals
     (sums, and the maximum for peak RSS)."""
-    if not usage:
-        return
     resources = obs_metrics.gauge(
         JOB_RESOURCES, "Accumulated resource usage of the current run",
     )
@@ -662,6 +554,79 @@ def _account_usage(usage: Optional[Dict[str, float]]) -> None:
             resources.set_max(amount, resource=name)
         elif amount:
             resources.add(amount, resource=name)
+
+
+# ----------------------------------------------------------------------
+# Warm-pool slot
+# ----------------------------------------------------------------------
+#: The warm pool and its worker count, taken and returned under
+#: ``_WARM_LOCK`` (the service runs sweeps from several threads).
+_WARM_LOCK = threading.Lock()
+_WARM_POOL: Optional[Tuple[int, ProcessPoolExecutor]] = None
+
+
+def _acquire_pool(workers: int, worker: Callable[..., Any]
+                  ) -> ProcessPoolExecutor:
+    """A ``ProcessPoolExecutor`` with ``workers`` processes: the warm
+    pool when its size matches, else a new one.
+
+    A new pool forks its workers from this process only while it runs
+    a single thread.  A fork copies just the calling thread, so a lock
+    another thread holds at that moment (a module import in progress,
+    the trace buffer) stays held forever in the child; the service's
+    concurrent jobs deadlocked that way.  A multi-threaded dispatcher
+    forks from a single-threaded fork server instead, which preloads
+    ``worker``'s module once.
+
+    Raises the executor constructor's errors unchanged; callers map
+    them to the serial fallback.
+    """
+    global _WARM_POOL
+    with _WARM_LOCK:
+        warm, _WARM_POOL = _WARM_POOL, None
+    if warm is not None:
+        if warm[0] == workers:
+            return warm[1]
+        warm[1].shutdown(wait=False, cancel_futures=True)
+    import multiprocessing
+    from concurrent.futures import process
+
+    context = None
+    if threading.active_count() > 1:
+        context = multiprocessing.get_context("forkserver")
+        context.set_forkserver_preload([worker.__module__])
+    return process.ProcessPoolExecutor(
+        max_workers=workers, mp_context=context
+    )
+
+
+def _release_pool(executor: ProcessPoolExecutor, workers: int) -> None:
+    """Put a healthy pool in the warm slot, shutting down the one it
+    displaces."""
+    global _WARM_POOL
+    with _WARM_LOCK:
+        warm, _WARM_POOL = _WARM_POOL, (workers, executor)
+    if warm is not None:
+        warm[1].shutdown(wait=False, cancel_futures=True)
+
+
+def shutdown_warm_pool() -> None:
+    """Dispose of the cached warm pool (if any)."""
+    global _WARM_POOL
+    with _WARM_LOCK:
+        warm, _WARM_POOL = _WARM_POOL, None
+    if warm is not None:
+        warm[1].shutdown(wait=False, cancel_futures=True)
+
+
+atexit.register(shutdown_warm_pool)
+
+
+# ----------------------------------------------------------------------
+# Process-pool path
+# ----------------------------------------------------------------------
+class _SerialFallback(Exception):
+    """Internal signal: the pool is unusable; redo the work serially."""
 
 
 def _picklable(obj: Any) -> bool:
@@ -677,69 +642,35 @@ def _picklable(obj: Any) -> bool:
 def _run_chunk(
     worker: Callable[[Any], Any],
     payloads: List[Any],
-    trace_context: Optional[Dict[str, Any]] = None,
-    batch_worker: Optional[Callable[[List[Any]], List[Any]]] = None,
-) -> Tuple[
-    List[Any], Optional[List[Dict[str, Any]]], Dict[str, float]
-]:
-    """Executed inside a worker process: run one chunk of payloads.
-
-    With a ``batch_worker`` the whole chunk is one vectorized call
-    (wrapped in a single ``runtime.batch`` span); otherwise each
-    payload runs through ``worker`` under its own ``runtime.job`` span.
+    trace_context: Optional[Dict[str, Any]],
+    batch: bool,
+) -> Tuple[List[Any], List[Dict[str, Any]], Dict[str, float]]:
+    """Executed inside a worker process: run one group of payloads.
 
     ``trace_context`` is the dispatcher's :func:`repro.obs.trace.
-    current_context` payload: when present, this worker adopts it (so
-    its spans parent under the dispatching chunk span) and ships the
-    collected span dicts back alongside the results.
-
-    The third element is this chunk's :func:`_usage_since` delta —
+    current_context` payload: this worker adopts it (so its spans
+    parent under the dispatching chunk span, or are not recorded when
+    it is ``None``) and ships the collected span dicts back alongside
+    the results.  The third element is the group's usage delta —
     measured in the worker so the dispatcher can attribute CPU seconds
     and peak RSS to the run (and, through the job context, to the job)
     that actually spent them.
     """
     obs_trace.activate(trace_context)
-    before = _usage_snapshot()
-    if batch_worker is not None:
-        if trace_context is None:
-            results = _run_batch(batch_worker, payloads)
-            return results, None, _usage_since(before)
-        with obs_trace.span("runtime.batch", jobs=len(payloads)):
-            results = _run_batch(batch_worker, payloads)
-        return results, obs_trace.collect(), _usage_since(before)
-    if trace_context is None:
-        results = [worker(payload) for payload in payloads]
-        return results, None, _usage_since(before)
-    results = []
-    for payload in payloads:
-        with obs_trace.span("runtime.job"):
-            results.append(worker(payload))
-    return results, obs_trace.collect(), _usage_since(before)
+    values, usage = _run_group(worker, payloads, batch)
+    return values, obs_trace.collect(), usage
 
 
 def _run_parallel(
     worker: Callable[[Any], Any],
-    pending: Sequence[Tuple[int, JobSpec]],
+    groups: List[_Group],
+    batch: bool,
     policy: RunPolicy,
-    results: List[Any],
-    done: List[bool],
-    advance: Optional[Callable[[int], None]] = None,
-    should_cancel: Optional[Callable[[], bool]] = None,
-    batch_worker: Optional[Callable[[List[Any]], List[Any]]] = None,
+    complete: Callable[[_Group, List[Any], Dict[str, float]], None],
+    should_cancel: Optional[Callable[[], bool]],
 ) -> None:
-    small_sweep = len(pending) < policy.worker_count * _SMALL_SWEEP_PER_WORKER
-    chunks_per_worker = 2 if small_sweep else 4
-    chunk_size = policy.chunk_size or max(
-        1, math.ceil(len(pending) / (policy.worker_count * chunks_per_worker))
-    )
-    chunks: List[List[Tuple[int, JobSpec]]] = [
-        list(pending[start:start + chunk_size])
-        for start in range(0, len(pending), chunk_size)
-    ]
-    attempts = [0] * len(chunks)
-
     try:
-        executor = _acquire_pool(policy.worker_count)
+        executor = _acquire_pool(policy.worker_count, worker)
     except (OSError, NotImplementedError, ValueError):
         raise _SerialFallback() from None
     from concurrent.futures.process import BrokenProcessPool
@@ -748,44 +679,37 @@ def _run_parallel(
     workers_stuck = False
     clean_exit = False
 
-    def submit(chunk_index: int) -> None:
-        chunk = chunks[chunk_index]
+    def submit(index: int) -> None:
+        group = groups[index]
         # The chunk span measures dispatch-to-result latency from the
         # dispatcher's side; its id is shipped to the worker so the
         # worker's job spans parent under it in the merged trace.
         chunk_span = obs_trace.begin(
-            "runtime.chunk", chunk=chunk_index, jobs=len(chunk)
+            "runtime.chunk", chunk=index, jobs=len(group.members)
         )
         context = obs_trace.current_context()
         if context is not None:
             context = dict(context, parent=chunk_span.span_id)
         future = executor.submit(
-            _run_chunk, worker, [spec.payload for _, spec in chunk],
-            context, batch_worker,
+            _run_chunk, worker, group.payloads(), context, batch,
         )
         _count("chunks_dispatched")
         deadline = (
-            time.monotonic() + policy.timeout * len(chunk)
+            time.monotonic() + policy.timeout * len(group.members)
             if policy.timeout is not None
             else None
         )
-        in_flight[future] = (chunk_index, deadline, chunk_span)
+        in_flight[future] = (index, deadline, chunk_span)
 
-    def fail(chunk_index: int, cause: BaseException) -> None:
-        attempts[chunk_index] += 1
-        _count("worker_failures")
-        if attempts[chunk_index] > policy.retries:
-            first_spec = chunks[chunk_index][0][1]
-            raise _job_error(
-                first_spec, attempts[chunk_index], cause,
-                jobs_in_chunk=len(chunks[chunk_index]),
-            ) from None
-        _count("retries")
-        submit(chunk_index)
+    def fail(index: int, cause: BaseException) -> None:
+        error = groups[index].fail(cause, policy.retries)
+        if error is not None:
+            raise error from None
+        submit(index)
 
     try:
-        for chunk_index in range(len(chunks)):
-            submit(chunk_index)
+        for index in range(len(groups)):
+            submit(index)
         while in_flight:
             if should_cancel is not None and should_cancel():
                 # Workers may be mid-chunk in user code: cancel what is
@@ -823,9 +747,7 @@ def _run_parallel(
                     continue
                 ci, _deadline, chunk_span = in_flight.pop(future)
                 try:
-                    chunk_results, worker_spans, chunk_usage = (
-                        future.result(timeout=0)
-                    )
+                    values, worker_spans, usage = future.result(timeout=0)
                 except MnsimError:
                     chunk_span.set(error="MnsimError").finish()
                     raise
@@ -863,7 +785,7 @@ def _run_parallel(
                     in_flight.clear()
                     _shutdown_pool(executor, kill=True)
                     try:
-                        executor = _acquire_pool(policy.worker_count)
+                        executor = _acquire_pool(policy.worker_count, worker)
                     except (OSError, NotImplementedError, ValueError):
                         raise _SerialFallback() from None
                     for vci in victims:
@@ -873,7 +795,7 @@ def _run_parallel(
                     _log.warning(
                         "chunk %d (%d job(s)) failed with %s: %s; "
                         "retrying if attempts remain", ci,
-                        len(chunks[ci]), type(exc).__name__, exc,
+                        len(groups[ci].members), type(exc).__name__, exc,
                     )
                     chunk_span.set(error=type(exc).__name__).finish()
                     fail(ci, exc)
@@ -881,22 +803,13 @@ def _run_parallel(
                     chunk_span.finish()
                     if worker_spans:
                         obs_trace.absorb(worker_spans)
-                    _account_usage(chunk_usage)
-                    for (index, _spec), value in zip(
-                        chunks[ci], chunk_results
-                    ):
-                        results[index] = value
-                        done[index] = True
-                    if batch_worker is not None:
-                        _count("batched_jobs", len(chunks[ci]))
-                    if advance is not None:
-                        advance(len(chunks[ci]))
+                    complete(groups[ci], values, usage)
         clean_exit = True
     finally:
         if clean_exit and not workers_stuck:
             # Healthy pool after a successful run: keep it warm for the
             # next sweep (process start-up dominates short runs).
-            _release_pool(executor, policy.worker_count, kill=False)
+            _release_pool(executor, policy.worker_count)
         else:
             _shutdown_pool(executor, kill=workers_stuck)
 
@@ -919,42 +832,16 @@ def _shutdown_pool(executor: ProcessPoolExecutor, *, kill: bool) -> None:
         if kill
         else []
     )
-    for process in processes:
+    steps: List[Callable[[], Any]] = [p.terminate for p in processes]
+    steps.append(
+        lambda: executor.shutdown(wait=False, cancel_futures=True)
+    )
+    for step in steps:
         try:
-            process.terminate()
+            step()
         except Exception as exc:  # pragma: no cover - best effort only
-            _log.warning(
-                "failed to terminate worker pid=%s: %s",
-                getattr(process, "pid", "?"), exc,
-            )
+            _log.warning("pool teardown step %r failed: %s", step, exc)
             obs_metrics.counter(
                 "repro_worker_teardown_failures_total",
                 "Worker processes that could not be terminated on teardown",
             ).inc()
-    try:
-        executor.shutdown(wait=False, cancel_futures=True)
-    except Exception as exc:  # pragma: no cover - best effort only
-        _log.warning("pool shutdown failed: %s", exc)
-        obs_metrics.counter(
-            "repro_worker_teardown_failures_total",
-            "Worker processes that could not be terminated on teardown",
-        ).inc()
-
-
-def _job_error(
-    spec: JobSpec,
-    attempts: int,
-    cause: BaseException,
-    *,
-    jobs_in_chunk: int = 1,
-) -> JobExecutionError:
-    """Build the summarized (traceback-free) terminal failure."""
-    reason = f"{type(cause).__name__}: {cause}".strip().rstrip(":")
-    scope = (
-        f"a chunk of {jobs_in_chunk} {spec.kind!r} jobs"
-        if jobs_in_chunk > 1
-        else f"{spec.kind!r} job"
-    )
-    return JobExecutionError(
-        f"{scope} failed after {attempts} attempt(s): {reason}"
-    )

@@ -459,9 +459,26 @@ class JobManager:
     def _execute(self, record: JobRecord,
                  cache: Optional[ResultCache]) -> None:
         payload = record.payload
+        sent: Optional[Tuple[int, int]] = None  # the last event's report
 
         def progress(done: int, total: int) -> None:
+            nonlocal sent
             tracker.update(done, total)
+            # The job label is injected by the active JobContext — the
+            # sanctioned path for per-job labels (never pass job=).
+            obs_metrics.gauge(
+                "repro_service_job_progress",
+                "Completed engine jobs of the most recent progress "
+                "report, per service job",
+            ).set(done)
+            # One event per distinct report.  After the seeded first
+            # event, a report that reaches the total is left to
+            # _finish, whose event carries the complete snapshot.
+            if (done, total) == sent or (
+                sent is not None and done >= total
+            ):
+                return
+            sent = (done, total)
             snapshot = tracker.snapshot()
             resources = _live_resources(record.job_id)
             with self._wake:
@@ -471,13 +488,6 @@ class JobManager:
                 record.throughput = snapshot["throughput"]
                 record.resources = resources
                 self._append_event(record, "progress")
-            # The job label is injected by the active JobContext — the
-            # sanctioned path for per-job labels (never pass job=).
-            obs_metrics.gauge(
-                "repro_service_job_progress",
-                "Completed engine jobs of the most recent progress "
-                "report, per service job",
-            ).set(done)
 
         def should_cancel() -> bool:
             return record.cancel_requested

@@ -5,15 +5,23 @@ pickles them; the deliberately-unpicklable case uses a lambda.
 """
 
 import os
+import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
-from repro.errors import ConfigError, JobExecutionError, MappingError
+import repro.runtime.pool as pool_mod
+from repro.errors import (
+    ConfigError,
+    JobCancelled,
+    JobExecutionError,
+    MappingError,
+)
 from repro.runtime.cache import ResultCache
 from repro.runtime.jobs import JobSpec
-from repro.runtime.pool import RunPolicy, run_jobs
+from repro.runtime.pool import RunPolicy, run_jobs, shutdown_warm_pool
 
 
 def _specs(payloads, keyed=False):
@@ -58,6 +66,13 @@ def _count_calls(path_str):
     with open(path_str, "a", encoding="utf-8") as handle:
         handle.write("x")
     return "ran"
+
+
+def _pid(x):
+    """Reports which process ran the job (long enough to spread jobs
+    over every worker)."""
+    time.sleep(0.02)
+    return os.getpid()
 
 
 def _square_batch(payloads):
@@ -239,45 +254,40 @@ class TestBatchWorker:
     def test_serial_batched_matches_pointwise(self):
         payloads = list(range(17))
         pointwise = run_jobs(_square, _specs(payloads))
-        batched = run_jobs(_square, _specs(payloads),
-                           batch_worker=_square_batch)
+        batched = run_jobs(_square_batch, _specs(payloads), batch=True)
         assert batched == pointwise
 
     def test_parallel_batched_matches_serial(self):
         payloads = list(range(23))
         serial = run_jobs(_square, _specs(payloads))
         batched = run_jobs(
-            _square, _specs(payloads),
-            policy=RunPolicy(jobs=3, chunk_size=4),
-            batch_worker=_square_batch,
+            _square_batch, _specs(payloads),
+            policy=RunPolicy(jobs=3, chunk_size=4), batch=True,
         )
         assert batched == serial
 
     def test_batched_jobs_counted_in_metrics(self, run_scope):
         with run_scope:
-            run_jobs(_square, _specs(list(range(6))),
-                     batch_worker=_square_batch)
+            run_jobs(_square_batch, _specs(list(range(6))), batch=True)
         assert run_scope.summary()["counters"]["batched_jobs"] == 6
 
     def test_length_contract_enforced(self):
         with pytest.raises(JobExecutionError) as info:
-            run_jobs(_square, _specs([1, 2, 3]),
-                     policy=RunPolicy(retries=0),
-                     batch_worker=_short_batch)
+            run_jobs(_short_batch, _specs([1, 2, 3]),
+                     policy=RunPolicy(retries=0), batch=True)
         assert "batch worker" in str(info.value)
 
     def test_domain_error_propagates_unwrapped(self):
         with pytest.raises(MappingError):
-            run_jobs(_square, _specs([1, 2, 3]),
-                     policy=RunPolicy(retries=2),
-                     batch_worker=_domain_error_batch)
+            run_jobs(_domain_error_batch, _specs([1, 2, 3]),
+                     policy=RunPolicy(retries=2), batch=True)
 
     def test_flaky_batch_group_retries_whole(self, tmp_path, run_scope):
         marker = tmp_path / "marker"
         with run_scope:
             out = run_jobs(
-                _flaky, _specs([str(marker)] * 3),
-                policy=RunPolicy(retries=2), batch_worker=_flaky_batch,
+                _flaky_batch, _specs([str(marker)] * 3),
+                policy=RunPolicy(retries=2), batch=True,
             )
         assert out == ["recovered"] * 3
         assert run_scope.summary()["counters"]["retries"] == 1
@@ -285,20 +295,151 @@ class TestBatchWorker:
     def test_cache_hits_skip_batch_worker(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         specs = _specs([1, 2, 3], keyed=True)
-        first = run_jobs(_square, specs, cache=cache,
-                         batch_worker=_square_batch)
+        first = run_jobs(_square_batch, specs, cache=cache, batch=True)
         # Second run replays from cache; the poison worker proves no
-        # batch (or point-wise) execution happens at all.
-        second = run_jobs(_square, specs, cache=cache,
-                          batch_worker=_poison_batch)
+        # batch execution happens at all.
+        second = run_jobs(_poison_batch, specs, cache=cache, batch=True)
         assert second == first == [1, 4, 9]
 
     def test_unpicklable_batch_worker_falls_back_to_serial(self, run_scope):
         with run_scope:
             out = run_jobs(
-                _square, _specs([1, 2, 3]),
-                policy=RunPolicy(jobs=2),
-                batch_worker=lambda ps: [p * p for p in ps],
+                lambda ps: [p * p for p in ps], _specs([1, 2, 3]),
+                policy=RunPolicy(jobs=2), batch=True,
             )
         assert out == [1, 4, 9]
         assert run_scope.summary()["mode"] == "serial"
+
+
+@pytest.fixture
+def empty_slot():
+    """Start and end with no warm pool."""
+    shutdown_warm_pool()
+    yield
+    shutdown_warm_pool()
+
+
+def _warm_slot():
+    """The warm pool's executor, or None."""
+    warm = pool_mod._WARM_POOL
+    return warm[1] if warm is not None else None
+
+
+class _FakePool:
+    def __init__(self):
+        self.shut_down = False
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        self.shut_down = True
+
+
+class TestWarmPool:
+    """The warm pool is reused by healthy runs, never after a bad one."""
+
+    def test_second_run_reuses_worker_pids(self, empty_slot):
+        policy = RunPolicy(jobs=2, chunk_size=1)
+        first = set(run_jobs(_pid, _specs(list(range(6))), policy=policy))
+        second = set(run_jobs(_pid, _specs(list(range(6))), policy=policy))
+        assert os.getpid() not in first
+        assert second <= first
+
+    def test_shutdown_empties_the_slot(self, empty_slot):
+        run_jobs(_square, _specs([1, 2]), policy=RunPolicy(jobs=2))
+        warm = _warm_slot()
+        assert warm is not None
+        shutdown_warm_pool()
+        assert _warm_slot() is None
+
+    def test_timed_out_pool_is_not_kept(self, empty_slot):
+        run_jobs(_square, _specs([1, 2]), policy=RunPolicy(jobs=2))
+        assert _warm_slot() is not None
+        with pytest.raises(JobExecutionError):
+            run_jobs(
+                _sleep, _specs([1, 2]),
+                policy=RunPolicy(jobs=2, chunk_size=1, timeout=0.2,
+                                 retries=0),
+            )
+        assert _warm_slot() is None
+
+    def test_cancelled_pool_is_not_kept(self, empty_slot):
+        run_jobs(_square, _specs([1, 2]), policy=RunPolicy(jobs=2))
+        assert _warm_slot() is not None
+        polls = []
+
+        def cancel_after_dispatch():
+            # The first poll is run_jobs' own start check; the second
+            # comes after the chunks went out to the pool.
+            polls.append(1)
+            return len(polls) > 1
+
+        with pytest.raises(JobCancelled):
+            run_jobs(_sleep, _specs([1, 2]), policy=RunPolicy(jobs=2),
+                     should_cancel=cancel_after_dispatch)
+        assert _warm_slot() is None
+
+    def test_broken_pool_is_not_kept(self, empty_slot):
+        run_jobs(_square, _specs([1, 2]), policy=RunPolicy(jobs=2))
+        assert _warm_slot() is not None
+        with pytest.raises(JobExecutionError):
+            run_jobs(_die, _specs([1, 2]),
+                     policy=RunPolicy(jobs=2, chunk_size=1, retries=0))
+        assert _warm_slot() is None
+
+    def test_concurrent_releases_keep_one_pool(self, empty_slot,
+                                               monkeypatch):
+        """Two runs returning their pools at once: one takes the slot,
+        the other is shut down, none leaks.  ``shutdown_warm_pool`` is
+        made to pause until both threads reach it, which forces the
+        interleaving an unlocked check-then-set would lose."""
+        barrier = threading.Barrier(2, timeout=1.0)
+        original = pool_mod.shutdown_warm_pool
+
+        def paused_shutdown():
+            original()
+            try:
+                barrier.wait()
+            except threading.BrokenBarrierError:
+                pass
+
+        monkeypatch.setattr(pool_mod, "shutdown_warm_pool", paused_shutdown)
+        pools = [_FakePool(), _FakePool()]
+        threads = [
+            threading.Thread(target=pool_mod._release_pool, args=(p, 2))
+            for p in pools
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        kept = _warm_slot()
+        assert kept in pools
+        assert not kept.shut_down
+        assert [p.shut_down for p in pools if p is not kept] == [True]
+
+    def test_release_stress_leaves_one_live_pool(self, empty_slot):
+        """Many threads returning pools with a tiny switch interval:
+        every pool but the one in the slot ends up shut down."""
+        pools = [[_FakePool() for _ in range(2000)] for _ in range(8)]
+
+        def release_all(batch):
+            for fake in batch:
+                pool_mod._release_pool(fake, 2)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=release_all, args=(batch,))
+                for batch in pools
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        live = [fake for batch in pools for fake in batch
+                if not fake.shut_down]
+        assert live == [_warm_slot()]

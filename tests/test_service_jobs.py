@@ -262,6 +262,70 @@ def test_final_progress_event_precedes_terminal_state(
     assert final.eta_seconds == 0.0
 
 
+def test_campaign_progress_events_are_distinct(manager):
+    """Each unit's engine repeats its boundary reports (a seeded 0 and
+    a final done == total); the stream carries each (done, total)
+    once, still starting at 0 and ending at the total."""
+    record, _ = manager.submit(SimulationPayload.from_dict({
+        "kind": "campaign",
+        "campaign": {
+            "version": 0,
+            "name": "distinct-progress",
+            "execution": {"numRuns": 2},
+            "settings": {"regular": {
+                "kind": "faults",
+                "faults": {"rates": [0.0, 0.05], "trials": 2, "seed": 7,
+                           "size": 8, "device": "IDEAL"},
+            }},
+        },
+    }))
+    assert manager.wait(record.job_id, timeout=60) == JobState.DONE
+    events = manager.events_since(record.job_id, after=0, timeout=0)
+    reports = [(e.done, e.total) for e in events if e.event == "progress"]
+    assert len(reports) == len(set(reports))
+    assert reports[0] == (0, 8)
+    assert reports[-1] == (8, 8)
+
+
+def test_concurrent_parallel_jobs_finish():
+    """Two executor threads each fan a sweep out over worker processes
+    at once: both finish, in process mode, with their serial bytes
+    (a fork taken while the other thread held an import lock used to
+    deadlock the child)."""
+    parallel = {"jobs": 2, "min_sweep_for_parallel": 2}
+    docs = [
+        {"kind": "montecarlo",
+         "montecarlo": {"trials": 8, "seed": 2, "size": 8}},
+        {"kind": "faults",
+         "faults": {"rates": [0.0, 0.05], "trials": 8, "seed": 11,
+                    "size": 8}},
+    ]
+    serial = JobManager()
+    concurrent = JobManager(workers=2)
+    try:
+        records = [
+            concurrent.submit(SimulationPayload.from_dict(
+                dict(doc, execution=parallel)
+            ))[0]
+            for doc in docs
+        ]
+        for record, doc in zip(records, docs):
+            assert concurrent.wait(record.job_id, timeout=60) == (
+                JobState.DONE
+            )
+            assert record.run_summary["mode"] == "process"
+            reference, _ = serial.submit(SimulationPayload.from_dict(doc))
+            assert serial.wait(reference.job_id, timeout=60) == (
+                JobState.DONE
+            )
+            assert concurrent.result_text(record.job_id) == (
+                serial.result_text(reference.job_id)
+            )
+    finally:
+        concurrent.shutdown()
+        serial.shutdown()
+
+
 def test_engine_cache_dedupes_across_manager_restarts(tmp_path):
     cache_dir = str(tmp_path / "cache")
 

@@ -40,11 +40,11 @@ def _faults(**hooks):
 SWEEPS = [
     pytest.param(
         _explore, len(SPACE), explorer,
-        ("_evaluate_point", "_evaluate_points_batch"), id="explore",
+        ("_evaluate_points_batch",), id="explore",
     ),
     pytest.param(
         _faults, len(CAMPAIGN.fault_rates) * CAMPAIGN.trials, faults,
-        ("_run_trial", "_run_trial_batch"), id="faults",
+        ("_run_trial_batch",), id="faults",
     ),
 ]
 
