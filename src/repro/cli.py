@@ -57,6 +57,7 @@ import argparse
 import contextlib
 import logging
 import os
+import signal
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, List, Optional
@@ -228,6 +229,19 @@ def _cache_dir(args: argparse.Namespace) -> Optional[str]:
     return args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
 
 
+def _given(args: argparse.Namespace, *keys: str) -> dict:
+    """The section document of the flags the user gave.
+
+    Sweep flags default to ``None``: their defaults, bounds and
+    vocabularies live in the section's declaration, which reads this
+    document exactly as it reads the service's payload section.
+    """
+    return {
+        key: getattr(args, key) for key in keys
+        if getattr(args, key) is not None
+    }
+
+
 def _finish_run(cache: Optional[ResultCache]) -> None:
     """Persist the run summary next to the cache for ``runtime-stats``."""
     if cache is not None:
@@ -379,20 +393,15 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
     from repro.service.workloads import montecarlo_document
 
     config = _load_config(args)
-    # The service's schema, bounds included (size >= 2), checks the flags.
-    spec = MonteCarloSpec.from_dict({
-        "trials": args.trials,
-        "seed": args.seed,
-        "size": args.size,
-        "sigma": args.sigma,
-        "input_mode": args.input_mode,
-        "inputs_per_trial": args.inputs_per_trial,
-    }, "montecarlo")
+    spec = MonteCarloSpec.from_dict(_given(
+        args, "trials", "seed", "size", "sigma", "input_mode",
+        "inputs_per_trial",
+    ), "montecarlo")
     size = config.crossbar_size if spec.size is None else spec.size
     cache = _open_run(args)
     _log.info(
         "monte-carlo: %dx%d crossbar, %d trials, seed %d",
-        size, size, args.trials, args.seed,
+        size, size, spec.trials, spec.seed,
     )
     # The document builder is shared with the service layer, so the
     # --output file is byte-identical to `GET /jobs/{id}/result` for
@@ -422,19 +431,14 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
-    from repro.faults.campaign import CampaignSpec, run_campaign
+    from repro.faults.campaign import run_campaign
+    from repro.faults.models import FaultsSpec
     from repro.report import format_table
 
-    spec = CampaignSpec(
-        networks=tuple(args.networks),
-        fault_modes=tuple(args.modes),
-        fault_rates=tuple(args.rates),
-        trials=args.trials,
-        seed=args.seed,
-        size=args.size,
-        device=args.device,
-        segment_resistance=args.segment_resistance,
-    )
+    spec = FaultsSpec.from_dict(_given(
+        args, "networks", "modes", "rates", "trials", "seed", "size",
+        "device", "segment_resistance",
+    ), "faults")
     cache = _open_run(args)
     _log.info(
         "faults: %d networks x %d modes x %d rates, %d trials, seed %d",
@@ -546,6 +550,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         "http://%s:%d/jobs to submit work",
         cache_dir or "(disabled)", args.workers, host, port,
     )
+    # `kill` stops the server the way Ctrl-C does: the pool and its
+    # helper processes are shut down, not orphaned.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -794,23 +801,25 @@ def build_parser() -> argparse.ArgumentParser:
                           "circuit-level Monte-Carlo accuracy sampling")
     _add_config_flags(montecarlo)
     _add_runtime_flags(montecarlo)
+    # Sweep flags default to None: MonteCarloSpec declares the rest.
     montecarlo.add_argument(
-        "--trials", type=int, default=8, help="sampled weight matrices"
+        "--trials", type=int, help="sampled weight matrices"
     )
-    montecarlo.add_argument("--seed", type=int, default=0)
+    montecarlo.add_argument("--seed", type=int)
     montecarlo.add_argument(
-        "--size", type=int, default=None,
+        "--size", type=int,
         help="crossbar size (default: the configured crossbar_size)",
     )
     montecarlo.add_argument(
-        "--sigma", type=float, default=None,
+        "--sigma", type=float,
         help="device-variation magnitude (default: the device's sigma)",
     )
     montecarlo.add_argument(
-        "--input-mode", choices=("random", "full"), default="random",
+        "--input-mode",
+        help="input drive protocol (repro.service.schema.InputMode)",
     )
     montecarlo.add_argument(
-        "--inputs-per-trial", type=int, default=1,
+        "--inputs-per-trial", type=int,
         help="input vectors per sampled matrix (batched solve)",
     )
     montecarlo.add_argument(
@@ -822,32 +831,29 @@ def build_parser() -> argparse.ArgumentParser:
     faults = _command(sub, "faults", _cmd_faults,
                       "fault-injection campaign: accuracy vs fault rate")
     _add_runtime_flags(faults)
+    # Sweep flags default to None: FaultsSpec declares the rest.
     faults.add_argument(
-        "--networks", nargs="+", default=["crossbar"],
+        "--networks", nargs="+",
         help="network specs: 'crossbar' and/or 'mlp:a,b,...'",
     )
     faults.add_argument(
-        "--modes", nargs="+", default=["stuck_mixed"],
-        help="fault modes (stuck_low/stuck_high/stuck_mixed/"
-        "open_cell/line_open/line_short/drift)",
+        "--modes", nargs="+",
+        help="fault modes (repro.faults.FAULT_MODES)",
     )
     faults.add_argument(
         "--rates", nargs="+", type=float,
-        default=[0.0, 0.01, 0.02, 0.05],
         help="fault rates (drift: lognormal sigma)",
     )
     faults.add_argument(
-        "--trials", type=int, default=8, help="injections per sweep point"
+        "--trials", type=int, help="injections per sweep point"
     )
-    faults.add_argument("--seed", type=int, default=0)
+    faults.add_argument("--seed", type=int)
+    faults.add_argument("--size", type=int, help="square crossbar size")
     faults.add_argument(
-        "--size", type=int, default=16, help="square crossbar size"
-    )
-    faults.add_argument(
-        "--device", default="IDEAL", help="built-in memristor model name"
+        "--device", help="built-in memristor model name, any case"
     )
     faults.add_argument(
-        "--segment-resistance", type=float, default=1.0,
+        "--segment-resistance", type=float,
         help="wire segment resistance (ohm)",
     )
     faults.add_argument(

@@ -11,7 +11,9 @@ modes first-class:
 * :mod:`repro.faults.models` — :class:`FaultMask`, a deterministic,
   seed-reproducible description of every hard fault on one crossbar
   (stuck cells, open cells, open/short lines, parametric drift
-  overlays), with JSON round-trip for cache keys and reports;
+  overlays), with JSON round-trip for cache keys and reports; and
+  :class:`FaultsSpec`, the one declaration of a fault sweep, shared by
+  the Python API, ``repro faults`` and the service;
 * :class:`~repro.spice.solver.CrossbarNetwork` accepts a
   ``fault_mask=``: stuck cells rewrite the programmed stamp values,
   open cells/lines drop their branches, and a mask that leaves nodes
@@ -34,12 +36,12 @@ __all__ = lazy_exports(globals(), {
     "repro.faults.models": [
         "FAULT_MODES",
         "FaultMask",
+        "FaultsSpec",
         "apply_mask_to_weights",
         "sample_fault_mask",
     ],
     "repro.faults.campaign": [
         "CampaignResult",
-        "CampaignSpec",
         "CurvePoint",
         "run_campaign",
     ],

@@ -29,19 +29,18 @@ cacheable through :mod:`repro.runtime`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.accuracy.interconnect import DEFAULT_SENSE_RESISTANCE
-from repro.errors import ConfigError
 from repro.faults.models import (
-    FAULT_MODES,
+    FaultsSpec,
+    parse_network_spec,
     sample_fault_mask,
 )
 from repro.jsonio import render_document
-from repro.nn.inference import MlpInference
 from repro.nn.networks import mlp
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -50,124 +49,8 @@ from repro.runtime.jobs import JobSpec, content_key
 from repro.runtime.pool import RunPolicy, run_jobs
 from repro.tech.memristor import get_memristor_model
 
-#: Fault modes that only make sense at the circuit level: a line open /
-#: short has no single-weight-matrix meaning, so MLP networks reject it.
-_CIRCUIT_ONLY_MODES = ("line_open", "line_short")
-
 #: Stamp written into every campaign JSON; bump on semantic changes.
 CAMPAIGN_SCHEMA = "faults-campaign-v1"
-
-
-def parse_network_spec(spec: str) -> Optional[Tuple[int, ...]]:
-    """``"crossbar"`` -> None, ``"mlp:a,b,..."`` -> neuron sizes."""
-    if spec == "crossbar":
-        return None
-    if spec.startswith("mlp:"):
-        body = spec[len("mlp:"):]
-        try:
-            sizes = tuple(int(token) for token in body.split(","))
-        except ValueError as exc:
-            raise ConfigError(
-                f"bad MLP spec {spec!r}: sizes must be integers"
-            ) from exc
-        if len(sizes) < 2 or any(s < 1 for s in sizes):
-            raise ConfigError(
-                f"bad MLP spec {spec!r}: need >= 2 positive neuron counts"
-            )
-        return sizes
-    raise ConfigError(
-        f"unknown network spec {spec!r}; use 'crossbar' or 'mlp:a,b,...'"
-    )
-
-
-@dataclass(frozen=True)
-class CampaignSpec:
-    """Everything that identifies one fault-injection campaign.
-
-    Attributes
-    ----------
-    networks:
-        Network specs to sweep: ``"crossbar"`` (circuit level) and/or
-        ``"mlp:a,b,..."`` (behaviour level, neuron counts per level).
-    fault_modes:
-        Subset of :data:`~repro.faults.models.FAULT_MODES`.
-    fault_rates:
-        Per-cell/per-line fault probabilities (drift: lognormal sigma).
-    trials:
-        Independently seeded injections per (network, mode, rate) point.
-    seed:
-        Root of the per-trial ``SeedSequence`` tree; the only source of
-        randomness in the whole campaign.
-    size:
-        Square crossbar size for ``"crossbar"`` networks.
-    device:
-        Built-in memristor model name (see
-        :func:`repro.tech.memristor.get_memristor_model`).
-    segment_resistance / sense_resistance:
-        Interconnect parameters for the circuit-level solve.
-    """
-
-    networks: Tuple[str, ...] = ("crossbar",)
-    fault_modes: Tuple[str, ...] = ("stuck_mixed",)
-    fault_rates: Tuple[float, ...] = (0.0, 0.01, 0.02, 0.05)
-    trials: int = 8
-    seed: int = 0
-    size: int = 16
-    device: str = "IDEAL"
-    segment_resistance: float = 1.0
-    sense_resistance: float = DEFAULT_SENSE_RESISTANCE
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "networks", tuple(self.networks))
-        object.__setattr__(self, "fault_modes", tuple(self.fault_modes))
-        object.__setattr__(
-            self, "fault_rates", tuple(float(r) for r in self.fault_rates)
-        )
-        if not self.networks:
-            raise ConfigError("a campaign needs at least one network")
-        if not self.fault_modes:
-            raise ConfigError("a campaign needs at least one fault mode")
-        if not self.fault_rates:
-            raise ConfigError("a campaign needs at least one fault rate")
-        for mode in self.fault_modes:
-            if mode not in FAULT_MODES:
-                raise ConfigError(
-                    f"unknown fault mode {mode!r}; pick from {FAULT_MODES}"
-                )
-        for rate in self.fault_rates:
-            if not math.isfinite(rate) or rate < 0:
-                raise ConfigError("fault rates must be finite and >= 0")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.size < 2:
-            raise ConfigError("crossbar size must be >= 2")
-        if self.segment_resistance < 0 or self.sense_resistance <= 0:
-            raise ConfigError("bad interconnect resistances")
-        for net in self.networks:
-            sizes = parse_network_spec(net)  # validates the spelling
-            if sizes is not None:
-                for mode in self.fault_modes:
-                    if mode in _CIRCUIT_ONLY_MODES:
-                        raise ConfigError(
-                            f"mode {mode!r} is circuit-level only and "
-                            f"cannot be applied to {net!r}; drop the "
-                            "MLP network or the line mode"
-                        )
-        get_memristor_model(self.device)  # fail fast on unknown names
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe, deterministic encoding (embedded in results)."""
-        return {
-            "networks": list(self.networks),
-            "fault_modes": list(self.fault_modes),
-            "fault_rates": list(self.fault_rates),
-            "trials": self.trials,
-            "seed": self.seed,
-            "size": self.size,
-            "device": self.device,
-            "segment_resistance": self.segment_resistance,
-            "sense_resistance": self.sense_resistance,
-        }
 
 
 @dataclass(frozen=True)
@@ -210,13 +93,22 @@ class CurvePoint:
 class CampaignResult:
     """A finished campaign: the spec plus one curve point per combo."""
 
-    spec: CampaignSpec
+    spec: FaultsSpec
     points: Tuple[CurvePoint, ...]
 
     def to_dict(self) -> Dict[str, Any]:
+        # The spec under its Python field names, plus the sense
+        # resistance every crossbar trial solved with.
+        spec = {}
+        for field in fields(self.spec):
+            value = getattr(self.spec, field.name)
+            spec[field.name] = (
+                list(value) if isinstance(value, tuple) else value
+            )
+        spec["sense_resistance"] = DEFAULT_SENSE_RESISTANCE
         return {
             "schema": CAMPAIGN_SCHEMA,
-            "spec": self.spec.to_dict(),
+            "spec": spec,
             "points": [point.to_dict() for point in self.points],
         }
 
@@ -239,6 +131,9 @@ def _mlp_trial(
     rng: np.random.Generator,
 ) -> Dict[str, Any]:
     """Fixed-point forward pass with per-layer weight corruption."""
+    # Loaded with the first MLP trial: a crossbar sweep never needs it.
+    from repro.nn.inference import MlpInference
+
     network = mlp(list(sizes), name="faults-mlp")
     model = MlpInference.with_random_weights(network, rng)
     # Draw order is fixed: inputs first, then one mask per layer, so the
@@ -389,7 +284,7 @@ def _aggregate(
 
 
 def run_campaign(
-    spec: CampaignSpec,
+    spec: FaultsSpec,
     *,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
@@ -437,7 +332,7 @@ def run_campaign(
 
 
 def _trial_specs(
-    spec: CampaignSpec, *, keyed: bool
+    spec: FaultsSpec, *, keyed: bool
 ) -> Tuple[List[Tuple[str, str, float]], List[JobSpec]]:
     """Expand the sweep into combos and spawn-keyed trial job specs.
 
@@ -456,7 +351,7 @@ def _trial_specs(
                     task = (
                         network, mode, rate, spec.seed, spawn_key,
                         device, spec.size, spec.segment_resistance,
-                        spec.sense_resistance,
+                        DEFAULT_SENSE_RESISTANCE,
                     )
                     specs.append(JobSpec(
                         kind="faults-trial",
@@ -465,7 +360,7 @@ def _trial_specs(
                             "faults-trial", network, mode, rate,
                             spec.seed, list(spawn_key), device,
                             spec.size, spec.segment_resistance,
-                            spec.sense_resistance,
+                            DEFAULT_SENSE_RESISTANCE,
                         ) if keyed else None,
                     ))
     return combos, specs

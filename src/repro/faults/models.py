@@ -28,16 +28,26 @@ cache keys), and composable onto any programmed resistance grid with
 :class:`numpy.random.Generator` with a *fixed draw order per mode*, so
 the same seed always produces the same mask — the reproducibility
 contract the campaign runner (:mod:`repro.faults.campaign`) builds on.
+
+:class:`FaultsSpec` declares one such campaign: every field once, with
+its default and bound, read the same way by the Python API, ``repro
+faults`` and the service's ``faults`` payload section.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigError
+from repro.config import Declared, declare
+from repro.errors import ConfigError, TechnologyError, ValidationError
+from repro.tech.memristor import (
+    available_memristor_models,
+    get_memristor_model,
+)
 
 #: Fault-type vocabulary of :func:`sample_fault_mask` and the campaign
 #: runner.  ``stuck_*``/``open_cell`` rates are per-cell probabilities,
@@ -52,6 +62,125 @@ FAULT_MODES = (
     "line_short",
     "drift",
 )
+
+#: Fault modes that only make sense at the circuit level: a line open /
+#: short has no single-weight-matrix meaning, so MLP networks reject it.
+CIRCUIT_ONLY_MODES = ("line_open", "line_short")
+
+
+def parse_network_spec(spec: str) -> Optional[Tuple[int, ...]]:
+    """``"crossbar"`` -> None, ``"mlp:a,b,..."`` -> neuron sizes."""
+    if spec == "crossbar":
+        return None
+    if spec.startswith("mlp:"):
+        body = spec[len("mlp:"):]
+        try:
+            sizes = tuple(int(token) for token in body.split(","))
+        except ValueError as exc:
+            raise ConfigError(
+                f"bad MLP spec {spec!r}: sizes must be integers"
+            ) from exc
+        if len(sizes) < 2 or any(s < 1 for s in sizes):
+            raise ConfigError(
+                f"bad MLP spec {spec!r}: need >= 2 positive neuron counts"
+            )
+        return sizes
+    raise ConfigError(
+        f"unknown network spec {spec!r}; use 'crossbar' or 'mlp:a,b,...'"
+    )
+
+
+@dataclass(frozen=True)
+class FaultsSpec(Declared):
+    """Everything that identifies one fault-injection campaign.
+
+    Attributes
+    ----------
+    networks:
+        Network specs to sweep: ``"crossbar"`` (circuit level) and/or
+        ``"mlp:a,b,..."`` (behaviour level, neuron counts per level).
+    fault_modes:
+        Subset of :data:`FAULT_MODES` (document key ``modes``); the
+        :data:`CIRCUIT_ONLY_MODES` need every network to be a crossbar.
+    fault_rates:
+        Per-cell/per-line fault probabilities, drift's lognormal sigma
+        (document key ``rates``).
+    trials:
+        Independently seeded injections per (network, mode, rate) point.
+    seed:
+        Root of the per-trial ``SeedSequence`` tree; the only source of
+        randomness in the whole campaign.
+    size:
+        Square crossbar size for ``"crossbar"`` networks.
+    device:
+        Built-in memristor model name, any case (see
+        :func:`repro.tech.memristor.get_memristor_model`).
+    segment_resistance:
+        Wire segment resistance of the circuit-level solve (ohm).
+    """
+
+    networks: Tuple[str, ...] = declare(("crossbar",), nonempty=True)
+    fault_modes: Tuple[str, ...] = declare(
+        ("stuck_mixed",), key="modes", nonempty=True
+    )
+    fault_rates: Tuple[float, ...] = declare(
+        (0.0, 0.01, 0.02, 0.05), key="rates", minimum=0, nonempty=True
+    )
+    trials: int = declare(8, minimum=1)
+    seed: int = 0
+    size: int = declare(16, minimum=2)
+    device: str = "IDEAL"
+    segment_resistance: float = declare(1.0, minimum=0)
+
+    def __post_init__(self) -> None:
+        # The Python API's spellings: lists, int rates, "rram".
+        set_attr = object.__setattr__
+        set_attr(self, "networks", tuple(self.networks))
+        set_attr(self, "fault_modes", tuple(self.fault_modes))
+        set_attr(self, "fault_rates",
+                 tuple(float(rate) for rate in self.fault_rates))
+        # One spelling per device, so one echo: get_memristor_model's.
+        if isinstance(self.device, str):
+            set_attr(self, "device", self.device.strip().upper())
+        super().__post_init__()
+
+    def _check(self) -> None:
+        for index, rate in enumerate(self.fault_rates):
+            if not math.isfinite(rate):  # parse rejects these already
+                raise ValidationError(
+                    "must be finite", path=f"rates[{index}]", value=rate,
+                )
+        for index, mode in enumerate(self.fault_modes):
+            if mode not in FAULT_MODES:
+                raise ValidationError(
+                    "unknown fault mode", path=f"modes[{index}]",
+                    value=mode, allowed=FAULT_MODES,
+                )
+        mlps = []
+        for index, network in enumerate(self.networks):
+            try:
+                if parse_network_spec(network) is not None:
+                    mlps.append(network)
+            except ConfigError as exc:
+                raise ValidationError(
+                    str(exc), path=f"networks[{index}]", value=network,
+                ) from None
+        for index, mode in enumerate(self.fault_modes):
+            if mlps and mode in CIRCUIT_ONLY_MODES:
+                raise ValidationError(
+                    f"circuit-level only, so it cannot be applied to "
+                    f"{mlps[0]!r}; drop the MLP network or the line mode",
+                    path=f"modes[{index}]", value=mode,
+                    allowed=[m for m in FAULT_MODES
+                             if m not in CIRCUIT_ONLY_MODES],
+                )
+        try:
+            get_memristor_model(self.device)
+        except TechnologyError:
+            raise ValidationError(
+                "unknown memristor model", path="device",
+                value=self.device, allowed=available_memristor_models(),
+            ) from None
 
 
 def _frozen_bool(mask: Optional[np.ndarray], rows: int,
@@ -326,7 +455,7 @@ def sample_fault_mask(
         )
     if not 0 <= fault_rate <= 1:
         raise ConfigError("fault_rate must lie in [0, 1]")
-    if mode in ("line_open", "line_short"):
+    if mode in CIRCUIT_ONLY_MODES:
         wordlines = np.flatnonzero(rng.random(rows) < fault_rate)
         bitlines = np.flatnonzero(rng.random(cols) < fault_rate)
         if mode == "line_open":

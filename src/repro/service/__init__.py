@@ -19,9 +19,7 @@ from repro._lazy import lazy_exports
 __all__ = lazy_exports(globals(), {
     "repro.service.jobs": ["JobEvent", "JobManager", "JobRecord", "JobState"],
     "repro.service.schema": [
-        "DeviceModel",
         "ExecutionSpec",
-        "FaultMode",
         "FaultsSpec",
         "InputMode",
         "MonteCarloSpec",

@@ -25,29 +25,26 @@ not fully understand must never run.
 
 Validated payloads canonicalise into the existing engine structures
 (:class:`~repro.config.SimConfig`, :class:`~repro.dse.space.DesignSpace`,
-:class:`~repro.faults.campaign.CampaignSpec`,
-:class:`~repro.runtime.pool.RunPolicy`) and carry a deterministic
-content-addressed :meth:`SimulationPayload.fingerprint` — the service's
-job id — derived from the same canonical serialization the sqlite result
-cache keys on, so identical submissions dedupe end to end.
+:class:`~repro.runtime.pool.RunPolicy`); the ``faults`` section *is*
+the engine's :class:`~repro.faults.models.FaultsSpec`.  Payloads carry a
+deterministic content-addressed :meth:`SimulationPayload.fingerprint` —
+the service's job id — derived from the same canonical serialization the
+sqlite result cache keys on, so identical submissions dedupe end to end.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.config import Declared, SimConfig, declare, dump, read
 from repro.dse.space import DesignSpace
-from repro.errors import ConfigError, ValidationError
-from repro.faults.models import FAULT_MODES
+from repro.errors import ValidationError
+from repro.faults.models import FaultsSpec
 from repro.nn.networks import BUILTIN_NETWORKS, Network, mlp
 from repro.runtime.jobs import content_key
 from repro.runtime.pool import RunPolicy
-
-if TYPE_CHECKING:
-    from repro.faults.campaign import CampaignSpec
 
 #: Version stamp folded into every payload fingerprint (and therefore
 #: every job id); bump on any change to payload semantics.
@@ -78,14 +75,6 @@ class NetworkTopology(enum.Enum):
     VGG16 = "vgg16"
 
 
-class DeviceModel(enum.Enum):
-    """Memristor device vocabulary (see :mod:`repro.tech.memristor`)."""
-
-    RRAM = "RRAM"
-    PCM = "PCM"
-    IDEAL = "IDEAL"
-
-
 class SweepMode(enum.Enum):
     """How an ``explore`` payload traverses its design space."""
 
@@ -99,21 +88,6 @@ class InputMode(enum.Enum):
     FULL = "full"
 
 
-class FaultMode(enum.Enum):
-    """Fault-injection vocabulary (mirrors ``faults.models.FAULT_MODES``)."""
-
-    STUCK_LOW = "stuck_low"
-    STUCK_HIGH = "stuck_high"
-    STUCK_MIXED = "stuck_mixed"
-    OPEN_CELL = "open_cell"
-    LINE_OPEN = "line_open"
-    LINE_SHORT = "line_short"
-    DRIFT = "drift"
-
-
-assert tuple(m.value for m in FaultMode) == FAULT_MODES, (
-    "FaultMode enum drifted from faults.models.FAULT_MODES"
-)
 assert {t.value for t in NetworkTopology} == {"mlp", *BUILTIN_NETWORKS}, (
     "NetworkTopology enum drifted from nn.networks.BUILTIN_NETWORKS"
 )
@@ -203,51 +177,6 @@ class MonteCarloSpec(Declared):
                 "inputs_per_trial > 1 requires input_mode='random'",
                 path="inputs_per_trial", value=self.inputs_per_trial,
             )
-
-
-@dataclass(frozen=True)
-class FaultsSpec(Declared):
-    """Fault-injection campaign parameters."""
-
-    networks: Tuple[str, ...] = declare(("crossbar",), nonempty=True)
-    modes: Tuple[FaultMode, ...] = declare(
-        (FaultMode.STUCK_MIXED,), nonempty=True
-    )
-    rates: Tuple[float, ...] = declare(
-        (0.0, 0.01, 0.02, 0.05), minimum=0, nonempty=True
-    )
-    trials: int = declare(8, minimum=1)
-    seed: int = 0
-    size: int = declare(16, minimum=2)
-    device: DeviceModel = DeviceModel.IDEAL
-    segment_resistance: float = declare(1.0, minimum=0)
-
-    def _check(self) -> None:
-        # Loaded with the first faults payload, not with the schema.
-        from repro.faults.campaign import parse_network_spec
-
-        for index, network in enumerate(self.networks):
-            try:
-                parse_network_spec(network)
-            except ConfigError as exc:
-                raise ValidationError(
-                    str(exc), path=f"networks[{index}]", value=network,
-                ) from None
-        self.to_campaign_spec()  # the cross-field rules of CampaignSpec
-
-    def to_campaign_spec(self) -> CampaignSpec:
-        from repro.faults.campaign import CampaignSpec
-
-        return CampaignSpec(
-            networks=self.networks,
-            fault_modes=tuple(m.value for m in self.modes),
-            fault_rates=self.rates,
-            trials=self.trials,
-            seed=self.seed,
-            size=self.size,
-            device=self.device.value,
-            segment_resistance=self.segment_resistance,
-        )
 
 
 @dataclass(frozen=True)
@@ -411,8 +340,8 @@ class SimulationPayload:
         if self.kind is PayloadKind.FAULTS:
             faults = self.faults
             return (
-                len(faults.networks) * len(faults.modes)
-                * len(faults.rates) * faults.trials
+                len(faults.networks) * len(faults.fault_modes)
+                * len(faults.fault_rates) * faults.trials
             )
         return 1
 

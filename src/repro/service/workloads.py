@@ -200,7 +200,7 @@ def _run_faults(
     from repro.faults.campaign import run_campaign
 
     result = run_campaign(
-        payload.faults.to_campaign_spec(),
+        payload.faults,
         cache=cache,
         policy=payload.execution.to_policy(),
         progress=progress,

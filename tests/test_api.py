@@ -149,7 +149,7 @@ _SOLVER_SWEEP = _SOLVER + ("repro.campaign",)
         ),
         pytest.param(
             _cli("faults", "--size", "8", "--trials", "2"),
-            ("scipy.sparse",), _SOLVER_SWEEP, 32, id="faults",
+            ("scipy.sparse",), _SOLVER_SWEEP, 31, id="faults",
         ),
     ],
 )

@@ -269,6 +269,24 @@ class TestMonteCarlo:
         assert code == 0
         assert "monte-carlo: 8x8 crossbar" in capsys.readouterr().err
 
+    def test_input_mode_vocabulary_is_the_declaration(self, capsys):
+        code = main(["montecarlo", "--input-mode", "spiky", "--size", "8"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: montecarlo.input_mode: ")
+        assert "'random', 'full'" in err
+
+
+class TestFaults:
+    def test_device_is_any_registered_model_in_any_case(self, tmp_path):
+        out = tmp_path / "campaign.json"
+        code = main([
+            "-q", "faults", "--device", "rram-4bit", "--rates", "0.1",
+            "--trials", "1", "--size", "4", "--no-cache", "-o", str(out),
+        ])
+        assert code == 0
+        assert json.loads(out.read_text())["spec"]["device"] == "RRAM-4BIT"
+
 
 class TestCampaignValidate:
     def test_mistyped_unit_config_is_a_config_error(self, tmp_path, capsys):

@@ -11,11 +11,11 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.faults.campaign import (
-    CampaignSpec,
     CurvePoint,
     parse_network_spec,
     run_campaign,
 )
+from repro.faults.models import FaultsSpec
 from repro.runtime.cache import ResultCache
 
 
@@ -29,7 +29,7 @@ def _tiny_spec(**overrides):
         size=6,
     )
     base.update(overrides)
-    return CampaignSpec(**base)
+    return FaultsSpec(**base)
 
 
 class TestSpecValidation:
@@ -122,7 +122,7 @@ class TestAggregation:
     def test_failed_trials_counted_not_raised(self):
         # Aggressive open lines on a small array: some trials go
         # singular; the campaign must absorb them as failures.
-        result = run_campaign(CampaignSpec(
+        result = run_campaign(FaultsSpec(
             networks=("crossbar",), fault_modes=("line_open",),
             fault_rates=(0.6,), trials=8, seed=3, size=4,
         ))
@@ -146,7 +146,7 @@ class TestAggregation:
 
 class TestMlpLevel:
     def test_mlp_curve_degrades_with_rate(self):
-        result = run_campaign(CampaignSpec(
+        result = run_campaign(FaultsSpec(
             networks=("mlp:16,8,4",), fault_modes=("open_cell",),
             fault_rates=(0.0, 0.3), trials=5, seed=8,
         ))

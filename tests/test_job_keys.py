@@ -96,7 +96,7 @@ SIM_CONFIG = SimConfig(
     crossbar_size=64, parallelism_degree=4, interconnect_tech=45,
     resistance_range=(1e3, 1e5), device_sigma=0.05,
 )
-FAULTS_SPEC = faults_campaign.CampaignSpec(
+FAULTS_SPEC = faults_campaign.FaultsSpec(
     networks=("crossbar", "mlp:64,32,10"), fault_modes=("stuck_mixed",),
     fault_rates=(0.02,), trials=2, seed=5, size=8,
 )

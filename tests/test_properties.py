@@ -30,6 +30,7 @@ from repro.campaign.runner import CampaignLoop, stage_key
 from repro.config import Declared, SimConfig, dump, parse
 from repro.dse.tradeoff import inflection_point, pareto_frontier
 from repro.errors import ConfigError, ValidationError
+from repro.faults.models import FAULT_MODES
 from repro.nn.quantize import bit_slice, dequantize, quantize, split_polarity
 from repro.report import Performance
 from repro.runtime.jobs import canonical, canonical_json
@@ -43,7 +44,7 @@ from repro.service.schema import (
     SweepSpec,
 )
 from repro.spice.solver import CrossbarNetwork, ideal_output_voltages
-from repro.tech import get_memristor_model
+from repro.tech import available_memristor_models, get_memristor_model
 
 finite_floats = st.floats(
     min_value=0.0, max_value=1e3, allow_nan=False, allow_infinity=False
@@ -726,12 +727,33 @@ def _field_values(hint, rules):
     return st.text(max_size=6)
 
 
+#: Fields whose valid values are a vocabulary, not any value of their
+#: declared type.
+_VOCABULARIES = {
+    (FaultsSpec, "networks"): st.lists(
+        st.sampled_from(["crossbar", "mlp:8,4", "mlp:6,4,2"]),
+        min_size=1, max_size=3,
+    ).map(tuple),
+    (FaultsSpec, "fault_modes"): st.lists(
+        st.sampled_from(FAULT_MODES), min_size=1, max_size=3,
+    ).map(tuple),
+    (FaultsSpec, "device"): st.sampled_from(available_memristor_models()),
+}
+
+
+def _declared_values(cls, spec):
+    """Valid values of one declared field of ``cls``."""
+    if (cls, spec.name) in _VOCABULARIES:
+        return _VOCABULARIES[cls, spec.name]
+    hint = typing.get_type_hints(cls)[spec.name]
+    return _field_values(hint, spec.metadata)
+
+
 @st.composite
 def _instances(draw, cls):
     """Valid instances: the seed with about one field in eight redrawn."""
-    hints = typing.get_type_hints(cls)
     changes = {
-        spec.name: draw(_field_values(hints[spec.name], spec.metadata))
+        spec.name: draw(_declared_values(cls, spec))
         for spec in dataclasses.fields(cls)
         if draw(st.integers(0, 7)) == 0
     }
@@ -807,6 +829,53 @@ def test_any_json_section_parses_or_is_named_at_its_section(data):
     else:
         assert payload.total_work() >= 1
         assert payload.fingerprint()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_execution_never_moves_a_payload_fingerprint(data):
+    """Engine knobs drawn inside their declared bounds leave every
+    payload kind's job id as it is (a campaign's ``numRuns`` expands
+    units, so it is not drawn)."""
+    kind = data.draw(st.sampled_from(sorted(_PAYLOAD_SEEDS)))
+    document = json.loads(json.dumps(_PAYLOAD_SEEDS[kind]))
+    base = SimulationPayload.from_dict(document).fingerprint()
+    knobs = {
+        spec.name: data.draw(_declared_values(ExecutionSpec, spec))
+        for spec in dataclasses.fields(ExecutionSpec)
+    }
+    try:
+        if kind == "campaign":
+            document["campaign"]["execution"] = dump(
+                CampaignExecution(**knobs)
+            )
+        else:
+            document["execution"] = dump(ExecutionSpec(**knobs))
+    except ConfigError:
+        reject()
+    assert SimulationPayload.from_dict(document).fingerprint() == base
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_faults_field_moves_a_payload_fingerprint(data):
+    """Changing any one declared FaultsSpec field to another valid value
+    gives the payload another job id."""
+    base = data.draw(_instances(FaultsSpec))
+    spec = data.draw(st.sampled_from(dataclasses.fields(FaultsSpec)))
+    value = data.draw(_declared_values(FaultsSpec, spec))
+    assume(value != getattr(base, spec.name))
+    try:
+        changed = dataclasses.replace(base, **{spec.name: value})
+    except ConfigError:
+        reject()
+
+    def fingerprint(faults):
+        return SimulationPayload.from_dict(
+            {"kind": "faults", "faults": dump(faults)}
+        ).fingerprint()
+
+    assert fingerprint(changed) != fingerprint(base)
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -156,6 +157,44 @@ def test_mistyped_config_value_is_a_400_with_path(service):
     assert error["path"] == "config.crossbar_size"
     assert error["value"] == "64"
     assert manager.snapshot() == [], "rejected payloads must not enqueue"
+
+
+@pytest.mark.parametrize("argv, section, path", [
+    pytest.param(["--modes", "gamma_ray"], {"modes": ["gamma_ray"]},
+                 "faults.modes[0]", id="unknown-mode"),
+    pytest.param(["--rates", "0", "-0.1"], {"rates": [0, -0.1]},
+                 "faults.rates[1]", id="negative-rate"),
+    pytest.param(["--networks", "mlp:4,4", "--modes", "line_open"],
+                 {"networks": ["mlp:4,4"], "modes": ["line_open"]},
+                 "faults.modes[0]", id="line-mode-on-mlp"),
+    pytest.param(["--device", "FLASH"], {"device": "FLASH"},
+                 "faults.device", id="unknown-device"),
+    pytest.param(["--trials", "0"], {"trials": 0}, "faults.trials",
+                 id="zero-trials"),
+])
+def test_bad_faults_input_is_rejected_alike_by_cli_and_service(
+    service, capsys, argv, section, path
+):
+    """One declaration, two entrances: `repro faults` exits 2 with the
+    very error the service answers 400 with."""
+    import urllib.error
+    import urllib.request
+
+    client, manager = service
+    request = urllib.request.Request(
+        client.base_url + "/jobs", method="POST",
+        data=json.dumps({"kind": "faults", "faults": section}).encode(),
+        headers={"Content-Type": "application/json"},
+    )
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        urllib.request.urlopen(request, timeout=30)
+    assert excinfo.value.code == 400
+    error = json.loads(excinfo.value.read().decode("utf-8"))["error"]
+    assert error["path"] == path
+    assert manager.snapshot() == [], "rejected payloads must not enqueue"
+
+    assert main(["-q", "faults", *argv, "--no-cache"]) == 2
+    assert f"error: {error['message']}" in capsys.readouterr().err.splitlines()
 
 
 def test_unknown_routes_and_jobs(service):
@@ -644,12 +683,50 @@ def test_job_artefacts_render_the_frozen_snapshot(service, monkeypatch):
     assert served(job_id) == first
 
 
-def test_serve_exits_promptly_with_an_idle_client(tmp_path):
-    """SIGINT stops ``repro serve`` while a client holds an idle
-    persistent connection: closing the server does not wait for the
-    connection's thread."""
+def _descendants(pid):
+    """Pids of every live process below ``pid``, read from /proc."""
+    parents = {}
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue  # exited meanwhile
+        if fields[0] != "Z":
+            parents[int(stat.parent.name)] = int(fields[1])
+    found, todo = set(), [pid]
+    while todo:
+        parent = todo.pop()
+        children = {c for c, ppid in parents.items() if ppid == parent}
+        found |= children
+        todo += children
+    return found
+
+
+def _alive(pid):
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.parametrize("signum, parallel_job", [
+    pytest.param(signal.SIGINT, False, id="SIGINT"),
+    pytest.param(signal.SIGTERM, False, id="SIGTERM"),
+    pytest.param(signal.SIGINT, True, id="SIGINT-after-parallel-job"),
+    pytest.param(signal.SIGTERM, True, id="SIGTERM-after-parallel-job"),
+])
+def test_serve_exits_promptly_with_an_idle_client(
+    tmp_path, signum, parallel_job
+):
+    """SIGINT and SIGTERM stop ``repro serve`` while a client holds an
+    idle persistent connection: closing the server does not wait for
+    the connection's thread, and after an ``execution.jobs: 2`` job the
+    warm pool's workers and helper processes exit with the server."""
     import repro
 
+    if parallel_job and not Path("/proc/self/stat").exists():
+        pytest.skip("lists child processes through /proc")
     port_file = tmp_path / "port"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [
@@ -681,10 +758,25 @@ def test_serve_exits_promptly_with_an_idle_client(tmp_path):
             "http://127.0.0.1:%d" % int(port_file.read_text())
         )
         assert client.healthz()  # the connection stays open, idle
+        children = set()
+        if parallel_job:
+            job_id = client.submit({
+                **MC_PAYLOAD,
+                "execution": {"jobs": 2, "min_sweep_for_parallel": 2},
+            })["job_id"]
+            assert client.wait(job_id, timeout=60)["state"] == "done"
+            children = _descendants(proc.pid)
+            assert children, "a parallel job leaves its warm pool"
         start = time.monotonic()
-        proc.send_signal(signal.SIGINT)
+        proc.send_signal(signum)
         assert proc.wait(timeout=10) == 0
         assert time.monotonic() - start < 2.0
+        deadline = time.monotonic() + 10
+        while any(_alive(pid) for pid in children):
+            assert time.monotonic() < deadline, [
+                pid for pid in children if _alive(pid)
+            ]
+            time.sleep(0.05)
     finally:
         if client is not None:
             client.close()

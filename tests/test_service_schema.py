@@ -3,8 +3,8 @@
 import pytest
 
 from repro.errors import ValidationError
+from repro.faults.models import CIRCUIT_ONLY_MODES, FAULT_MODES
 from repro.service.schema import (
-    FaultMode,
     InputMode,
     NetworkTopology,
     PayloadKind,
@@ -42,12 +42,22 @@ class TestVocabularies:
         })
         assert err.path == "faults.modes[1]"
         assert err.value == "bogus"
-        assert err.allowed == tuple(m.value for m in FaultMode)
+        assert err.allowed == FAULT_MODES
 
     def test_device_vocabulary(self):
         err = reject({"kind": "faults", "faults": {"device": "FLASH"}})
         assert err.path == "faults.device"
         assert "RRAM" in err.allowed
+
+    def test_device_is_any_registered_model_in_any_case(self):
+        upper = SimulationPayload.from_dict(
+            {"kind": "faults", "faults": {"device": "RRAM-4BIT"}}
+        )
+        lower = SimulationPayload.from_dict(
+            {"kind": "faults", "faults": {"device": " rram-4bit "}}
+        )
+        assert lower.faults.device == "RRAM-4BIT"
+        assert lower.fingerprint() == upper.fingerprint()
 
     def test_network_topology_vocabulary(self):
         err = reject({
@@ -197,16 +207,20 @@ class TestCanonicalisation:
             "faults": {"modes": ["drift"], "rates": [0.0, 0.1],
                        "trials": 2, "size": 8},
         })
-        spec = payload.faults.to_campaign_spec()
+        # The section is the engine's spec: run_campaign reads it as is.
+        spec = payload.faults
         assert spec.fault_modes == ("drift",)
         assert spec.fault_rates == (0.0, 0.1)
+        assert spec.to_dict()["modes"] == ["drift"]
 
     def test_circuit_only_mode_on_mlp_rejected(self):
         err = reject({
             "kind": "faults",
             "faults": {"networks": ["mlp:4,4"], "modes": ["line_open"]},
         })
-        assert err.path == "faults"
+        assert err.path == "faults.modes[0]"
+        assert err.value == "line_open"
+        assert not set(err.allowed) & set(CIRCUIT_ONLY_MODES)
 
     def test_validation_never_touches_the_engine(self, monkeypatch):
         import repro.service.workloads as workloads

@@ -13,6 +13,7 @@ import repro.faults.campaign as faults
 from repro.config import SimConfig
 from repro.dse.space import DesignSpace
 from repro.errors import JobCancelled
+from repro.faults.models import FaultsSpec
 from repro.nn.networks import mlp
 from repro.runtime.cache import ResultCache
 
@@ -21,7 +22,7 @@ SPACE = DesignSpace(
     parallelism_degrees=(1, 8),
     interconnect_nodes=(45,),
 )
-CAMPAIGN = faults.CampaignSpec(
+CAMPAIGN = FaultsSpec(
     fault_rates=(0.0, 0.05), trials=2, seed=3, size=8,
 )
 
