@@ -25,11 +25,13 @@ Equ. (11)"): the effective series wire resistance of the worst column is
 
     W = kappa * r * (M + N)**beta
 
-with ``kappa ~ 0.22`` and ``beta ~ 1.99`` obtained by least squares
-against :mod:`repro.spice` (see :mod:`repro.accuracy.fitting`); the
-near-quadratic exponent reflects the accumulation of IR drop along the
-shared word/bit lines.  The fit RMSE is ~1e-4, well inside the paper's
-reported 0.01.
+with ``kappa = 0.22`` and ``beta = 2.0``; the near-quadratic exponent
+reflects the accumulation of IR drop along the shared word/bit lines.
+Against :mod:`repro.spice` on RRAM's worst case (wire nodes 18, 28, 45
+and 90 nm, sizes 8-64) they leave an RMSE of 6.6e-4 (largest residual
+2.4e-3); the least-squares re-fit of Fig. 5 (:mod:`repro.accuracy.fitting`:
+kappa 0.2421, beta 1.9696) leaves 1.4e-4.  Both are inside the paper's
+0.01.
 
 Device variation (Eq. 16) enters as a ``(1 +/- sigma)`` factor on
 ``R_act``.

@@ -80,7 +80,7 @@ class CampaignExecution(ExecutionSpec):
     """The ``execution`` block: the payload's engine knobs under the
     6tisch ``numCPUs`` spelling, plus ``numRuns``."""
 
-    jobs: int = declare(1, key="numCPUs", minimum=0)
+    jobs: int = declare(1, key="numCPUs")
     num_runs: int = declare(1, key="numRuns", minimum=1)
 
     def engine(self) -> ExecutionSpec:

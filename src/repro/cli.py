@@ -298,26 +298,26 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_explore(args: argparse.Namespace) -> int:
     from repro.dse.explorer import explore, optimal_table
-    from repro.dse.space import DesignSpace
+    from repro.dse.space import SweepSpec
     from repro.report import format_table
     from repro.units import MM2, UJ, US
 
     config = _load_config(args)
     network = parse_network(args.network)
-    space = DesignSpace(
-        crossbar_sizes=tuple(args.sizes),
-        parallelism_degrees=tuple(args.degrees),
-        interconnect_nodes=tuple(args.wires),
-    )
+    sweep = SweepSpec.from_dict(_given(
+        args, "crossbar_sizes", "parallelism_degrees", "interconnect_nodes",
+        "max_error_rate",
+    ), "sweep")
     cache = _open_run(args)
     points = explore(
-        config, network, space, max_error_rate=args.max_error,
+        config, network, sweep, max_error_rate=sweep.max_error_rate,
         jobs=args.jobs, cache=cache,
     )
     _log.info(
         "%d designs explored, %d feasible%s",
-        len(space), len(points),
-        f" (error <= {args.max_error:.0%})" if args.max_error else "",
+        len(sweep), len(points),
+        f" (error <= {sweep.max_error_rate:.0%})"
+        if sweep.max_error_rate else "",
     )
     if args.jobs != 1 or cache is not None:
         from repro.obs.metrics import REGISTRY
@@ -786,16 +786,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(explore_cmd)
     _add_runtime_flags(explore_cmd)
     explore_cmd.add_argument("network")
-    explore_cmd.add_argument(
-        "--sizes", type=int, nargs="+", default=[64, 128, 256, 512],
-    )
-    explore_cmd.add_argument(
-        "--degrees", type=int, nargs="+", default=[1, 16, 256],
-    )
-    explore_cmd.add_argument(
-        "--wires", type=int, nargs="+", default=[18, 28, 45],
-    )
-    explore_cmd.add_argument("--max-error", type=float, default=None)
+    # Grid flags default to None: SweepSpec declares the rest.
+    for flag, dest in (("--sizes", "crossbar_sizes"),
+                       ("--degrees", "parallelism_degrees"),
+                       ("--wires", "interconnect_nodes")):
+        explore_cmd.add_argument(flag, type=int, nargs="+", dest=dest,
+                                 metavar=flag[2:].upper())
+    explore_cmd.add_argument("--max-error", type=float,
+                             dest="max_error_rate", metavar="MAX_ERROR")
 
     montecarlo = _command(sub, "montecarlo", _cmd_montecarlo,
                           "circuit-level Monte-Carlo accuracy sampling")

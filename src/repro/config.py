@@ -312,6 +312,28 @@ class Declared:
     :func:`parse`, at the entrances for outside input.
     """
 
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        # A redeclared field keeps its inherited rules: a plain value
+        # overrides the default alone, a declare() only the rules it
+        # sets.  Runs before @dataclass collects the fields.
+        super().__init_subclass__(**kwargs)
+        inherited = getattr(cls, "__dataclass_fields__", {})
+        for name in vars(cls).get("__annotations__", {}):
+            base, value = inherited.get(name), vars(cls).get(name, MISSING)
+            if base is None or not base.metadata or value is MISSING:
+                continue
+            rules = dict(base.metadata)
+            default, factory = value, MISSING
+            if isinstance(value, dataclasses.Field):
+                rules.update(
+                    (rule, given) for rule, given in value.metadata.items()
+                    if given is not None and given is not False
+                )
+                default, factory = value.default, value.default_factory
+            setattr(cls, name, field(
+                default=default, default_factory=factory, metadata=rules,
+            ))
+
     def __post_init__(self) -> None:
         # Runs on every construction (SimConfig.replace in a sweep), so
         # the common case is one lookup and one comparison per rule.

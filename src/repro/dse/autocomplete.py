@@ -18,7 +18,6 @@ from repro.dse.explorer import DesignPoint, explore, optimal_table
 from repro.dse.space import DesignSpace
 from repro.errors import ExplorationError
 from repro.nn.networks import Network
-from repro.tech import available_interconnect_nodes
 
 #: Fields the auto-completer can sweep, with their default candidate sets.
 FREE_AXES: Dict[str, Tuple[int, ...]] = {
@@ -76,11 +75,6 @@ def suggest_designs(
         if candidates and name in candidates:
             return tuple(candidates[name])
         if name in free:
-            if name == "interconnect_tech":
-                known = set(available_interconnect_nodes())
-                return tuple(
-                    n for n in FREE_AXES[name] if n in known
-                )
             return FREE_AXES[name]
         return (getattr(base, name),)
 

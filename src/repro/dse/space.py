@@ -10,11 +10,12 @@ configuration.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Iterator, Optional, Tuple
 
-from repro.config import SimConfig
-from repro.errors import ConfigError, ValidationError
+from repro.config import Declared, SimConfig, declare
+from repro.errors import ValidationError
 from repro.tech import available_interconnect_nodes
 
 
@@ -28,51 +29,46 @@ def _powers_of_two(low: int, high: int) -> Tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class DesignSpace:
+class DesignSpace(Declared):
     """The swept parameter grid.
 
     Defaults follow the large-computation-bank case study: crossbar
     sizes doubling from 4 to 1024, parallelism degrees doubling from 1
-    to 256 (clamped per size; 0 = fully parallel is expressed by the
-    degree equal to the crossbar size), and the {18, 22, 28, 36, 45} nm
-    interconnect nodes.
+    to 256 (clamped per size; 0 = fully parallel), and the
+    {18, 22, 28, 36, 45} nm interconnect nodes.
+
+    Every axis entry meets the rule ``SimConfig`` puts on the field it
+    sweeps, checked here so a sweep builds every point's config only
+    when it simulates it: a bad axis fails before any point runs, not
+    midway.  (Without the minimum, a grid of too-small sizes would
+    silently yield no valid point.)
     """
 
-    crossbar_sizes: Tuple[int, ...] = _powers_of_two(4, 1024)
-    parallelism_degrees: Tuple[int, ...] = _powers_of_two(1, 256)
-    interconnect_nodes: Tuple[int, ...] = (18, 22, 28, 36, 45)
+    crossbar_sizes: Tuple[int, ...] = declare(
+        _powers_of_two(4, 1024), minimum=2, nonempty=True
+    )
+    parallelism_degrees: Tuple[int, ...] = declare(
+        _powers_of_two(1, 256), minimum=0, nonempty=True
+    )
+    interconnect_nodes: Tuple[int, ...] = declare(
+        (18, 22, 28, 36, 45), nonempty=True
+    )
 
-    def __post_init__(self) -> None:
-        if not self.crossbar_sizes or not self.parallelism_degrees \
-                or not self.interconnect_nodes:
-            raise ConfigError("design space axes must be non-empty")
-        # The bounds SimConfig puts on each point, checked here so a
-        # sweep builds every point's config only when it simulates it:
-        # a bad axis fails before any point runs, not midway.  (Without
-        # the minimum, a grid of too-small sizes would silently yield
-        # no valid point.)
-        for axis, values, minimum in (
-            ("crossbar_sizes", self.crossbar_sizes, 2),
-            ("parallelism_degrees", self.parallelism_degrees, 0),
-        ):
-            if min(values) < minimum:
+    def _check(self) -> None:
+        for index, size in enumerate(self.crossbar_sizes):
+            if size & (size - 1):
                 raise ValidationError(
-                    f"must all be >= {minimum}", path=axis,
-                    value=list(values),
+                    "must be a power of two",
+                    path=f"crossbar_sizes[{index}]", value=size,
                 )
-        if any(size & (size - 1) for size in self.crossbar_sizes):
-            raise ValidationError(
-                "must all be powers of two", path="crossbar_sizes",
-                value=list(self.crossbar_sizes),
-            )
-        known = set(available_interconnect_nodes())
-        unknown = set(self.interconnect_nodes) - known
-        if unknown:
-            raise ValidationError(
-                f"unknown interconnect nodes {sorted(unknown)}",
-                path="interconnect_nodes",
-                value=list(self.interconnect_nodes), allowed=sorted(known),
-            )
+        known = available_interconnect_nodes()
+        for index, node in enumerate(self.interconnect_nodes):
+            if node not in known:
+                raise ValidationError(
+                    "unknown interconnect node",
+                    path=f"interconnect_nodes[{index}]", value=node,
+                    allowed=known,
+                )
 
     # ------------------------------------------------------------------
     def valid_points(self) -> Iterator[Tuple[int, int, int]]:
@@ -100,3 +96,26 @@ class DesignSpace:
                 parallelism_degree=degree,
                 interconnect_tech=node,
             )
+
+
+class SweepMode(enum.Enum):
+    """How an ``explore`` payload traverses its design space."""
+
+    GRID = "grid"
+
+
+@dataclass(frozen=True)
+class SweepSpec(DesignSpace):
+    """The ``sweep`` section of an ``explore`` payload, and the grid
+    ``repro explore`` reads from its flags.
+
+    It is the :class:`DesignSpace` it sweeps, on a smaller default grid
+    (every explore's fingerprint holds these defaults), plus the
+    traversal mode and the error-rate constraint.
+    """
+
+    crossbar_sizes: Tuple[int, ...] = (64, 128, 256, 512)
+    parallelism_degrees: Tuple[int, ...] = (1, 16, 256)
+    interconnect_nodes: Tuple[int, ...] = (18, 28, 45)
+    mode: SweepMode = SweepMode.GRID
+    max_error_rate: Optional[float] = declare(None, minimum=0, maximum=1)

@@ -156,6 +156,15 @@ class FaultsSpec(Declared):
                     "unknown fault mode", path=f"modes[{index}]",
                     value=mode, allowed=FAULT_MODES,
                 )
+        # Every mode but drift reads a rate as a probability (drift
+        # reads a sigma), and each rate runs under every mode.
+        probability = [mode for mode in self.fault_modes if mode != "drift"]
+        for index, rate in enumerate(self.fault_rates):
+            if probability and rate > 1:
+                raise ValidationError(
+                    f"must be <= 1: {probability[0]!r} reads it as a "
+                    "probability", path=f"rates[{index}]", value=rate,
+                )
         mlps = []
         for index, network in enumerate(self.networks):
             try:

@@ -46,7 +46,7 @@ import pickle
 import sys
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, wait
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
@@ -66,11 +66,12 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX platforms
     _resource = None
 
+from repro.config import Declared, declare
 from repro.errors import (
-    ConfigError,
     JobCancelled,
     JobExecutionError,
     MnsimError,
+    ValidationError,
 )
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -117,7 +118,7 @@ _SERIAL_BATCH_SIZE = 64
 
 
 @dataclass(frozen=True)
-class RunPolicy:
+class RunPolicy(Declared):
     """How a job list is executed.
 
     Attributes
@@ -146,23 +147,18 @@ class RunPolicy:
         as :mod:`repro.service` raise it.
     """
 
-    jobs: int = 1
-    chunk_size: Optional[int] = None
+    jobs: int = declare(1, minimum=0)
+    chunk_size: Optional[int] = declare(None, minimum=1)
     timeout: Optional[float] = None
-    retries: int = 1
-    min_sweep_for_parallel: int = 2
+    retries: int = declare(1, minimum=0)
+    min_sweep_for_parallel: int = declare(2, minimum=2)
 
-    def __post_init__(self) -> None:
-        if self.jobs < 0:
-            raise ConfigError("jobs must be >= 0 (0 = all cores)")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ConfigError("chunk_size must be >= 1 when given")
+    def _check(self) -> None:
         if self.timeout is not None and self.timeout <= 0:
-            raise ConfigError("timeout must be positive when given")
-        if self.retries < 0:
-            raise ConfigError("retries must be >= 0")
-        if self.min_sweep_for_parallel < 2:
-            raise ConfigError("min_sweep_for_parallel must be >= 2")
+            raise ValidationError(
+                "must be positive when given",
+                path="timeout", value=self.timeout,
+            )
 
     @property
     def worker_count(self) -> int:
@@ -690,9 +686,16 @@ def _run_parallel(
         context = obs_trace.current_context()
         if context is not None:
             context = dict(context, parent=chunk_span.span_id)
-        future = executor.submit(
-            _run_chunk, worker, group.payloads(), context, batch,
-        )
+        try:
+            future = executor.submit(
+                _run_chunk, worker, group.payloads(), context, batch,
+            )
+        except BrokenProcessPool as exc:
+            # A worker died before this dispatch (mid-run, or while
+            # the pool sat warm): fail the chunk through the result
+            # loop, which replaces a broken pool.
+            future = Future()
+            future.set_exception(exc)
         _count("chunks_dispatched")
         deadline = (
             time.monotonic() + policy.timeout * len(group.members)

@@ -23,10 +23,11 @@ the declared kind are rejected as inconsistent rather than silently
 ignored — the validation-first stance is that a payload the server does
 not fully understand must never run.
 
-Validated payloads canonicalise into the existing engine structures
-(:class:`~repro.config.SimConfig`, :class:`~repro.dse.space.DesignSpace`,
-:class:`~repro.runtime.pool.RunPolicy`); the ``faults`` section *is*
-the engine's :class:`~repro.faults.models.FaultsSpec`.  Payloads carry a
+Validated payloads *are* the engine structures they run: ``config``
+is a :class:`~repro.config.SimConfig`, the ``sweep`` section a
+:class:`~repro.dse.space.DesignSpace`, ``execution`` a
+:class:`~repro.runtime.pool.RunPolicy`, and the ``faults`` section the
+engine's :class:`~repro.faults.models.FaultsSpec`.  Payloads carry a
 deterministic content-addressed :meth:`SimulationPayload.fingerprint` —
 the service's job id — derived from the same canonical serialization the
 sqlite result cache keys on, so identical submissions dedupe end to end.
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from repro.config import Declared, SimConfig, declare, dump, read
-from repro.dse.space import DesignSpace
+from repro.dse.space import SweepMode as SweepMode, SweepSpec
 from repro.errors import ValidationError
 from repro.faults.models import FaultsSpec
 from repro.nn.networks import BUILTIN_NETWORKS, Network, mlp
@@ -73,12 +74,6 @@ class NetworkTopology(enum.Enum):
     LARGE_BANK = "large-bank"
     CAFFENET = "caffenet"
     VGG16 = "vgg16"
-
-
-class SweepMode(enum.Enum):
-    """How an ``explore`` payload traverses its design space."""
-
-    GRID = "grid"
 
 
 class InputMode(enum.Enum):
@@ -133,33 +128,6 @@ class NetworkSpec(Declared):
 
 
 @dataclass(frozen=True)
-class SweepSpec(Declared):
-    """Declarative design-space sweep for ``explore`` payloads."""
-
-    mode: SweepMode = SweepMode.GRID
-    crossbar_sizes: Tuple[int, ...] = declare(
-        (64, 128, 256, 512), minimum=1, nonempty=True
-    )
-    parallelism_degrees: Tuple[int, ...] = declare(
-        (1, 16, 256), minimum=1, nonempty=True
-    )
-    interconnect_nodes: Tuple[int, ...] = declare(
-        (18, 28, 45), minimum=1, nonempty=True
-    )
-    max_error_rate: Optional[float] = declare(None, minimum=0, maximum=1)
-
-    def _check(self) -> None:
-        self.to_design_space()  # DesignSpace's vocabulary, upfront
-
-    def to_design_space(self) -> DesignSpace:
-        return DesignSpace(
-            crossbar_sizes=self.crossbar_sizes,
-            parallelism_degrees=self.parallelism_degrees,
-            interconnect_nodes=self.interconnect_nodes,
-        )
-
-
-@dataclass(frozen=True)
 class MonteCarloSpec(Declared):
     """Monte-Carlo accuracy sampling parameters."""
 
@@ -180,35 +148,16 @@ class MonteCarloSpec(Declared):
 
 
 @dataclass(frozen=True)
-class ExecutionSpec(Declared):
+class ExecutionSpec(RunPolicy):
     """Engine knobs — the 6tisch-style ``execution`` block.
 
-    ``min_sweep_for_parallel`` defaults to 16 for service jobs (tiny
-    submissions run serially instead of paying pool dispatch), higher
-    than the engine-wide default of 2.
+    It is the :class:`~repro.runtime.pool.RunPolicy` a job runs under;
+    only ``min_sweep_for_parallel`` defaults higher for service jobs
+    (16 against the engine's 2), so tiny submissions run serially
+    instead of paying pool dispatch.
     """
 
-    jobs: int = declare(1, minimum=0)
-    chunk_size: Optional[int] = declare(None, minimum=1)
-    timeout: Optional[float] = None
-    retries: int = declare(1, minimum=0)
-    min_sweep_for_parallel: int = declare(16, minimum=2)
-
-    def _check(self) -> None:
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValidationError(
-                "must be positive when given",
-                path="timeout", value=self.timeout,
-            )
-
-    def to_policy(self) -> RunPolicy:
-        return RunPolicy(
-            jobs=self.jobs,
-            chunk_size=self.chunk_size,
-            timeout=self.timeout,
-            retries=self.retries,
-            min_sweep_for_parallel=self.min_sweep_for_parallel,
-        )
+    min_sweep_for_parallel: int = 16
 
 
 # ----------------------------------------------------------------------
@@ -334,7 +283,7 @@ class SimulationPayload:
         if self.kind is PayloadKind.CAMPAIGN:
             return self.campaign.total_work()
         if self.kind is PayloadKind.EXPLORE:
-            return len(self.sweep.to_design_space())
+            return len(self.sweep)
         if self.kind is PayloadKind.MONTECARLO:
             return self.montecarlo.trials
         if self.kind is PayloadKind.FAULTS:

@@ -134,10 +134,10 @@ def _run_explore(
     points = explore(
         payload.config,
         network,
-        space=sweep.to_design_space(),
+        space=sweep,
         max_error_rate=sweep.max_error_rate,
         cache=cache,
-        policy=payload.execution.to_policy(),
+        policy=payload.execution,
         progress=progress,
         should_cancel=should_cancel,
     )
@@ -184,7 +184,7 @@ def _run_montecarlo(
         payload.config,
         payload.montecarlo,
         cache=cache,
-        policy=payload.execution.to_policy(),
+        policy=payload.execution,
         progress=progress,
         should_cancel=should_cancel,
     )
@@ -202,7 +202,7 @@ def _run_faults(
     result = run_campaign(
         payload.faults,
         cache=cache,
-        policy=payload.execution.to_policy(),
+        policy=payload.execution,
         progress=progress,
         should_cancel=should_cancel,
     )

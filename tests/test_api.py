@@ -134,13 +134,13 @@ _SOLVER_SWEEP = _SOLVER + ("repro.campaign",)
         pytest.param(
             _cli("campaign", "validate",
                  str(REPO_ROOT / "examples/campaigns/fault-sweep.json")),
-            (), _LEAN, 38, id="campaign-validate",
+            (), _LEAN, 31, id="campaign-validate",
         ),
         pytest.param(
             _cli("campaign", "run",
                  str(REPO_ROOT / "examples/campaigns/fault-sweep.json"),
                  "--no-cache", "-o", "report.json"),
-            ("scipy.sparse",), _SOLVER + ("repro.campaign.dag",), 41,
+            ("scipy.sparse",), _SOLVER + ("repro.campaign.dag",), 39,
             id="campaign-run",
         ),
         pytest.param(

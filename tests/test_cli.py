@@ -6,8 +6,9 @@ import re
 import pytest
 
 from repro.cli import main, parse_network
-from repro.errors import ConfigError, JobExecutionError
+from repro.errors import ConfigError, JobExecutionError, ValidationError
 from repro.runtime.cache import ResultCache
+from repro.service.schema import SimulationPayload
 
 
 class TestParseNetwork:
@@ -96,10 +97,14 @@ class TestExplore:
     ])
     def test_out_of_range_axis_is_a_config_error(self, axis, flag, values,
                                                  capsys):
+        from repro.dse.space import DesignSpace
+
+        low = DesignSpace.__dataclass_fields__[axis].metadata["minimum"]
+        index = next(i for i, v in enumerate(values) if int(v) < low)
         code = main(["explore", "mlp:32,16", flag, *values])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith(f"error: {axis}: must all be >= ")
+        assert err.startswith(f"error: sweep.{axis}[{index}]: must be >= ")
         assert "designs explored" not in err
 
 
@@ -109,9 +114,57 @@ class TestExplore:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(
-            "error: crossbar_sizes: must all be powers of two"
+            "error: sweep.crossbar_sizes[1]: must be a power of two"
         )
         assert "designs explored" not in err
+
+
+#: A bad grid as ``repro explore`` flags and as a ``sweep`` section.
+_BAD_SWEEPS = [
+    pytest.param(["--sizes", "16", "12"], {"crossbar_sizes": [16, 12]},
+                 "sweep.crossbar_sizes[1]", id="non-power-of-two"),
+    pytest.param(["--sizes", "1"], {"crossbar_sizes": [1]},
+                 "sweep.crossbar_sizes[0]", id="size-below-two"),
+    pytest.param(["--degrees", "-1"], {"parallelism_degrees": [-1]},
+                 "sweep.parallelism_degrees[0]", id="negative-degree"),
+    pytest.param(["--wires", "99"], {"interconnect_nodes": [99]},
+                 "sweep.interconnect_nodes[0]", id="unknown-wire"),
+    pytest.param(["--max-error", "1.5"], {"max_error_rate": 1.5},
+                 "sweep.max_error_rate", id="error-bound-above-one"),
+]
+
+
+class TestSweepEntrances:
+    """One declaration, two entrances: ``repro explore`` and the
+    service's ``explore`` payload accept and reject the same grids."""
+
+    @pytest.mark.parametrize("argv, section, path", _BAD_SWEEPS)
+    def test_bad_grid_is_rejected_alike(self, argv, section, path, capsys):
+        with pytest.raises(ValidationError) as info:
+            SimulationPayload.from_dict({
+                "kind": "explore", "network": {"topology": "mlp",
+                                               "sizes": [32, 16]},
+                "sweep": section,
+            })
+        assert info.value.path == path
+        assert main(["explore", "mlp:32,16", *argv]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {info.value}"
+        ]
+
+    def test_fully_parallel_degree_is_accepted_alike(self, capsys):
+        payload = SimulationPayload.from_dict({
+            "kind": "explore", "network": {"topology": "mlp",
+                                           "sizes": [32, 16]},
+            "sweep": {"crossbar_sizes": [32], "parallelism_degrees": [0, 16]},
+        })
+        assert list(payload.sweep.valid_points()) == [
+            (32, 0, 18), (32, 0, 28), (32, 0, 45),
+            (32, 16, 18), (32, 16, 28), (32, 16, 45),
+        ]
+        assert main(["explore", "mlp:32,16", "--sizes", "32",
+                     "--degrees", "0", "16"]) == 0
+        assert "6 designs explored" in capsys.readouterr().err
 
 
 class TestRuntimeFlags:
@@ -286,6 +339,30 @@ class TestFaults:
         ])
         assert code == 0
         assert json.loads(out.read_text())["spec"]["device"] == "RRAM-4BIT"
+
+    def test_probability_above_one_fails_before_any_trial(
+        self, capsys, monkeypatch
+    ):
+        import repro.faults.campaign as campaign
+
+        ran = []
+        monkeypatch.setattr(campaign, "_run_trial_batch", ran.append)
+        code = main(["faults", "--rates", "1.5", "--trials", "1",
+                     "--size", "4", "--no-cache"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: faults.rates[0]: must be <= 1")
+        assert ran == []
+
+    def test_drift_only_sweep_takes_a_sigma_above_one(self, tmp_path):
+        out = tmp_path / "campaign.json"
+        code = main([
+            "-q", "faults", "--modes", "drift", "--rates", "1.5",
+            "--trials", "1", "--size", "4", "--no-cache", "-o", str(out),
+        ])
+        assert code == 0
+        point, = json.loads(out.read_text())["points"]
+        assert point["fault_rate"] == 1.5 and point["failures"] == 0
 
 
 class TestCampaignValidate:

@@ -2,9 +2,13 @@
 
 import pytest
 
+from repro.campaign.config import CampaignExecution
 from repro.config import SimConfig
+from repro.dse.space import DesignSpace, SweepSpec
 from repro.errors import ConfigError, ValidationError
 from repro.runtime.jobs import content_key
+from repro.runtime.pool import RunPolicy
+from repro.service.schema import ExecutionSpec
 from repro.tech.memristor import CellType
 
 
@@ -216,3 +220,26 @@ class TestConfigFile:
         config = SimConfig.from_file(path)
         assert config.crossbar_size == 32
         assert config.cmos_tech == 65
+
+
+class TestRedeclaredFields:
+    """A subclass that overrides an inherited field's default keeps the
+    field's declared rules, and one that renames its key keeps them
+    too."""
+
+    @pytest.mark.parametrize("cls, values, path", [
+        (SweepSpec, {"crossbar_sizes": (64, 1)}, "crossbar_sizes[1]"),
+        (ExecutionSpec, {"min_sweep_for_parallel": 1},
+         "min_sweep_for_parallel"),
+        (CampaignExecution, {"jobs": -1}, "numCPUs"),
+    ], ids=lambda value: getattr(value, "__name__", None))
+    def test_override_keeps_the_inherited_bound(self, cls, values, path):
+        with pytest.raises(ValidationError) as info:
+            cls(**values)
+        assert info.value.path == path
+
+    def test_override_changes_only_the_default(self):
+        assert SweepSpec().crossbar_sizes == (64, 128, 256, 512)
+        assert DesignSpace().crossbar_sizes[0] == 4
+        assert ExecutionSpec().min_sweep_for_parallel == 16
+        assert RunPolicy().min_sweep_for_parallel == 2

@@ -72,17 +72,19 @@ class TestSpace:
     def test_out_of_range_axis_rejected(self, axes, path):
         """A grid no point of which is a valid SimConfig is an error,
         not an empty sweep."""
+        low = DesignSpace.__dataclass_fields__[path].metadata["minimum"]
+        index = next(i for i, v in enumerate(axes[path]) if v < low)
         with pytest.raises(ConfigError) as info:
             DesignSpace(**axes)
-        assert info.value.path == path
+        assert info.value.path == f"{path}[{index}]"
 
     def test_non_power_of_two_size_rejected_at_construction(self):
         """SimConfig's per-point bound, checked for the whole axis
         before any point runs."""
         with pytest.raises(ValidationError) as info:
             DesignSpace(crossbar_sizes=(16, 12))
-        assert info.value.path == "crossbar_sizes"
-        assert "powers of two" in str(info.value)
+        assert info.value.path == "crossbar_sizes[1]"
+        assert "power of two" in str(info.value)
 
     def test_fully_parallel_degree_zero_allowed(self):
         assert len(DesignSpace(crossbar_sizes=(64,),
@@ -109,7 +111,7 @@ class TestExplorer:
         with pytest.raises(ValidationError) as info:
             explore(base_config, large_layer_network,
                     DesignSpace(crossbar_sizes=(16, 12)))
-        assert info.value.path == "crossbar_sizes"
+        assert info.value.path == "crossbar_sizes[1]"
         assert ran == []
 
     def test_constraint_filters_points(

@@ -340,7 +340,7 @@ def _grid_configs(network, config=None):
     if config is not None:
         doc["config"] = config
     payload = SimulationPayload.from_dict(doc)
-    return list(payload.sweep.to_design_space().configs(payload.config))
+    return list(payload.sweep.configs(payload.config))
 
 
 class TestShapeGroupKey:

@@ -28,12 +28,14 @@ from repro.campaign.config import (
 )
 from repro.campaign.runner import CampaignLoop, stage_key
 from repro.config import Declared, SimConfig, dump, parse
+from repro.dse.space import DesignSpace
 from repro.dse.tradeoff import inflection_point, pareto_frontier
 from repro.errors import ConfigError, ValidationError
 from repro.faults.models import FAULT_MODES
 from repro.nn.quantize import bit_slice, dequantize, quantize, split_polarity
 from repro.report import Performance
 from repro.runtime.jobs import canonical, canonical_json
+from repro.runtime.pool import RunPolicy
 from repro.service.schema import (
     ExecutionSpec,
     FaultsSpec,
@@ -44,7 +46,12 @@ from repro.service.schema import (
     SweepSpec,
 )
 from repro.spice.solver import CrossbarNetwork, ideal_output_voltages
-from repro.tech import available_memristor_models, get_memristor_model
+from repro.tech import (
+    available_cmos_nodes,
+    available_interconnect_nodes,
+    available_memristor_models,
+    get_memristor_model,
+)
 
 finite_floats = st.floats(
     min_value=0.0, max_value=1e3, allow_nan=False, allow_infinity=False
@@ -592,12 +599,6 @@ def _axis(values):
 
 @st.composite
 def sweep_bases(draw):
-    from repro.tech import (
-        available_cmos_nodes,
-        available_interconnect_nodes,
-        available_memristor_models,
-    )
-
     low = draw(st.floats(min_value=1e2, max_value=1e5))
     ratio = draw(st.floats(min_value=1.5, max_value=1e3))
     return SimConfig(
@@ -623,9 +624,6 @@ def sweep_bases(draw):
 
 @st.composite
 def design_spaces(draw):
-    from repro.dse.space import DesignSpace
-    from repro.tech import available_interconnect_nodes
-
     space = DesignSpace(
         crossbar_sizes=draw(_axis([4, 8, 16, 32, 64, 128, 256, 512,
                                    1024])),
@@ -669,9 +667,11 @@ def test_cached_sweep_stores_the_simulation_spec_keys(base, space):
 _SEEDS = {
     SimConfig: SimConfig(),
     NetworkSpec: NetworkSpec(NetworkTopology.MLP, (8, 4)),
+    DesignSpace: DesignSpace(),
     SweepSpec: SweepSpec(),
     MonteCarloSpec: MonteCarloSpec(),
     FaultsSpec: FaultsSpec(),
+    RunPolicy: RunPolicy(),
     ExecutionSpec: ExecutionSpec(),
     CampaignExecution: CampaignExecution(),
     CampaignSettings: CampaignSettings({"kind": "simulate"}),
@@ -728,8 +728,33 @@ def _field_values(hint, rules):
 
 
 #: Fields whose valid values are a vocabulary, not any value of their
-#: declared type.
+#: declared type; a subclass shares its base class's vocabularies.
+#: Registry names are drawn in any case, as users may spell them.
+_POWERS_OF_TWO = [2 ** exponent for exponent in range(1, 11)]
 _VOCABULARIES = {
+    (DesignSpace, "crossbar_sizes"): _axis(_POWERS_OF_TWO),
+    (DesignSpace, "interconnect_nodes"): _axis(
+        available_interconnect_nodes()
+    ),
+    (NetworkSpec, "sizes"): st.lists(
+        st.integers(1, 64), min_size=2, max_size=4,
+    ).map(tuple),
+    (SimConfig, "crossbar_size"): st.sampled_from(_POWERS_OF_TWO),
+    (SimConfig, "parallelism_degree"): st.integers(0, 2),
+    (SimConfig, "network_type"): st.sampled_from(
+        ["DNN", "SNN", "CNN", "ANN", "cnn"]
+    ),
+    (SimConfig, "weight_polarity"): st.sampled_from([1, 2]),
+    (SimConfig, "cmos_tech"): st.sampled_from(available_cmos_nodes()),
+    (SimConfig, "interconnect_tech"): st.sampled_from(
+        available_interconnect_nodes()
+    ),
+    (SimConfig, "memristor_model"): st.sampled_from(
+        available_memristor_models()
+    ).flatmap(lambda name: st.sampled_from([name, name.lower()])),
+    (SimConfig, "resistance_range"): st.none() | st.tuples(
+        st.floats(1e2, 1e5), st.floats(1.5, 1e3),
+    ).map(lambda pair: (pair[0], pair[0] * pair[1])),
     (FaultsSpec, "networks"): st.lists(
         st.sampled_from(["crossbar", "mlp:8,4", "mlp:6,4,2"]),
         min_size=1, max_size=3,
@@ -743,8 +768,9 @@ _VOCABULARIES = {
 
 def _declared_values(cls, spec):
     """Valid values of one declared field of ``cls``."""
-    if (cls, spec.name) in _VOCABULARIES:
-        return _VOCABULARIES[cls, spec.name]
+    for owner in cls.__mro__:
+        if (owner, spec.name) in _VOCABULARIES:
+            return _VOCABULARIES[owner, spec.name]
     hint = typing.get_type_hints(cls)[spec.name]
     return _field_values(hint, spec.metadata)
 
@@ -856,26 +882,66 @@ def test_execution_never_moves_a_payload_fingerprint(data):
     assert SimulationPayload.from_dict(document).fingerprint() == base
 
 
+#: Per result-bearing section class: the payload document that holds
+#: one instance of it.
+_VALIDATION_MLP = {"topology": "validation-mlp"}
+_SECTION_PAYLOADS = {
+    FaultsSpec: lambda section: {"kind": "faults", "faults": section},
+    MonteCarloSpec: lambda section: {
+        "kind": "montecarlo", "montecarlo": section,
+    },
+    NetworkSpec: lambda section: {"kind": "simulate", "network": section},
+    SimConfig: lambda section: {
+        "kind": "simulate", "network": _VALIDATION_MLP, "config": section,
+    },
+    SweepSpec: lambda section: {
+        "kind": "explore", "network": _VALIDATION_MLP, "sweep": section,
+    },
+}
+_SECTIONS = sorted(_SECTION_PAYLOADS, key=lambda cls: cls.__name__)
+
+
+def _payload(cls, section, execution=None):
+    document = _SECTION_PAYLOADS[cls](dump(section))
+    if execution is not None:
+        document["execution"] = dump(execution)
+    return SimulationPayload.from_dict(json.loads(json.dumps(document)))
+
+
+@pytest.mark.parametrize("cls", _SECTIONS, ids=lambda cls: cls.__name__)
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_every_faults_field_moves_a_payload_fingerprint(data):
-    """Changing any one declared FaultsSpec field to another valid value
-    gives the payload another job id."""
-    base = data.draw(_instances(FaultsSpec))
-    spec = data.draw(st.sampled_from(dataclasses.fields(FaultsSpec)))
-    value = data.draw(_declared_values(FaultsSpec, spec))
-    assume(value != getattr(base, spec.name))
+def test_every_section_field_moves_a_payload_fingerprint(cls, data):
+    """Changing any one declared field of a result-bearing section to
+    another valid value gives the payload another job id.  A spelling
+    that normalises to the field's current value (``rram`` for
+    ``RRAM``) is that value, not another one."""
+    base = data.draw(_instances(cls))
+    spec = data.draw(st.sampled_from(dataclasses.fields(cls)))
+    value = data.draw(_declared_values(cls, spec))
     try:
         changed = dataclasses.replace(base, **{spec.name: value})
     except ConfigError:
         reject()
+    assume(getattr(changed, spec.name) != getattr(base, spec.name))
+    assert _payload(cls, changed).fingerprint() != (
+        _payload(cls, base).fingerprint()
+    )
 
-    def fingerprint(faults):
-        return SimulationPayload.from_dict(
-            {"kind": "faults", "faults": dump(faults)}
-        ).fingerprint()
 
-    assert fingerprint(changed) != fingerprint(base)
+@pytest.mark.parametrize("cls", _SECTIONS, ids=lambda cls: cls.__name__)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_equal_fingerprints_are_equal_result_identities(cls, data):
+    """Two payloads share a job id exactly when their result identities
+    are equal, whatever engine knobs each carries."""
+    first = data.draw(_instances(cls))
+    second = data.draw(st.just(first) | _instances(cls))
+    knobs = data.draw(_instances(ExecutionSpec))
+    a, b = _payload(cls, first), _payload(cls, second, knobs)
+    assert (a.fingerprint() == b.fingerprint()) == (
+        a.result_identity() == b.result_identity()
+    )
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ pickles them; the deliberately-unpicklable case uses a lambda.
 """
 
 import os
+import signal
 import sys
 import threading
 import time
@@ -384,6 +385,23 @@ class TestWarmPool:
             run_jobs(_die, _specs([1, 2]),
                      policy=RunPolicy(jobs=2, chunk_size=1, retries=0))
         assert _warm_slot() is None
+
+    def test_pool_that_broke_while_warm_is_replaced(self, empty_slot):
+        """A worker that dies between runs breaks the warm pool before
+        the next run's first dispatch, as one that dies while a run is
+        still dispatching does.  The run replaces the pool, as it does
+        when a chunk reports the break, instead of raising
+        ``BrokenProcessPool``."""
+        run_jobs(_square, _specs([1, 2]), policy=RunPolicy(jobs=2))
+        warm = _warm_slot()
+        os.kill(next(iter(warm._processes)), signal.SIGKILL)
+        deadline = time.monotonic() + 10
+        while not warm._broken and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert warm._broken
+        out = run_jobs(_square, _specs([1, 2, 3]), policy=RunPolicy(jobs=2))
+        assert out == [1, 4, 9]
+        assert _warm_slot() not in (None, warm)
 
     def test_concurrent_releases_keep_one_pool(self, empty_slot,
                                                monkeypatch):

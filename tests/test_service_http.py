@@ -130,8 +130,8 @@ def test_non_power_of_two_sweep_size_is_a_400_with_path(service):
     response = excinfo.value
     assert response.code == 400
     error = json.loads(response.read().decode("utf-8"))["error"]
-    assert error["path"] == "sweep.crossbar_sizes"
-    assert "powers of two" in error["message"]
+    assert error["path"] == "sweep.crossbar_sizes[1]"
+    assert "power of two" in error["message"]
     assert manager.snapshot() == [], "rejected payloads must not enqueue"
 
 
@@ -169,6 +169,11 @@ def test_mistyped_config_value_is_a_400_with_path(service):
                  "faults.modes[0]", id="line-mode-on-mlp"),
     pytest.param(["--device", "FLASH"], {"device": "FLASH"},
                  "faults.device", id="unknown-device"),
+    pytest.param(["--rates", "0.5", "1.5"], {"rates": [0.5, 1.5]},
+                 "faults.rates[1]", id="probability-above-one"),
+    pytest.param(["--modes", "drift", "stuck_low", "--rates", "2"],
+                 {"modes": ["drift", "stuck_low"], "rates": [2]},
+                 "faults.rates[0]", id="sigma-above-one-beside-stuck"),
     pytest.param(["--trials", "0"], {"trials": 0}, "faults.trials",
                  id="zero-trials"),
 ])
