@@ -163,13 +163,22 @@ class Accelerator:
         composed in the same order as a separate walk per view, so the
         results are bit-identical to computing them independently.
         """
-        compute = Performance()
+        # compute = compute.serial(one_pass.repeat(passes)) per bank, in
+        # the same float operations without the intermediate records.
+        area = energy = leakage = latency = 0.0
         pass_latencies = []
         for bank in self.banks:
             one_pass = bank.pass_performance()
             passes = bank.layer.compute_passes
-            compute = compute.serial(one_pass.repeat(passes))
+            area += one_pass.area
+            energy += one_pass.dynamic_energy * passes
+            leakage += one_pass.leakage_power
+            latency += one_pass.latency * passes
             pass_latencies.append(one_pass.latency)
+        compute = Performance(
+            area=area, dynamic_energy=energy, leakage_power=leakage,
+            latency=latency,
+        )
         sample = self.input_interface.performance().serial(compute)
         sample = sample.serial(self.output_interface.performance())
         return sample, compute, max(pass_latencies)

@@ -20,10 +20,10 @@ conv layer one pass per output spatial position):
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.arch.mapping import LayerMapping
-from repro.arch.unit import ComputationUnit
+from repro.arch.unit import ComputationUnit, config_token, shared_unit
 from repro.circuits import (
     AdderTreeModule,
     LineBufferModule,
@@ -40,58 +40,35 @@ from repro.nn.layers import ConvLayer, LayerSpec
 from repro.report import Performance, ReportNode
 
 
-class ComputationBank:
-    """The hardware of one neuromorphic layer.
+class _LayerPlan:
+    """What one layer fixes in a bank, for one config token and size.
 
-    Parameters
-    ----------
-    config:
-        Design configuration.
-    layer:
-        The layer spec this bank implements.
-    next_layer:
-        The following layer, if any — sizes the Eq.-6 output line
-        buffers for cascaded conv layers.
-    registry:
-        Module registry for customization.
+    The mapping and its tile shapes, the tail modules (adder tree,
+    shift-add, neuron, pooling, pooling buffer, output buffer), and the
+    merge and neuron pass records per lane count.  None of it reads the
+    wire node or the parallelism degree, which only set the units and
+    the lanes, so a sweep shares one plan across those axes.
     """
 
     def __init__(
         self,
         config: SimConfig,
         layer: LayerSpec,
-        next_layer: Optional[LayerSpec] = None,
-        registry: Optional[ModuleRegistry] = None,
+        next_layer: Optional[LayerSpec],
+        registry: ModuleRegistry,
     ) -> None:
-        self.config = config
         self.layer = layer
-        self.next_layer = next_layer
-        self.registry = registry if registry is not None else ModuleRegistry()
-        self.mapping = LayerMapping.for_layer(layer, config)
-
-        cmos = config.cmos
-        mapping = self.mapping
-
-        # One representative unit per distinct tile shape; shape counts
-        # keep the accounting exact without instantiating every tile.
-        self._shaped_units: List[Tuple[ComputationUnit, int]] = []
-        for shape in mapping.block_shapes():
-            unit = ComputationUnit(
-                config,
-                active_rows=shape.rows,
-                active_cols=shape.cols,
-                registry=self.registry,
-            )
-            self._shaped_units.append((unit, shape.count * mapping.slices))
-        if not self._shaped_units:
+        self.mapping = mapping = LayerMapping.for_layer(layer, config)
+        #: ``(rows, cols, units)`` per distinct tile shape.
+        self.shapes = tuple(
+            (shape.rows, shape.cols, shape.count * mapping.slices)
+            for shape in mapping.block_shapes()
+        )
+        if not self.shapes:
             raise MappingError("layer mapped to zero units")
 
-        # Parallel output lanes: each tile-column delivers p digitised
-        # columns per read cycle.
-        reference_unit = self._shaped_units[0][0]
-        self.lanes = mapping.col_blocks * reference_unit.parallelism
-
-        build = self.registry.build
+        cmos = config.cmos
+        build = registry.build
         self.adder_tree = build(
             "adder_tree", AdderTreeModule, cmos=cmos,
             inputs=max(mapping.row_blocks, 1), bits=config.signal_bits,
@@ -126,76 +103,41 @@ class ComputationBank:
                 lanes=layer.out_channels,
             )
 
-        self.output_buffer = self._build_output_buffer()
-
-    # ------------------------------------------------------------------
-    def _build_output_buffer(self):
-        cmos = self.config.cmos
-        layer = self.layer
         if isinstance(layer, ConvLayer):
-            if isinstance(self.next_layer, ConvLayer):
+            if isinstance(next_layer, ConvLayer):
                 length = output_line_buffer_length(
-                    self.next_layer.input_size,
-                    self.next_layer.kernel,
-                    self.next_layer.kernel,
+                    next_layer.input_size, next_layer.kernel,
+                    next_layer.kernel,
                 )
             else:
                 # Final conv layer (or conv -> FC): hold one output row.
                 length = layer.output_size
-            return self.registry.build(
+            self.output_buffer = build(
                 "output_buffer", LineBufferModule, cmos=cmos,
-                length=length, bits=self.config.signal_bits,
+                length=length, bits=config.signal_bits,
                 lanes=layer.out_channels,
             )
-        return self.registry.build(
-            "output_buffer", RegisterFileModule, cmos=cmos,
-            words=layer.output_values, bits=self.config.signal_bits,
-        )
-
-    # ------------------------------------------------------------------
-    @property
-    def units(self) -> int:
-        """Computation units in this bank."""
-        return self.mapping.units
-
-    @property
-    def crossbars(self) -> int:
-        """Physical crossbars in this bank."""
-        return self.mapping.crossbars
-
-    # ------------------------------------------------------------------
-    def synapse_pass_performance(self) -> Performance:
-        """All units computing one pass concurrently (synapse sub-bank)."""
-        total = Performance()
-        worst_latency = 0.0
-        for unit, count in self._shaped_units:
-            perf = unit.compute_performance()
-            total = Performance(
-                area=total.area + perf.area * count,
-                dynamic_energy=total.dynamic_energy
-                + perf.dynamic_energy * count,
-                leakage_power=total.leakage_power
-                + perf.leakage_power * count,
-                latency=max(total.latency, perf.latency),
+        else:
+            self.output_buffer = build(
+                "output_buffer", RegisterFileModule, cmos=cmos,
+                words=layer.output_values, bits=config.signal_bits,
             )
-            worst_latency = max(worst_latency, perf.latency)
-        return Performance(
-            area=total.area,
-            dynamic_energy=total.dynamic_energy,
-            leakage_power=total.leakage_power,
-            latency=worst_latency,
-        )
+        self._passes: Dict[int, Tuple[Performance, Performance]] = {}
 
-    def merge_pass_performance(self) -> Performance:
-        """Adder tree + shift-add for one pass (neuron sub-bank, part 1).
+    def passes(self, lanes: int) -> Tuple[Performance, Performance]:
+        """The merge and neuron pass records at ``lanes`` output lanes."""
+        records = self._passes.get(lanes)
+        if records is None:
+            records = self._passes[lanes] = (
+                self._merge_pass(lanes), self._neuron_pass(lanes),
+            )
+        return records
 
-        Hardware is replicated per lane; energy charges one tree
-        evaluation per output per slice and one shift-add per output.
-        """
+    def _merge_pass(self, lanes: int) -> Performance:
         outputs = self.mapping.out_features
         tree = self.adder_tree.performance()
         shift = self.shift_add.performance()
-        lanes = max(self.lanes, 1)
+        lanes = max(lanes, 1)
         return Performance(
             area=tree.area * lanes + shift.area * lanes,
             dynamic_energy=(
@@ -206,11 +148,10 @@ class ComputationBank:
             latency=tree.latency + shift.latency,
         )
 
-    def neuron_pass_performance(self) -> Performance:
-        """Pooling (if any) + neuron + buffers for one pass."""
+    def _neuron_pass(self, lanes: int) -> Performance:
         outputs = self.mapping.out_features
         neuron = self.neuron.performance()
-        lanes = max(min(self.lanes, outputs), 1)
+        lanes = max(min(lanes, outputs), 1)
         perf = Performance(
             area=neuron.area * lanes,
             dynamic_energy=neuron.dynamic_energy * outputs,
@@ -240,6 +181,105 @@ class ComputationBank:
             leakage_power=perf.leakage_power + out_buffer.leakage_power,
             latency=perf.latency + out_buffer.latency,
         )
+
+
+class ComputationBank:
+    """The hardware of one neuromorphic layer.
+
+    Parameters
+    ----------
+    config:
+        Design configuration.
+    layer:
+        The layer spec this bank implements.
+    next_layer:
+        The following layer, if any — sizes the Eq.-6 output line
+        buffers for cascaded conv layers.
+    registry:
+        Module registry for customization.  The bank takes its layer
+        plan and its units from the registry's pieces, so banks on one
+        registry share every piece their configs agree on.
+    """
+
+    def __init__(
+        self,
+        config: SimConfig,
+        layer: LayerSpec,
+        next_layer: Optional[LayerSpec] = None,
+        registry: Optional[ModuleRegistry] = None,
+    ) -> None:
+        self.config = config
+        self.layer = layer
+        self.next_layer = next_layer
+        self.registry = registry = (
+            registry if registry is not None else ModuleRegistry()
+        )
+        plan = registry.piece(
+            ("layer", config_token(config, registry), config.crossbar_size,
+             layer, next_layer),
+            _LayerPlan, config, layer, next_layer, registry,
+        )
+        self.mapping = mapping = plan.mapping
+
+        # One representative unit per distinct tile shape; shape counts
+        # keep the accounting exact without instantiating every tile.
+        self._shaped_units: List[Tuple[ComputationUnit, int]] = [
+            (shared_unit(config, rows, cols, registry), count)
+            for rows, cols, count in plan.shapes
+        ]
+
+        # Parallel output lanes: each tile-column delivers p digitised
+        # columns per read cycle.
+        reference_unit = self._shaped_units[0][0]
+        self.lanes = mapping.col_blocks * reference_unit.parallelism
+
+        self.adder_tree = plan.adder_tree
+        self.shift_add = plan.shift_add
+        self.neuron = plan.neuron
+        self.pooling = plan.pooling
+        self.pooling_buffer = plan.pooling_buffer
+        self.output_buffer = plan.output_buffer
+        self._merge, self._neuron = plan.passes(self.lanes)
+
+    # ------------------------------------------------------------------
+    @property
+    def units(self) -> int:
+        """Computation units in this bank."""
+        return self.mapping.units
+
+    @property
+    def crossbars(self) -> int:
+        """Physical crossbars in this bank."""
+        return self.mapping.crossbars
+
+    # ------------------------------------------------------------------
+    def synapse_pass_performance(self) -> Performance:
+        """All units computing one pass concurrently (synapse sub-bank)."""
+        area = energy = leakage = latency = 0.0
+        for unit, count in self._shaped_units:
+            perf = unit.compute_performance()
+            area += perf.area * count
+            energy += perf.dynamic_energy * count
+            leakage += perf.leakage_power * count
+            latency = max(latency, perf.latency)
+        return Performance(
+            area=area,
+            dynamic_energy=energy,
+            leakage_power=leakage,
+            latency=latency,
+        )
+
+    def merge_pass_performance(self) -> Performance:
+        """Adder tree + shift-add for one pass (neuron sub-bank, part 1).
+
+        Hardware is replicated per lane; energy charges one tree
+        evaluation per output per slice and one shift-add per output.
+        """
+        return self._merge
+
+    def neuron_pass_performance(self) -> Performance:
+        """Pooling (if any) + neuron + buffers for one pass."""
+        return self._neuron
 
     # ------------------------------------------------------------------
     def pass_performance(self) -> Performance:

@@ -20,7 +20,7 @@ The COMPUTE operation of one unit:
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Hashable, Optional
 
 from repro.circuits import (
     AdcModule,
@@ -34,6 +34,50 @@ from repro.circuits import (
 from repro.config import SimConfig
 from repro.report import Performance, ReportNode
 from repro.tech.cmos import REFERENCE_READ_FREQUENCY
+
+#: The :class:`SimConfig` fields a design sweep leaves alone: all but
+#: its three axes.  They enter a registry piece key as one token
+#: (:func:`config_token`); the key names each swept value the piece
+#: reads.
+_UNSWEPT_FIELDS = tuple(
+    name for name in SimConfig.__dataclass_fields__
+    if name not in ("crossbar_size", "parallelism_degree",
+                    "interconnect_tech")
+)
+
+
+def _unswept(config: SimConfig) -> Hashable:
+    # With the types: 1 and True, or 8 and 8.0, are equal but not alike.
+    values = tuple(getattr(config, name) for name in _UNSWEPT_FIELDS)
+    return values + tuple(map(type, values))
+
+
+def config_token(config: SimConfig, registry: ModuleRegistry) -> int:
+    """``registry``'s token for the fields of ``config`` no sweep varies."""
+    return registry.token(config, _unswept)
+
+
+def shared_unit(
+    config: SimConfig,
+    active_rows: int,
+    active_cols: int,
+    registry: ModuleRegistry,
+) -> ComputationUnit:
+    """The registry's unit for one tile shape under ``config``.
+
+    A unit reads the unswept fields, the crossbar size, the wire node
+    and the degree only through the tile's effective parallelism, so
+    configs equal in those share one unit (and its ``config`` is the
+    first of them).
+    """
+    key = (
+        "unit", config_token(config, registry), config.crossbar_size,
+        config.interconnect_tech, config.effective_parallelism(active_cols),
+        active_rows, active_cols,
+    )
+    return registry.piece(
+        key, ComputationUnit, config, active_rows, active_cols, registry
+    )
 
 
 class ComputationUnit:
@@ -107,6 +151,7 @@ class ComputationUnit:
             )
         else:
             self.subtractor = None
+        self._compute: Optional[Performance] = None
 
     # ------------------------------------------------------------------
     @property
@@ -120,7 +165,16 @@ class ComputationUnit:
 
     # ------------------------------------------------------------------
     def compute_performance(self) -> Performance:
-        """Cost of one COMPUTE operation (one matrix-vector multiply)."""
+        """Cost of one COMPUTE operation (one matrix-vector multiply).
+
+        Evaluated once per unit: its modules are pure (the
+        :class:`~repro.circuits.base.CircuitModule` contract).
+        """
+        if self._compute is None:
+            self._compute = self._evaluate_compute()
+        return self._compute
+
+    def _evaluate_compute(self) -> Performance:
         crossbar = self.crossbar.performance()
         row_decoder = self.row_decoder.performance()
         col_decoder = self.col_decoder.performance()

@@ -16,13 +16,14 @@ Slot names used by the reference design:
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Any, Callable, Dict, Hashable, Tuple, TypeVar
 
 from repro.circuits.base import CircuitModule, CustomModule
 from repro.errors import ConfigError
 from repro.report import Performance
 
 ModuleFactory = Callable[..., CircuitModule]
+Piece = TypeVar("Piece")
 
 
 class ModuleRegistry:
@@ -39,12 +40,26 @@ class ModuleRegistry:
     on the purity contract of :class:`CircuitModule`; callers that need
     isolation pass a fresh registry.  The memo key holds the resolved
     factory, so overrides and removals apply from the next build.
+
+    The hierarchy builders also keep the composite pieces a design
+    sweep repeats here (:meth:`piece`): a computation unit with its
+    COMPUTE record, and a bank's layer mapping, tail modules and
+    merge/neuron pass records.  A piece key must hold every input the
+    piece reads.  The configuration fields a sweep does not vary enter
+    it as one small int (:meth:`token`); the arch builders add the
+    swept values they read (crossbar size, wire node, effective
+    parallelism, tile shape, layers).  Pieces hold modules built from
+    the factories of their day, so :meth:`override`, :meth:`remove`
+    and :meth:`restore` drop them all.
     """
 
     def __init__(self) -> None:
         self._factories: Dict[str, ModuleFactory] = {}
         self._removed: set = set()
         self._built: Dict[tuple, CircuitModule] = {}
+        self._pieces: Dict[Hashable, Any] = {}
+        self._tokens: Dict[Hashable, int] = {}
+        self._last_token: Tuple[Any, int] = (None, -1)
 
     def override(self, slot: str, factory: ModuleFactory) -> None:
         """Install ``factory`` for ``slot`` (replacing any previous one)."""
@@ -52,6 +67,7 @@ class ModuleRegistry:
             raise ConfigError(f"factory for slot {slot!r} must be callable")
         self._removed.discard(slot)
         self._factories[slot] = factory
+        self._pieces.clear()
 
     def override_fixed(self, slot: str, performance: Performance) -> None:
         """Pin ``slot`` to fixed published numbers (NVSim/ISAAC import)."""
@@ -64,11 +80,13 @@ class ModuleRegistry:
         """
         self._factories.pop(slot, None)
         self._removed.add(slot)
+        self._pieces.clear()
 
     def restore(self, slot: str) -> None:
         """Undo an override or removal, restoring the reference design."""
         self._factories.pop(slot, None)
         self._removed.discard(slot)
+        self._pieces.clear()
 
     def is_removed(self, slot: str) -> bool:
         """True if the slot was eliminated via :meth:`remove`."""
@@ -87,8 +105,31 @@ class ModuleRegistry:
             module = self._built[key] = _evaluate_once(factory(**kwargs))
         return module
 
+    def token(self, owner: Any, invariant: Callable[[Any], Hashable]) -> int:
+        """A small int standing for ``invariant(owner)`` in piece keys.
+
+        Equal invariants get one token for the registry's life.  The
+        last owner's token is kept, so the banks of one accelerator,
+        which share its configuration object, derive the token once.
+        """
+        last, token = self._last_token
+        if owner is last:
+            return token
+        token = self._tokens.setdefault(invariant(owner), len(self._tokens))
+        self._last_token = (owner, token)
+        return token
+
+    def piece(
+        self, key: Hashable, make: Callable[..., Piece], *args: Any
+    ) -> Piece:
+        """The composite piece under ``key``: ``make(*args)`` on first use."""
+        piece = self._pieces.get(key)
+        if piece is None:
+            piece = self._pieces[key] = make(*args)
+        return piece
+
     def copy(self) -> "ModuleRegistry":
-        """Shallow copy: factories shared, override sets and memo not."""
+        """Shallow copy: factories shared, override sets and memos not."""
         clone = ModuleRegistry()
         clone._factories = dict(self._factories)
         clone._removed = set(self._removed)

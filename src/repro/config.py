@@ -446,11 +446,7 @@ class SimConfig(Declared):
     def _check(self) -> None:
         # Field-addressed errors: the CLI and the HTTP service both
         # surface the same structured ValidationError for bad fields.
-        if self.crossbar_size & (self.crossbar_size - 1):
-            raise ValidationError(
-                "must be a power of two",
-                path="crossbar_size", value=self.crossbar_size,
-            )
+        check_crossbar_size(self.crossbar_size, "crossbar_size")
         if self.weight_polarity not in (1, 2):
             raise ValidationError(
                 "must be 1 (unsigned) or 2 (signed)",
@@ -615,6 +611,14 @@ class SimConfig(Declared):
 
 
 _FIELD_NAMES = tuple(SimConfig.__dataclass_fields__)
+
+
+def check_crossbar_size(size: int, path: str) -> None:
+    """:class:`SimConfig`'s rule for a crossbar size beyond its declared
+    bound: a power of two; a :class:`ValidationError` at ``path``."""
+    if size & (size - 1):
+        raise ValidationError("must be a power of two", path=path, value=size)
+
 
 # Normalised config-file keys (lowercase, underscores stripped) -> fields,
 # plus the one other spelling of Table I's (sic) spacial_size.

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Any, Iterator, Optional, Tuple
 
-from repro.config import Declared, SimConfig, declare
+from repro.config import Declared, SimConfig, check_crossbar_size, declare
 from repro.errors import ValidationError
 from repro.tech import available_interconnect_nodes
 
@@ -26,6 +26,16 @@ def _powers_of_two(low: int, high: int) -> Tuple[int, ...]:
         values.append(value)
         value *= 2
     return tuple(values)
+
+
+def _axis(name: str, default: Tuple[int, ...]) -> Any:
+    """A non-empty axis whose entries carry the declared bounds of
+    :class:`SimConfig` field ``name``."""
+    rules = SimConfig.__dataclass_fields__[name].metadata
+    return declare(
+        default, minimum=rules.get("minimum"), maximum=rules.get("maximum"),
+        nonempty=True,
+    )
 
 
 @dataclass(frozen=True)
@@ -41,26 +51,24 @@ class DesignSpace(Declared):
     sweeps, checked here so a sweep builds every point's config only
     when it simulates it: a bad axis fails before any point runs, not
     midway.  (Without the minimum, a grid of too-small sizes would
-    silently yield no valid point.)
+    silently yield no valid point.)  Each axis reads its bounds from
+    the declaration of the field it sweeps, and sizes go through
+    ``SimConfig``'s power-of-two rule.
     """
 
-    crossbar_sizes: Tuple[int, ...] = declare(
-        _powers_of_two(4, 1024), minimum=2, nonempty=True
+    crossbar_sizes: Tuple[int, ...] = _axis(
+        "crossbar_size", _powers_of_two(4, 1024)
     )
-    parallelism_degrees: Tuple[int, ...] = declare(
-        _powers_of_two(1, 256), minimum=0, nonempty=True
+    parallelism_degrees: Tuple[int, ...] = _axis(
+        "parallelism_degree", _powers_of_two(1, 256)
     )
-    interconnect_nodes: Tuple[int, ...] = declare(
-        (18, 22, 28, 36, 45), nonempty=True
+    interconnect_nodes: Tuple[int, ...] = _axis(
+        "interconnect_tech", (18, 22, 28, 36, 45)
     )
 
     def _check(self) -> None:
         for index, size in enumerate(self.crossbar_sizes):
-            if size & (size - 1):
-                raise ValidationError(
-                    "must be a power of two",
-                    path=f"crossbar_sizes[{index}]", value=size,
-                )
+            check_crossbar_size(size, f"crossbar_sizes[{index}]")
         known = available_interconnect_nodes()
         for index, node in enumerate(self.interconnect_nodes):
             if node not in known:

@@ -37,6 +37,8 @@ from repro.runtime.jobs import SCHEMA_VERSION
 _DB_FILENAME = "results.sqlite"
 # sqlite bind-parameter budget is 999 on old builds; stay well under.
 _SELECT_BATCH = 500
+#: Seconds a connection waits out another's lock (sqlite3's default).
+_BUSY_TIMEOUT = 5.0
 
 
 def default_cache_dir() -> Path:
@@ -95,21 +97,40 @@ class ResultCache:
         self._stores = 0
         import sqlite3  # here, not at module top: uncached runs skip it
 
-        self._conn = sqlite3.connect(str(self.path))
+        self._conn = sqlite3.connect(str(self.path), timeout=_BUSY_TIMEOUT)
         # Write-ahead log: a commit appends to ``results.sqlite-wal``
         # rather than creating, syncing and deleting a rollback journal,
         # and readers no longer wait for a writer.  ``synchronous``
         # keeps its default, FULL, so a committed row is as durable.
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute(
+        # Handles opening a new directory at once race on the switch;
+        # sqlite reports some of those locks at once, without waiting
+        # out the busy timeout, so the loser retries until it expires.
+        deadline = time.monotonic() + _BUSY_TIMEOUT
+        self._retry_locked("PRAGMA journal_mode=WAL", deadline)
+        self._retry_locked(
             "CREATE TABLE IF NOT EXISTS results ("
             " key TEXT PRIMARY KEY,"
             " version TEXT NOT NULL,"
             " kind TEXT NOT NULL,"
             " value TEXT NOT NULL,"
-            " created REAL NOT NULL)"
+            " created REAL NOT NULL)",
+            deadline,
         )
         self._conn.commit()
+
+    def _retry_locked(self, statement: str, deadline: float) -> None:
+        """Run ``statement``, retrying "database is locked" until
+        ``deadline`` (a :func:`time.monotonic` value)."""
+        import sqlite3
+
+        while True:
+            try:
+                self._conn.execute(statement)
+                return
+            except sqlite3.OperationalError as exc:
+                if "locked" not in str(exc) or time.monotonic() >= deadline:
+                    raise
+            time.sleep(0.001)
 
     # ------------------------------------------------------------------
     # Lookup / store

@@ -111,9 +111,10 @@ _WAIT_SLICE = 0.05
 _CHUNKS_PER_WORKER = 4
 
 #: Jobs per batch-worker group on the serial path (when the policy's
-#: ``chunk_size`` doesn't pin one).  Large enough to amortise batched
-#: assembly, small enough to keep progress/cancellation responsive and
-#: the stacked value arrays modest.
+#: ``chunk_size`` doesn't pin one).  Large enough that a batch worker
+#: shares its work across many jobs (a DSE batch builds its points on
+#: one module registry), small enough to keep progress and
+#: cancellation responsive.
 _SERIAL_BATCH_SIZE = 64
 
 

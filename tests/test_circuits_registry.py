@@ -247,3 +247,56 @@ def test_explore_builds_and_costs_each_dac_once_per_batch(monkeypatch):
     assert len(points) == 300
     batches = math.ceil(len(space) / _SERIAL_BATCH_SIZE)
     assert counts == {"built": batches, "evaluated": batches}
+
+
+# ----------------------------------------------------------------------
+# Pieces: composite memo entries under complete keys
+# ----------------------------------------------------------------------
+def test_piece_is_made_once_per_key():
+    registry = ModuleRegistry()
+    made = []
+
+    def make(*args):
+        made.append(args)
+        return list(args)
+
+    first = registry.piece(("unit", 1), make, "a", 2)
+    assert registry.piece(("unit", 1), make, "b", 3) is first
+    assert registry.piece(("unit", 2), make, "b", 3) == ["b", 3]
+    assert made == [("a", 2), ("b", 3)]
+
+
+@pytest.mark.parametrize("change", [
+    lambda registry: registry.override("dac", AdderModule),
+    lambda registry: registry.override_fixed("dac", Performance()),
+    lambda registry: registry.remove("dac"),
+    lambda registry: registry.restore("dac"),
+])
+def test_override_remove_and_restore_drop_every_piece(change):
+    registry = ModuleRegistry()
+    first = registry.piece("key", object)
+    change(registry)
+    assert registry.piece("key", object) is not first
+
+
+def test_copy_never_shares_pieces():
+    registry = ModuleRegistry()
+    first = registry.piece("key", object)
+    assert registry.copy().piece("key", object) is not first
+
+
+def test_equal_invariants_share_one_token():
+    registry = ModuleRegistry()
+    calls = []
+
+    def invariant(owner):
+        calls.append(owner)
+        return owner["fields"]
+
+    first = {"fields": (1, "a")}
+    token = registry.token(first, invariant)
+    # The same owner again: no second derivation.
+    assert registry.token(first, invariant) == token
+    assert registry.token({"fields": (1, "a")}, invariant) == token
+    assert registry.token({"fields": (2, "a")}, invariant) != token
+    assert len(calls) == 3

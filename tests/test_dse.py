@@ -96,6 +96,34 @@ class TestSpace:
             assert config.cmos_tech == 45
             assert config.weight_bits == 4
 
+    @pytest.mark.parametrize("axis, field, others", [
+        ("crossbar_sizes", "crossbar_size", {"parallelism_degree": 0}),
+        ("parallelism_degrees", "parallelism_degree",
+         {"crossbar_size": 1024}),
+        ("interconnect_nodes", "interconnect_tech", {}),
+    ])
+    def test_axis_entry_rule_is_the_swept_field_rule(
+        self, axis, field, others
+    ):
+        """Each axis entry passes exactly when SimConfig takes it as the
+        field the axis sweeps (the degree beside the largest size, as
+        the grid skips a degree above its point's size)."""
+        axis_rules = DesignSpace.__dataclass_fields__[axis].metadata
+        field_rules = SimConfig.__dataclass_fields__[field].metadata
+        for rule in ("minimum", "maximum"):
+            assert axis_rules.get(rule) == field_rules.get(rule)
+
+        def accepts(build):
+            try:
+                build()
+            except ConfigError:
+                return False
+            return True
+
+        for value in range(-2, 1025):
+            assert accepts(lambda: DesignSpace(**{axis: (value,)})) == \
+                accepts(lambda: SimConfig(**{field: value}, **others)), value
+
 
 class TestExplorer:
     def test_every_valid_point_simulated(self, points, small_space):
@@ -341,3 +369,36 @@ class TestCachedSweepCost:
         assert counters["cache_hits"] == 300
         assert counters["cache_misses"] == 0
         assert served == points
+
+    def test_vgg16_sweep_builds_each_piece_once_per_batch(self, monkeypatch):
+        """The registry's piece memo, pinned by counts, not timings.
+
+        A 300-point vgg16 sweep runs in five 64-point batches, each on
+        one registry.  A unit is shared by every bank and point with the
+        same tile shape, wire node and effective parallelism, so the
+        sweep builds 2,000 units (6,150 with one per bank per point) and
+        asks the registry for 15,562 modules (65,850); the 776 module
+        factory calls are the distinct argument sets, as before.
+        """
+        import repro.circuits.registry as registry_module
+        from repro.arch.unit import ComputationUnit
+        from repro.circuits import ModuleRegistry
+        from repro.nn.networks import vgg16
+
+        counts = {"units": 0, "lookups": 0, "factories": 0}
+
+        def counting(name, real):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(ComputationUnit, "__init__", counting(
+            "units", ComputationUnit.__init__))
+        monkeypatch.setattr(ModuleRegistry, "build", counting(
+            "lookups", ModuleRegistry.build))
+        monkeypatch.setattr(registry_module, "_evaluate_once", counting(
+            "factories", registry_module._evaluate_once))
+        points = explore(SimConfig(), vgg16(), DesignSpace())
+        assert len(points) == 300
+        assert counts == {"units": 2000, "lookups": 15562, "factories": 776}

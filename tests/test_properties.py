@@ -1001,3 +1001,104 @@ def test_execution_only_fields_never_move_a_campaign_key(data):
     assert _campaign_keys(CampaignConfig.from_dict(document), jobs) == (
         _campaign_keys(base)
     )
+
+
+# ----------------------------------------------------------------------
+# The module registry's piece memo: complete keys
+# ----------------------------------------------------------------------
+_SIM_FIELDS = {spec.name: spec for spec in dataclasses.fields(SimConfig)}
+#: Values a simulation can afford where the declaration has no upper
+#: bound: the accuracy model tabulates 2**bits levels, and the network
+#: below is two layers deep.
+_AFFORDABLE = {
+    "weight_bits": st.integers(1, 12),
+    "signal_bits": st.integers(1, 12),
+    "interface_number": st.tuples(st.integers(1, 1024),
+                                  st.integers(1, 1024)),
+    "network_depth": st.sampled_from([None, 2]),
+}
+
+
+def _sim_values(name):
+    if name in _AFFORDABLE:
+        return _AFFORDABLE[name]
+    return _declared_values(SimConfig, _SIM_FIELDS[name])
+
+
+@st.composite
+def _config_pairs(draw):
+    """Two valid configs, the second the first with one or two fields
+    redrawn, so a piece key that misses a field the piece reads is
+    likely to collide."""
+    first = {
+        name: draw(_sim_values(name)) for name in _SIM_FIELDS
+        if draw(st.integers(0, 7)) == 0
+    }
+    names = draw(st.lists(
+        st.sampled_from(sorted(_SIM_FIELDS)), min_size=1, max_size=2,
+        unique=True,
+    ))
+    second = dict(first, **{name: draw(_sim_values(name)) for name in names})
+    try:
+        return tuple(
+            dataclasses.replace(_SEEDS[SimConfig], **changes)
+            for changes in (first, second)
+        )
+    except ConfigError:
+        reject()
+
+
+def _memo_network(network_type):
+    from repro.nn.networks import mlp as make_mlp
+
+    # Edge tiles at every crossbar size below 32.
+    return make_mlp([20, 12, 6], name="memo", network_type=network_type)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=_config_pairs(),
+       network_type=st.sampled_from(["DNN", "SNN", "CNN"]))
+def test_shared_registry_summary_is_the_fresh_one(pair, network_type):
+    """Accelerators built one after another on one registry each report
+    the summary a fresh registry gives them, bit for bit."""
+    from repro.arch.accelerator import Accelerator
+    from repro.circuits import ModuleRegistry
+
+    network = _memo_network(network_type)
+    shared = ModuleRegistry()
+    for config in pair:
+        fresh = Accelerator(config, network).summary()
+        assert repr(Accelerator(config, network, shared).summary()) == \
+            repr(fresh)
+
+
+@settings(max_examples=30, deadline=None)
+@given(pair=_config_pairs(), slot=st.sampled_from(
+    ["dac", "read_circuit", "column_mux", "subtractor", "adder_tree",
+     "neuron", "output_buffer"]
+))
+def test_override_after_memo_reaches_the_next_accelerator(pair, slot):
+    """An override or removal made once the registry holds pieces is
+    what the next accelerator built on it reports, and a restore
+    brings the reference design back."""
+    from repro.arch.accelerator import Accelerator
+    from repro.circuits import ModuleRegistry
+
+    config = pair[0]
+    network = _memo_network("DNN")
+    registry = ModuleRegistry()
+    reference = Accelerator(config, network, registry).summary()
+    published = Performance(area=1.0, dynamic_energy=1.0, latency=1.0)
+    registry.override_fixed(slot, published)
+    pinned = ModuleRegistry()
+    pinned.override_fixed(slot, published)
+    assert repr(Accelerator(config, network, registry).summary()) == \
+        repr(Accelerator(config, network, pinned).summary())
+    registry.remove(slot)
+    removed = ModuleRegistry()
+    removed.remove(slot)
+    assert repr(Accelerator(config, network, registry).summary()) == \
+        repr(Accelerator(config, network, removed).summary())
+    registry.restore(slot)
+    assert repr(Accelerator(config, network, registry).summary()) == \
+        repr(reference)

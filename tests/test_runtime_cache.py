@@ -165,6 +165,74 @@ class TestWriteAheadLog:
         with ResultCache(directory) as reopened:
             assert reopened.get_many(["a", "b"]) == {"a": 1, "b": 2}
 
+    def test_handles_opening_a_new_directory_at_once_all_open(
+        self, tmp_path
+    ):
+        """Handles opening one new directory together race on the WAL
+        switch; a loser retries the lock instead of failing."""
+        import threading
+
+        for attempt in range(60):
+            directory = tmp_path / str(attempt)
+            start, stop = threading.Barrier(4), threading.Barrier(4)
+            opened, failures = [], []
+
+            def open_one():
+                start.wait()
+                try:
+                    handle = ResultCache(directory)
+                except sqlite3.OperationalError as exc:
+                    failures.append(exc)
+                    handle = None
+                else:
+                    opened.append(handle)
+                # Every handle stays open until all have tried.
+                stop.wait()
+                if handle is not None:
+                    handle.close()
+
+            threads = [threading.Thread(target=open_one) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert failures == []
+            assert len(opened) == 4
+
+    def test_open_retries_locked_until_the_deadline(self, cache):
+        import time
+
+        class Flaky:
+            """A connection that reports a lock ``locks`` times."""
+
+            def __init__(self, locks, message="database is locked"):
+                self.locks, self.message, self.calls = locks, message, 0
+
+            def execute(self, _statement):
+                self.calls += 1
+                if self.calls <= self.locks:
+                    raise sqlite3.OperationalError(self.message)
+
+        real = cache._conn
+        try:
+            cache._conn = Flaky(3)
+            cache._retry_locked("PRAGMA journal_mode=WAL",
+                                time.monotonic() + 5.0)
+            assert cache._conn.calls == 4
+            # Past the deadline the lock surfaces, as any other error
+            # does at once.
+            cache._conn = Flaky(3)
+            with pytest.raises(sqlite3.OperationalError, match="locked"):
+                cache._retry_locked("PRAGMA journal_mode=WAL",
+                                    time.monotonic())
+            cache._conn = Flaky(1, "disk I/O error")
+            with pytest.raises(sqlite3.OperationalError, match="disk"):
+                cache._retry_locked("PRAGMA journal_mode=WAL",
+                                    time.monotonic() + 5.0)
+            assert cache._conn.calls == 1
+        finally:
+            cache._conn = real
+
 
 class TestDefaultDir:
     def test_env_override(self, tmp_path, monkeypatch):
